@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import LineCensus, groups_through_point, line_census, pack_rows
+from .census import (LineCensus, groups_through_point, line_census, pack_rows,
+                     quotient_rows)
 from .pg import (Geometry, GeometryError, PointSet, Subspace, normalize_rows,
                  right_nullspace, space_size, span)
 
@@ -112,8 +113,10 @@ def _hyperplane_profile(b: PointSet):
 
 def is_blocking(b: PointSet):
     """(verdict, witness): witness is an unblocked hyperplane index or None."""
-    g = b.geometry
-    met, _ = _hyperplane_profile(b)
+    return _blocking_from_profile(b.geometry, _hyperplane_profile(b)[0])
+
+
+def _blocking_from_profile(g: Geometry, met: np.ndarray):
     if met.size == g.num_hyperplanes:
         return True, None
     missing = np.setdiff1d(np.arange(g.num_hyperplanes, dtype=np.int64), met,
@@ -129,8 +132,11 @@ def is_blocking(b: PointSet):
 
 def tangent_counts(b: PointSet):
     """Tangent-hyperplane count for every member of B, via a full profile."""
+    return _tangents_from_profile(b, *_hyperplane_profile(b))
+
+
+def _tangents_from_profile(b: PointSet, met: np.ndarray, counts: np.ndarray):
     g = b.geometry
-    met, counts = _hyperplane_profile(b)
     tangents = met[counts == 1]
     out = np.zeros(b.card, dtype=np.int64)
     if tangents.size == 0:
@@ -160,7 +166,7 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
     witnesses = {}
     all_found = True
     for i, c in enumerate(coords):
-        basis = np.array(_duals_through_point_basis(g, [int(x) for x in c]),
+        basis = np.array(right_nullspace(fs, [tuple(int(x) for x in c)]),
                          dtype=np.int64)
         found = None
         for _ in range(trials):
@@ -181,10 +187,6 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
     return witnesses, all_found
 
 
-def _duals_through_point_basis(g: Geometry, coords):
-    return right_nullspace(g.fs, [tuple(coords)])
-
-
 def _eval_form(g: Geometry, rows: np.ndarray, dual) -> np.ndarray:
     fs = g.fs
     acc = np.zeros(rows.shape[0], dtype=np.int64)
@@ -195,10 +197,11 @@ def _eval_form(g: Geometry, rows: np.ndarray, dual) -> np.ndarray:
 
 def is_minimal(b: PointSet):
     """(verdict, witnesses): per-point tangent hyperplane or violating point."""
-    blocking, w = is_blocking(b)
+    met, hcounts = _hyperplane_profile(b)
+    blocking, w = _blocking_from_profile(b.geometry, met)
     if not blocking:
         raise NotBlocking(f"unblocked hyperplane {w}")
-    counts, witness = tangent_counts(b)
+    counts, witness = _tangents_from_profile(b, met, hcounts)
     bad = np.flatnonzero(counts == 0)
     if bad.size:
         return False, {"inessential": [int(b.indices[i]) for i in bad]}
@@ -218,7 +221,7 @@ def _exponent_from_sizes(sizes, p: int, t: int):
     return e
 
 
-def exponent(b: PointSet, census: LineCensus | None = None):
+def exponent(b: PointSet):
     """(e, q0, h, h_integral) from hyperplane intersections.
 
     Raises HyperplaneFamilyTooLarge when the dual family cannot be
@@ -228,9 +231,12 @@ def exponent(b: PointSet, census: LineCensus | None = None):
     met, counts = _hyperplane_profile(b)
     if met.size != g.num_hyperplanes:
         raise NotBlocking("set does not block every hyperplane")
-    fs = g.fs
-    e = _exponent_from_sizes(np.unique(counts), fs.p, fs.t)
-    return _exponent_tuple(e, fs)
+    return _exponent_from_profile(g.fs, counts)
+
+
+def _exponent_from_profile(fs, counts: np.ndarray):
+    return _exponent_tuple(_exponent_from_sizes(np.unique(counts), fs.p, fs.t),
+                           fs)
 
 
 def exponent_from_lines(b: PointSet, census: LineCensus | None = None):
@@ -291,27 +297,7 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
     e_lines, *_ = exponent_from_lines(b, census)
     witnesses: dict = {}
     try:
-        blocking, w = is_blocking(b)
-        if w is not None:
-            witnesses["unblocked_hyperplane"] = w
-        strategy = "cover"
-        if blocking:
-            if g.n == 2 and census.per_point_tangents is not None:
-                # in a plane the hyperplanes are the lines, so the census
-                # already holds exact exponent data and tangent counts
-                e, q0, h, integral = exponent_from_lines(b, census)
-                counts = census.per_point_tangents
-            else:
-                e, q0, h, integral = exponent(b, census)
-                counts, _ = tangent_counts(b)
-            minimal = bool(np.all(counts > 0))
-            if not minimal:
-                witnesses["inessential"] = [
-                    int(b.indices[i]) for i in np.flatnonzero(counts == 0)]
-        else:
-            e = q0 = h = None
-            integral = False
-            minimal = False
+        met, hcounts = _hyperplane_profile(b)
     except HyperplaneFamilyTooLarge:
         strategy = "structural"
         blocking = bool(assume_blocking)
@@ -321,6 +307,28 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
         tw, all_found = randomized_tangent_witnesses(b, seed=seed)
         minimal = blocking and all_found
         witnesses["minimality_method"] = "randomized-witness"
+    else:
+        strategy = "cover"
+        blocking, w = _blocking_from_profile(g, met)
+        if w is not None:
+            witnesses["unblocked_hyperplane"] = w
+        if blocking:
+            if g.n == 2 and census.per_point_tangents is not None:
+                # in a plane the hyperplanes are the lines, so the census
+                # already holds exact exponent data and tangent counts
+                e, q0, h, integral = exponent_from_lines(b, census)
+                counts = census.per_point_tangents
+            else:
+                e, q0, h, integral = _exponent_from_profile(fs, hcounts)
+                counts, _ = _tangents_from_profile(b, met, hcounts)
+            minimal = bool(np.all(counts > 0))
+            if not minimal:
+                witnesses["inessential"] = [
+                    int(b.indices[i]) for i in np.flatnonzero(counts == 0)]
+        else:
+            e = q0 = h = None
+            integral = False
+            minimal = False
     pexp = all_point_exponents(b) if with_point_exponents else None
     return BlockingReport(
         size=size, kappa=size - fs.q, is_blocking=blocking,
@@ -373,13 +381,7 @@ def find_tangent_only_point(b: PointSet, limit: int | None = None):
     for idx in range(stop):
         if idx in b:
             continue
-        qc = np.array(g.coords_of(idx), dtype=np.int64)
-        piv = int(np.argmax(qc != 0))
-        alpha = coords[:, piv]
-        red = fs.vsub(coords, fs.vmul(alpha[:, None], qc[None, :]))
-        red = np.delete(red, piv, axis=1)
-        red = normalize_rows(fs, red)
-        keys = pack_rows(red, fs.q)
+        keys = pack_rows(quotient_rows(g, g.coords_of(idx), coords), fs.q)
         uniq = np.unique(keys, axis=0 if keys.ndim > 1 else None)
         if uniq.shape[0] == b.card:
             return idx

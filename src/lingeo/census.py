@@ -62,6 +62,8 @@ class LineCensus:
     per_point_tangents: np.ndarray  # lines through P meeting B in {P} only
     per_point_by_size: dict         # size -> np.ndarray of counts per point
     secants: dict = field(default_factory=dict)  # size -> (S, size) index array
+    _collected: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)  # size -> census collecting it
 
     @property
     def sizes(self):
@@ -78,6 +80,20 @@ class LineCensus:
     def secant_members(self, size: int) -> np.ndarray:
         """(S, size) array of member indices, one sorted row per secant."""
         return self.secants.get(size, np.zeros((0, size), dtype=np.int64))
+
+    def with_secants(self, size: int) -> "LineCensus":
+        """This census if it holds the size-``size`` secants, else a census
+        of the same set collecting them: one pass, cached for later calls,
+        in full mode when longer lines would shadow them in pair mode.
+        """
+        if size in self.secants:
+            return self
+        if size not in self._collected:
+            shadowed = any(k > size for k in self.hist)
+            self._collected[size] = line_census(
+                self.point_set, collect_sizes=[size],
+                mode="full" if shadowed else "auto")
+        return self._collected[size]
 
 
 _PAIR_MODE_THRESHOLD = 4096

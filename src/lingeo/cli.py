@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,9 +46,9 @@ def _versions():
 
 def _write_manifest(out, args, started, outcome):
     man = {
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "config": {k: v for k, v in sorted(vars(args).items())
-                   if k != "func" and v is not None},
+                   if k not in ("func", "argv") and v is not None},
         "versions": _versions(),
         "seed": getattr(args, "seed", 0),
         "wall_time_s": round(time.monotonic() - started, 3),
@@ -71,14 +70,6 @@ def _field(args):
     if getattr(args, "modulus", None):
         modulus = tuple(int(c) for c in args.modulus.split(","))
     return make_field(args.p, args.t, modulus)
-
-
-def _map(threads, fn, items):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +330,9 @@ def build_parser():
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except GuardExceeded as exc:

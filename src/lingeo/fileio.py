@@ -32,13 +32,8 @@ def _modulus_str(fs) -> str:
 
 
 def write_point_set(path, b: PointSet, comments=()):
-    g = b.geometry
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"PG {g.n} {g.fs.p} {g.fs.t} {_modulus_str(g.fs)}")
-    for c in b.coords():
-        lines.append(" ".join(str(int(x)) for x in c))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(point_set_to_text(b, comments))
 
 
 def point_set_to_text(b: PointSet, comments=()) -> str:

@@ -15,13 +15,13 @@ all blocking tests are O(#hyperplanes) word operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .blocking import BlockingReport, analyze, is_blocking, is_minimal
+from .blocking import analyze, is_blocking, is_minimal
 from .census import line_census
 from .pg import Geometry, PointSet, points_of
-from .structure import NoSecant, certify_linearity, check_sublines
+from .structure import NoSecant, certify_linearity
 
 
 class SearchError(Exception):

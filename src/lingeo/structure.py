@@ -178,12 +178,22 @@ def sublines_pass_batch(b: PointSet, secants, e: int) -> np.ndarray:
     return np.all(ok & member, axis=1)
 
 
+def _short_secants(b: PointSet, q0: int, census: LineCensus | None):
+    """``census`` with its (q0+1)-secants collected; without one, a single
+    full-mode pass, the mode that can collect any size."""
+    if census is None:
+        return line_census(b, collect_sizes=[q0 + 1], mode="full")
+    return census.with_secants(q0 + 1)
+
+
 def check_sublines(b: PointSet, e: int, census: LineCensus | None = None) -> dict:
-    """Verify every (p^e+1)-secant of B is a subline; list violations."""
+    """Verify every (p^e+1)-secant of B is a subline; list violations.
+
+    ``census`` is reused, its short secants collected at most once
+    (``census.with_secants``).
+    """
     q0 = b.geometry.fs.p ** e
-    if census is None or (q0 + 1) not in census.secants:
-        census = line_census(b, collect_sizes=[q0 + 1])
-    secants = census.secant_members(q0 + 1)
+    secants = _short_secants(b, q0, census).secant_members(q0 + 1)
     if secants.shape[0] == 0:
         return {"checked": 0, "violations": []}
     # chunked so million-secant instances never hold giant temporaries
@@ -407,9 +417,10 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
 
     ``report`` is a blocking_core BlockingReport.  Checks that need the
     small-minimal hypothesis run INFORMATIONAL when it is not
-    established.  ``plane_secant_cap`` bounds (deterministically, lowest
-    secants first) how many secants get a full plane census; None means
-    all of them.
+    established.  ``census`` is reused, its short secants collected at
+    most once (``census.with_secants``).  ``plane_secant_cap`` bounds
+    (deterministically, lowest secants first) how many secants get their
+    one plane census, which feeds every plane check; None means all.
     """
     g = b.geometry
     fs = g.fs
@@ -427,10 +438,7 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
     if h is None:
         return [_entry("size", "-", b.card, "INFORMATIONAL",
                        "exponent does not divide the field degree")]
-    if census is None:
-        census = line_census(b, collect_sizes=[q0 + 1])
-    elif (q0 + 1) not in census.secants:
-        census = line_census(b, collect_sizes=[q0 + 1])
+    census = _short_secants(b, q0, census)
 
     # size upper bound
     bound, info = bound_value("size", q0, h)
@@ -477,47 +485,24 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
             entries.append(_entry("double_exponent_secants", bound, "-",
                                   "INFORMATIONAL", "no point has exponent 2e"))
 
-    # plane intersection checks
+    # plane checks: one plane census per secant.  A plane has the same
+    # |B ∩ plane| from every secant in it, and the size checks need only
+    # min, max and the gap, so distinct sizes suffice.
     if g.n == 2:
-        plane_sizes = {(): b.card}
+        plane_sizes = {b.card}
     else:
-        secants = census.secant_members(q0 + 1)
-        if plane_secant_cap is not None:
-            secants = secants[:plane_secant_cap]
-        plane_sizes = distinct_plane_sizes(b, secants) \
-            if secants.shape[0] else {}
-
-    if plane_sizes:
-        sizes = list(plane_sizes.values())
-        pm, _ = bound_value("plane_min", q0)
-        pgap, _ = bound_value("plane_gap", q0)
-        pcap, _ = bound_value("plane_cap", q0)
-        # the plane dichotomy needs a proper subfield (h >= 2)
-        trivial_subfield = h < 2
-        entries.append(_entry("plane_min", pm, min(sizes),
-                              status(min(sizes) >= pm, trivial_subfield)))
-        gap_ok = all(not (pm < s < pgap) for s in sizes)
-        entries.append(_entry("plane_gap", pgap,
-                              max(sizes), status(gap_ok, trivial_subfield)))
-        spanning = report.span_dim == h - 1
-        entries.append(_entry("plane_cap", pcap, max(sizes),
-                              status(max(sizes) <= pcap, trivial_subfield)
-                              if spanning else "OUTSIDE_HYPOTHESES",
-                              "" if spanning else
-                              "set does not span an (h-1)-space"))
-
-    # good-plane dichotomy and the at-most-one-all-bad-secant check
-    if g.n >= 3:
         secants = census.secant_members(q0 + 1)
         capped = plane_secant_cap is not None and len(secants) > plane_secant_cap
         if plane_secant_cap is not None:
             secants = secants[:plane_secant_cap]
+        plane_sizes = set()
         bound, info = bound_value("good_planes", q0, h)
         dichotomy_ok = True
         worst_good = None
         all_bad_per_point: dict = {}
         for sec in secants:
             pc = plane_census(b, sec, q0)
+            plane_sizes.update(size for _k, size, _g in pc.planes)
             if pc.good_count == 0:
                 for i in sec:
                     all_bad_per_point[i] = all_bad_per_point.get(i, 0) + 1
@@ -529,6 +514,28 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
                     dichotomy_ok = False
                 if worst_good is None or pc.good_count < worst_good:
                     worst_good = pc.good_count
+
+    if plane_sizes:
+        pm, _ = bound_value("plane_min", q0)
+        pgap, _ = bound_value("plane_gap", q0)
+        pcap, _ = bound_value("plane_cap", q0)
+        lo, hi = min(plane_sizes), max(plane_sizes)
+        # the plane dichotomy needs a proper subfield (h >= 2)
+        trivial_subfield = h < 2
+        entries.append(_entry("plane_min", pm, lo,
+                              status(lo >= pm, trivial_subfield)))
+        gap_ok = all(not (pm < s < pgap) for s in plane_sizes)
+        entries.append(_entry("plane_gap", pgap,
+                              hi, status(gap_ok, trivial_subfield)))
+        spanning = report.span_dim == h - 1
+        entries.append(_entry("plane_cap", pcap, hi,
+                              status(hi <= pcap, trivial_subfield)
+                              if spanning else "OUTSIDE_HYPOTHESES",
+                              "" if spanning else
+                              "set does not span an (h-1)-space"))
+
+    # good-plane dichotomy and the at-most-one-all-bad-secant check
+    if g.n >= 3:
         note = "secant sample capped" if capped else ""
         entries.append(_entry("good_planes", bound,
                               worst_good if worst_good is not None else "-",
@@ -587,7 +594,8 @@ def certify_linearity(b: PointSet, report, census: LineCensus | None = None,
 
     Anchors (a point of B on a short secant, then a reduced point of its
     spread element) are tried lowest-index-first, so runs are
-    reproducible bit for bit.
+    reproducible bit for bit.  ``census`` is reused, its short secants
+    collected at most once (``census.with_secants``).
     """
     g = b.geometry
     if not (report.is_blocking and report.is_minimal and report.is_small):
@@ -595,32 +603,14 @@ def certify_linearity(b: PointSet, report, census: LineCensus | None = None,
     if report.h is None:
         raise NotSmallMinimal("exponent does not divide the field degree")
     e, q0, h = report.exponent_e, report.q0, report.h
-    if census is None or (q0 + 1) not in census.secants:
-        try:
-            census = line_census(b, collect_sizes=[q0 + 1])
-        except ValueError:
-            census = None  # collection shadowed in pair mode; scan instead
-    per_pt = (census.per_point_by_size.get(q0 + 1)
-              if census is not None else None)
+    per_pt = _short_secants(b, q0, census).per_point_by_size.get(q0 + 1)
     labels = check_span_hypotheses(q0, h, report.span_dim)
     if require_hypotheses and not labels["inside"]:
         raise NotSmallMinimal("outside the certification hypotheses")
     ctx = SpreadContext(g, e)
-    if per_pt is not None:
-        if not np.any(per_pt > 0):
-            raise NoSecant(f"no ({q0 + 1})-secant exists")
-        anchors = [int(pos) for pos in np.flatnonzero(per_pt > 0)][:max_anchors]
-    else:
-        # no usable census: probe points lowest-index-first for a short
-        # secant; every grouping is exact per point, so this stays sound
-        anchors = []
-        for pos in range(min(b.card, 64 * max_anchors)):
-            if any(grp.size == q0 for grp in groups_through_point(b, pos)):
-                anchors.append(pos)
-                if len(anchors) >= max_anchors:
-                    break
-        if not anchors:
-            raise NoSecant(f"no ({q0 + 1})-secant found at probed points")
+    if per_pt is None or not np.any(per_pt > 0):
+        raise NoSecant(f"no ({q0 + 1})-secant exists")
+    anchors = [int(pos) for pos in np.flatnonzero(per_pt > 0)][:max_anchors]
     last = None
     for pos in anchors:
         p_index = int(b.indices[pos])

@@ -106,6 +106,24 @@ def test_exponent_from_lines_agrees(baer_49, trace_343):
         assert e_h == e_l
 
 
+def test_one_hyperplane_profile_per_check(baer_49, planar_baer_3d,
+                                          monkeypatch):
+    calls = []
+    real = blocking._hyperplane_profile
+
+    def counting(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(blocking, "_hyperplane_profile", counting)
+    assert blocking.is_minimal(baer_49)[0]
+    assert len(calls) == 1
+    calls.clear()
+    rep = blocking.analyze(planar_baer_3d)
+    assert rep.strategy == "cover" and rep.is_minimal
+    assert len(calls) == 1
+
+
 def test_trace_set_report(trace_343):
     rep = blocking.analyze(trace_343)
     assert rep.is_blocking and rep.is_minimal and rep.is_small

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lingeo import blocking, census, cli, structure
 from lingeo.cli import main
 from lingeo.fileio import (ParseError, parse_point_set, point_set_to_text,
                            read_point_set, write_point_set)
@@ -14,6 +15,7 @@ def run(argv):
 def test_point_set_roundtrip(tmp_path, baer_49):
     path = tmp_path / "b.txt"
     write_point_set(path, baer_49, comments=["round trip"])
+    assert path.read_text() == point_set_to_text(baer_49, ["round trip"])
     again = read_point_set(path)
     assert again == baer_49
 
@@ -31,8 +33,9 @@ def test_parse_errors():
 
 def test_build_line(tmp_path):
     out = tmp_path / "line"
-    assert run(["build", "line", "--p", "7", "--t", "2", "--n", "2",
-                "--out", str(out)]) == 0
+    argv = ["build", "line", "--p", "7", "--t", "2", "--n", "2",
+            "--out", str(out)]
+    assert run(argv) == 0
     b = read_point_set(out / "line" / "points.txt"
                        if (out / "line").exists() else out / "points.txt")
     assert b.card == 50
@@ -40,6 +43,7 @@ def test_build_line(tmp_path):
     assert rep["is_blocking"] and rep["is_minimal"]
     man = json.loads((out / "manifest.json").read_text())
     assert "wall_time_s" in man and man["seed"] == 0
+    assert man["command"] == " ".join(argv)
 
 
 def test_build_baer(tmp_path):
@@ -94,6 +98,23 @@ def test_verify_baer_all_checks(tmp_path, baer_49):
     doc = json.loads((out / "verify_report.json").read_text())
     assert doc["certificate"]["verified"]
     assert all(e["status"] != "FAIL" for e in doc["checks"])
+
+
+def test_verify_runs_two_line_censuses(tmp_path, baer_49, monkeypatch):
+    calls = []
+    real = census.line_census
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("collect_sizes", ()))
+        return real(*args, **kwargs)
+
+    for mod in (census, cli, structure, blocking):
+        monkeypatch.setattr(mod, "line_census", counting)
+    pf = tmp_path / "b.txt"
+    write_point_set(pf, baer_49)
+    assert run(["verify", str(pf), "--out", str(tmp_path / "v")]) == 0
+    # one plain census, one collecting the short secants for every check
+    assert calls == [(), [8]]
 
 
 def test_verify_line_minus_point_fails(tmp_path, line_49):

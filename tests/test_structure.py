@@ -120,6 +120,38 @@ def test_lemma_suite_planar_baer(planar_baer_3d):
     assert "good_planes" in by and "one_all_bad_secant" in by
 
 
+def test_lemma_suite_one_plane_census_per_secant(planar_baer_3d, monkeypatch):
+    rep = blocking.analyze(planar_baer_3d)
+    census = line_census(planar_baer_3d, collect_sizes=[8])
+    calls = []
+    real = structure.plane_census
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structure, "plane_census", counting)
+    structure.run_lemma_suite(planar_baer_3d, rep, census=census)
+    assert len(calls) == census.secant_members(8).shape[0] > 0
+
+
+def test_pair_mode_census_with_shadowed_secants(trace_343):
+    # 8-secants lie under 50-point lines, which pair mode cannot collect
+    census = line_census(trace_343, mode="pair")
+    assert max(census.hist) > 8
+    rep = blocking.analyze(trace_343, with_point_exponents=True)
+    assert (structure.check_sublines(trace_343, 1, census=census)
+            == structure.check_sublines(trace_343, 1))
+    assert (structure.run_lemma_suite(trace_343, rep, census=census)
+            == structure.run_lemma_suite(trace_343, rep))
+    assert (structure.certify_linearity(trace_343, rep,
+                                        census=census).to_json_dict()
+            == structure.certify_linearity(trace_343, rep).to_json_dict())
+    # the collection is cached beside the census, which stays as it was
+    assert census.with_secants(8) is census.with_secants(8)
+    assert 8 not in census.secants and census.per_point_secants is None
+
+
 def test_certify_baer(baer_49):
     rep = blocking.analyze(baer_49)
     cert = structure.certify_linearity(baer_49, rep)
