@@ -20,11 +20,11 @@ import numpy as np
 
 from . import blocking, structure
 from .census import line_census
-from .constructions import full_line, subgeometry, trace_linear_set
+from .constructions import full_line, subgeometry
 from .fileio import (ParseError, point_set_to_text, read_point_set,
                      read_reduced_subspace, read_vectors, write_point_set)
 from .gf import FieldError, make_field
-from .pg import GeometryError, PointSet, build_geometry
+from .pg import GeometryError, build_geometry
 from .reduction import ReductionError, SpreadContext
 from .search import GuardExceeded, SearchConfig, enumerate_minimal, verify_catalog
 

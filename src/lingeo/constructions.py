@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldSpec
-from .pg import Geometry, PointSet, Subspace, points_of, space_size
+from .pg import Geometry, PointSet, points_of, space_size
 from .reduction import SpreadContext
 
 

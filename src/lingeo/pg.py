@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldSpec, FieldError
+from .gf import FieldSpec
 
 
 class GeometryError(Exception):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldError, FieldSpec
-from .pg import Geometry, PointSet, Subspace, normalize_rows, rref
+from .pg import Geometry, PointSet, Subspace, rref
 
 
 class ReductionError(Exception):

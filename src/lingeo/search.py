@@ -7,10 +7,17 @@ pruned when the current size plus a matching-style lower bound (a
 greedily built family of pairwise disjoint unblocked hyperplanes, each
 demanding one new point) already exceeds the size cap.  Leaves are kept
 when the set is a minimal blocking set; duplicates are removed with a
-sorted-index-tuple memo so the catalog is complete and duplicate-free.
+memo of the sets already reached, so the catalog is complete and
+duplicate-free.
 
-Every hyperplane is held as a Python int bitmask over point indices, so
-all blocking tests are O(#hyperplanes) word operations.
+Points and hyperplanes are held as Python int bitmasks.  The set of
+unblocked hyperplanes is passed down the DFS as one int and updated
+incrementally (adding point x clears the hyperplanes through x); the
+fail-first choice is its lowest set bit and the bound walks it through
+precomputed masks of the hyperplanes disjoint from each hyperplane, so a
+step costs a few big-int operations.  At a leaf, minimality
+is the exact tangent test of the definition on the hyperplane masks:
+every point of the set is the only point of the set on some hyperplane.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ _DEFAULT_GUARD = 100
 class SearchConfig:
     geometry: Geometry
     max_size: int | None = None
-    dedup: str = "memo"            # "memo" or "none"
     parallel_width: int = 1
     seed: int = 0
     guard: int = _DEFAULT_GUARD
@@ -76,16 +82,19 @@ def _hyperplane_masks(g: Geometry) -> list:
     return masks
 
 
-def _disjoint_lower_bound(masks, unblocked) -> int:
-    """Number of pairwise disjoint unblocked hyperplanes (greedy)."""
-    used = 0
-    count = 0
-    for i in unblocked:
-        m = masks[i]
-        if m & used == 0:
-            used |= m
-            count += 1
-    return count
+def mask_is_minimal(masks, s: int) -> bool:
+    """Whether the blocking set ``s`` (a point bitmask) is minimal.
+
+    ``masks`` holds every hyperplane as a point bitmask.  A blocking set is
+    minimal exactly when each of its points has a tangent hyperplane, one
+    that meets the set in that point alone.
+    """
+    tangent_points = 0
+    for m in masks:
+        hit = m & s
+        if hit & (hit - 1) == 0:
+            tangent_points |= hit
+    return tangent_points == s
 
 
 def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
@@ -96,61 +105,62 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
             f"{g.num_points} points exceeds the guard ({cfg.guard}); "
             "override the guard to force the run")
     masks = _hyperplane_masks(g)
-    nh = len(masks)
+    points = range(g.num_points)
+    hyperplanes = range(len(masks))
+    every = (1 << len(masks)) - 1
+    # per point: the hyperplanes that do not contain it
+    misses = [every & ~sum(1 << i for i in hyperplanes if masks[i] >> x & 1)
+              for x in points]
+    # per hyperplane: the hyperplanes disjoint from it
+    disjoint = [sum(1 << j for j in hyperplanes if masks[j] & m == 0)
+                for m in masks]
     max_size = cfg.max_size
+    prune = cfg.prune
     memo: set = set()
-    result = SearchResult(catalog=[], reports=[])
     found: list = []
+    nodes = pruned = leaves = duplicates = 0
 
-    def blocking_state(points_mask):
-        return [i for i in range(nh) if masks[i] & points_mask == 0]
-
-    def descend(chosen, points_mask):
-        result.nodes += 1
-        unblocked = blocking_state(points_mask)
+    def descend(unblocked, s, size):
+        nonlocal nodes, pruned, leaves, duplicates
+        nodes += 1
         if not unblocked:
-            result.leaves += 1
-            key = tuple(sorted(chosen))
-            if cfg.dedup != "none":
-                if key in memo:
-                    result.duplicates += 1
+            leaves += 1
+            if s in memo:
+                duplicates += 1
+            else:
+                memo.add(s)
+                if mask_is_minimal(masks, s):
+                    found.append(tuple(x for x in points if s >> x & 1))
+            return
+        if size >= max_size:
+            pruned += 1
+            return
+        if prune:
+            # greedy in increasing index order: each pick is the lowest
+            # unblocked hyperplane disjoint from all earlier picks
+            slack = max_size - size
+            rest = unblocked
+            while rest:
+                slack -= 1
+                if slack < 0:
+                    pruned += 1
                     return
-                memo.add(key)
-            b = PointSet(g, list(key))
-            minimal, _ = is_minimal(b)
-            if minimal:
-                if cfg.dedup == "none" and key in {k for k, _ in found}:
-                    result.duplicates += 1
-                else:
-                    found.append((key, b))
-            return
-        if len(chosen) >= max_size:
-            result.pruned += 1
-            return
-        if cfg.prune:
-            lb = _disjoint_lower_bound(masks, unblocked)
-            if len(chosen) + lb > max_size:
-                result.pruned += 1
-                return
-        # fail-first: unblocked hyperplane with fewest addable points
-        best = None
-        for i in unblocked:
-            free = masks[i] & ~points_mask
-            c = free.bit_count()
-            if best is None or c < best[0]:
-                best = (c, i, free)
-        _, _, free = best
+                rest &= disjoint[(rest & -rest).bit_length() - 1]
+        # fail-first: an unblocked hyperplane misses s, so all its points are
+        # addable, and every hyperplane of PG(n, q) has the same size; the
+        # one with the fewest addable points is the lowest unblocked one
+        free = masks[(unblocked & -unblocked).bit_length() - 1]
         while free:
             low = free & -free
-            idx = low.bit_length() - 1
-            descend(chosen + [idx], points_mask | low)
+            descend(unblocked & misses[low.bit_length() - 1], s | low,
+                    size + 1)
             free ^= low
 
-    descend([], 0)
-    keys = sorted(k for k, _ in found)
-    by_key = dict(found)
-    for k in keys:
-        b = by_key[k]
+    descend(every, 0, 0)
+    result = SearchResult(catalog=[], reports=[], nodes=nodes, pruned=pruned,
+                          leaves=leaves, duplicates=duplicates)
+    for key in sorted(found):
+        b = PointSet(g, list(key))
         result.catalog.append(b)
         result.reports.append(analyze(b))
     return result

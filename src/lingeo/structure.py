@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import LineCensus, groups_through_point, line_census, pack_rows, quotient_rows
-from .pg import Geometry, PointSet, Subspace, normalize_rows, rref, space_size, span
+from .census import LineCensus, groups_through_point, line_census, pack_rows
+from .pg import PointSet, Subspace, normalize_rows, span
 from .reduction import LiftInconsistent, SpreadContext
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,21 @@ def test_search_cli_pg_2_2(tmp_path):
                 "--out", str(out)]) == 0
     idx = json.loads((out / "catalog_index.json").read_text())
     assert idx["total"] == 7 and idx["one_mod_p_alarms"] == []
+
+
+def test_search_pg_2_5_report_bytes(tmp_path):
+    out = tmp_path / "s"
+    assert run(["search", "--p", "5", "--t", "1", "--n", "2",
+                "--max-size", "7", "--threads", "1", "--out", str(out)]) == 0
+    # every report file but manifest.json, in sorted name order, hashed
+    # as name + NUL + bytes + NUL
+    h = hashlib.sha256()
+    for name in sorted(f.name for f in out.iterdir()):
+        if name != "manifest.json":
+            h.update(name.encode() + b"\0" + (out / name).read_bytes()
+                     + b"\0")
+    assert h.hexdigest() == (
+        "e46068b9178b597c8cd8759d95e5a3d31ce2dd31304f37cc787e916fcccf85de")
 
 
 def test_search_guard_exit_3(tmp_path):

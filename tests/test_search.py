@@ -1,14 +1,27 @@
 import pytest
 
+from lingeo.blocking import is_blocking, is_minimal
+from lingeo.constructions import subgeometry
 from lingeo.gf import make_field
-from lingeo.pg import build_geometry
+from lingeo.pg import PointSet, build_geometry, points_of
 from lingeo.search import (GuardExceeded, SearchConfig, SearchError,
-                           brute_force_minimal, enumerate_minimal,
+                           _hyperplane_masks, brute_force_minimal,
+                           enumerate_minimal, mask_is_minimal,
                            verify_catalog)
 
 
 def catalog_keys(res):
     return [tuple(int(i) for i in b.indices) for b in res.catalog]
+
+
+@pytest.fixture(scope="module")
+def pg_2_4():
+    return build_geometry(2, make_field(2, 2))
+
+
+@pytest.fixture(scope="module")
+def pg_2_4_catalog(pg_2_4):
+    return enumerate_minimal(SearchConfig(pg_2_4))
 
 
 def test_pg_2_2_matches_brute_force():
@@ -32,18 +45,17 @@ def test_pg_2_3_matches_brute_force():
                for r in res.reports)
 
 
-def test_pg_2_4_lines_only_at_max_5():
-    g = build_geometry(2, make_field(2, 2))
-    res = enumerate_minimal(SearchConfig(g, max_size=5))
+def test_pg_2_4_lines_only_at_max_5(pg_2_4):
+    res = enumerate_minimal(SearchConfig(pg_2_4, max_size=5))
     assert len(res.catalog) == 21
     assert all(r.size == 5 and r.span_dim == 1 for r in res.reports)
 
 
-def test_pg_2_4_full_catalog():
-    g = build_geometry(2, make_field(2, 2))
-    cfg = SearchConfig(g)
-    assert cfg.max_size == 7
-    res = enumerate_minimal(cfg)
+def test_pg_2_4_full_catalog(pg_2_4, pg_2_4_catalog):
+    assert SearchConfig(pg_2_4).max_size == 7
+    res = pg_2_4_catalog
+    # pins the DFS order and bound: catalog_index.json records both counts
+    assert (res.nodes, res.pruned) == (94406, 67494)
     sizes = sorted(r.size for r in res.reports)
     assert len(res.catalog) == 381
     assert sizes.count(5) == 21 and sizes.count(7) == 360
@@ -55,6 +67,37 @@ def test_pg_2_4_full_catalog():
     assert len(non_lines) == 360
     # q0 = 2 < 7: certified, but flagged as outside the theorem hypotheses
     assert all(e["outside_hypotheses"] for e in non_lines)
+
+
+def test_pg_2_5_catalog_and_counters():
+    g = build_geometry(2, make_field(5, 1))
+    res = enumerate_minimal(SearchConfig(g, max_size=7))
+    assert len(res.catalog) == 31
+    assert all(r.size == 6 and r.span_dim == 1 for r in res.reports)
+    assert (res.nodes, res.pruned, res.leaves, res.duplicates) == (
+        335707, 278640, 1116, 430)
+
+
+def test_mask_leaf_test_agrees_with_is_minimal(pg_2_4, pg_2_4_catalog):
+    g = pg_2_4
+    masks = _hyperplane_masks(g)
+    lines = [points_of(g.hyperplane_subspace(g.coords_of(d)))
+             for d in range(g.num_hyperplanes)]
+    baer = [subgeometry(g, 1)] + [b for b in pg_2_4_catalog.catalog
+                                  if b.card == 7][::40]
+    assert len(lines) == 21 and len(baer) == 10
+
+    def plus_point(b, k):
+        outside = [x for x in range(g.num_points) if x not in b]
+        return PointSet(g, [*b.indices, outside[k % len(outside)]])
+
+    cases = [(b, True) for b in lines + baer]
+    cases += [(plus_point(b, k), False) for k, b in enumerate(lines + baer)]
+    for b, want in cases:
+        assert is_blocking(b)[0]
+        s = sum(1 << int(i) for i in b.indices)
+        assert is_minimal(b)[0] is want
+        assert mask_is_minimal(masks, s) is want
 
 
 def test_prune_soundness():
