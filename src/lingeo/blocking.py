@@ -144,7 +144,7 @@ def _tangents_from_profile(b: PointSet, met: np.ndarray, counts: np.ndarray):
     duals = g.coords_of_indices(tangents)
     witness: dict = {}
     for i, c in enumerate(b.coords()):
-        hits = g.vdot(duals, [int(x) for x in c]) == 0
+        hits = g.fs.vmatmul(duals, c) == 0
         out[i] = int(hits.sum())
         w = np.flatnonzero(hits)
         if w.size:
@@ -159,8 +159,7 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
     Returns (witness dualvec per member or None, all_found). A returned
     witness is always exact; a miss after ``trials`` proves nothing.
     """
-    g = b.geometry
-    fs = g.fs
+    fs = b.geometry.fs
     rng = np.random.default_rng(seed)
     coords = b.coords()
     witnesses = {}
@@ -173,10 +172,8 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
             coef = rng.integers(0, fs.q, basis.shape[0])
             if not coef.any():
                 continue
-            dual = np.zeros(basis.shape[1], dtype=np.int64)
-            for r in range(basis.shape[0]):
-                dual = fs.vadd(dual, fs.vmul(basis[r], int(coef[r])))
-            vals = _eval_form(g, coords, dual)
+            dual = fs.vmatmul(coef, basis)
+            vals = fs.vmatmul(coords, dual)
             if int((vals == 0).sum()) == 1:
                 found = tuple(int(x) for x in dual)
                 break
@@ -185,14 +182,6 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
         else:
             witnesses[int(b.indices[i])] = found
     return witnesses, all_found
-
-
-def _eval_form(g: Geometry, rows: np.ndarray, dual) -> np.ndarray:
-    fs = g.fs
-    acc = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(rows.shape[1]):
-        acc = fs.vadd(acc, fs.vmul(rows[:, j], int(dual[j])))
-    return acc
 
 
 def is_minimal(b: PointSet):
@@ -358,12 +347,11 @@ def project(b: PointSet, q_coords, h: Subspace):
         raise QInH("projection center lies in the target hyperplane")
     dual = np.array(g.dual_of_hyperplane(h), dtype=np.int64)
     coords = b.coords()
-    dq = g.dot([int(x) for x in qc], [int(x) for x in dual])
-    dp = _eval_form(g, coords, dual)
-    # image point = (dual.P) Q - (dual.Q) P, which lies on QP and on H
     qv = np.array(qc, dtype=np.int64)
-    img = fs.vsub(fs.vmul(dp[:, None], qv[None, :]),
-                  fs.vmul(np.int64(dq), coords))
+    dq = fs.vmatmul(qv, dual)
+    dp = fs.vmatmul(coords, dual)
+    # image point = (dual.P) Q - (dual.Q) P, which lies on QP and on H
+    img = fs.vsub(fs.vmul(dp[:, None], qv[None, :]), fs.vmul(dq, coords))
     # points of B already on H project to themselves (dp == 0 gives -dq * P)
     img = normalize_rows(fs, img)
     # re-coordinatize: coefficients w.r.t. the RREF basis of H live at pivots

@@ -32,19 +32,15 @@ def pack_rows(rows: np.ndarray, q: int) -> np.ndarray:
     return rows  # caller must unique along axis=0
 
 
-def quotient_rows(geometry: Geometry, pivot_coords, rows: np.ndarray,
-                  normalize: bool = True) -> np.ndarray:
-    """Images of rows in the quotient by one point (drop its pivot column)."""
+def quotient_rows(geometry: Geometry, basis, rows: np.ndarray) -> np.ndarray:
+    """Normalized images of rows in the quotient by the subspace whose
+    RREF rows are ``basis`` (a normalized point is a one-row basis).  An
+    RREF row's coefficient in a vector is the vector's pivot-column entry."""
     fs = geometry.fs
-    pc = np.asarray(pivot_coords, dtype=np.int64)
-    piv = int(np.argmax(pc != 0))
-    # pivot coordinate of a normalized point is 1, so the multiplier is rows[:, piv]
-    alpha = rows[:, piv]
-    red = fs.vsub(rows, fs.vmul(alpha[:, None], pc[None, :]))
-    red = np.delete(red, piv, axis=1)
-    if normalize:
-        red = normalize_rows(fs, red)
-    return red
+    basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
+    pivots = np.argmax(basis != 0, axis=1)
+    red = fs.vsub(rows, fs.vmatmul(rows[:, pivots], basis))
+    return normalize_rows(fs, np.delete(red, pivots, axis=1))
 
 
 @dataclass
@@ -64,10 +60,6 @@ class LineCensus:
     secants: dict = field(default_factory=dict)  # size -> (S, size) index array
     _collected: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)  # size -> census collecting it
-
-    @property
-    def sizes(self):
-        return sorted(self.hist)
 
     def lines_meeting(self) -> int:
         return sum(self.hist.values())

@@ -21,8 +21,9 @@ import numpy as np
 from . import blocking, structure
 from .census import line_census
 from .constructions import full_line, subgeometry
-from .fileio import (ParseError, point_set_to_text, read_point_set,
-                     read_reduced_subspace, read_vectors, write_point_set)
+from .fileio import (ParseError, parse_codes, point_set_to_text,
+                     read_point_set, read_reduced_subspace, read_vectors,
+                     write_point_set)
 from .gf import FieldError, make_field
 from .pg import GeometryError, build_geometry
 from .reduction import ReductionError, SpreadContext
@@ -198,8 +199,7 @@ def cmd_search(args):
     out = _outdir(args)
     fs = _field(args)
     g = build_geometry(args.n, fs)
-    cfg = SearchConfig(g, max_size=args.max_size, seed=args.seed,
-                       parallel_width=args.threads,
+    cfg = SearchConfig(g, max_size=args.max_size, parallel_width=args.threads,
                        guard=10 ** 9 if args.force else 100)
     res = enumerate_minimal(cfg)
     ver = verify_catalog(res)
@@ -236,7 +236,8 @@ def cmd_project(args):
     b = read_point_set(args.input)
     g = b.geometry
     if args.center:
-        qc = g.normalize(tuple(int(c) for c in args.center.split(",")))
+        qc = g.normalize(parse_codes(args.center.split(","), g.n + 1, g.fs.q,
+                                     "--center"))
     else:
         q_idx = blocking.find_tangent_only_point(b)
         if q_idx is None:
@@ -244,8 +245,9 @@ def cmd_project(args):
                                 "give --center explicitly")
         qc = g.coords_of(q_idx)
     if args.hyperplane:
-        dual = tuple(int(c) for c in args.hyperplane.split(","))
-        h = g.hyperplane_subspace(dual)
+        h = g.hyperplane_subspace(parse_codes(
+            args.hyperplane.split(","), g.n + 1, g.fs.q, "--hyperplane",
+            "hyperplane"))
     else:
         h = g.hyperplane_subspace((0,) * g.n + (1,))
         if h.contains_coords(qc):
@@ -268,7 +270,7 @@ def cmd_project(args):
 # ---------------------------------------------------------------------------
 
 
-def _common(sub, need_geometry=True):
+def _common(sub, need_geometry=True, seeded=True):
     if need_geometry:
         sub.add_argument("--p", type=int, required=True, help="characteristic")
         sub.add_argument("--t", type=int, required=True, help="field degree")
@@ -276,8 +278,8 @@ def _common(sub, need_geometry=True):
                          help="projective dimension (default 2)")
         sub.add_argument("--modulus",
                          help="comma-separated modulus coefficients c0,..,ct")
-    sub.add_argument("--e", type=int, help="subfield degree (divides t)")
-    sub.add_argument("--seed", type=int, default=0)
+    if seeded:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out", required=True, help="output directory")
 
@@ -299,6 +301,7 @@ def build_parser():
     lp = bsub.add_parser("linear-set")
     lp.add_argument("source", choices=["from-vectors", "from-subspace"])
     _common(lp)
+    lp.add_argument("--e", type=int, help="subfield degree (divides t)")
     lp.add_argument("--vectors", help="vector file (one big vector per line)")
     lp.add_argument("--subspace", help="RED subspace file over GF(q0)")
     lp.set_defaults(func=cmd_build, what="linear-set", carrier_dim=None)
@@ -306,13 +309,14 @@ def build_parser():
     vp = subs.add_parser("verify", help="run checks against a point-set file")
     vp.add_argument("input", help="point-set interchange file")
     _common(vp, need_geometry=False)
+    vp.add_argument("--e", type=int, help="subfield degree (divides t)")
     vp.add_argument("--checks", help="comma list of "
                     "1modp,sublines,lemmas,certify (default all)")
     vp.add_argument("--plane-secant-cap", type=int, default=None)
     vp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("search", help="enumerate small minimal blocking sets")
-    _common(sp)
+    _common(sp, seeded=False)
     sp.add_argument("--max-size", type=int, default=None)
     sp.add_argument("--force", action="store_true",
                     help="override the geometry-size guard")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldSpec
-from .pg import Geometry, PointSet, points_of, space_size
+from .pg import Geometry, PointSet, lex_points, points_of, space_size
 from .reduction import SpreadContext
 
 
@@ -23,26 +23,13 @@ def subgeometry(g: Geometry, e: int, carrier_dim: int | None = None) -> PointSet
     spanned by the first m+1 coordinates (e.g. a planar Baer subplane of
     a 3-space).  e = t/2 gives Baer subgeometries.
     """
-    fs = g.fs
-    sub = fs.subfield(e)
+    sub = g.fs.subfield(e)
     m = g.n if carrier_dim is None else carrier_dim
-    small = Geometry(m, sub.field) if sub.field.t == e else None
-    # enumerate PG(m, p^e) directly through the embedding
-    npts = space_size(fs.p ** e, m)
-    coords = []
-    for piv in range(m + 1):
-        block = (fs.p ** e) ** (m - piv)
-        for rank in range(block):
-            rest = []
-            r = rank
-            for _ in range(m - piv):
-                r, d = divmod(r, fs.p ** e)
-                rest.append(d)
-            rest.reverse()
-            row = [0] * piv + [1] + [sub.embed(d) for d in rest]
-            coords.append(tuple(row) + (0,) * (g.n - m))
-    assert len(coords) == npts
-    return PointSet.from_coords(g, coords)
+    # the points of PG(m, p^e), embedded, padded with zero coordinates
+    pts = lex_points(m, sub.q0)
+    rows = np.zeros((pts.shape[0], g.n + 1), dtype=np.int64)
+    rows[:, :m + 1] = np.asarray(sub.embed_table, dtype=np.int64)[pts]
+    return PointSet(g, g.index_of_rows(rows))
 
 
 def _trace(fs: FieldSpec, x: int, e: int) -> int:

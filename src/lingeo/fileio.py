@@ -45,6 +45,30 @@ def point_set_to_text(b: PointSet, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _records(text: str):
+    """(line number, content) of each line left non-blank once its
+    ``#`` comment is cut."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
+def parse_codes(tokens, width: int, q: int, where: str, what: str = "point",
+                field: str = "the field") -> list:
+    """``width`` integer element codes, each in 0..q-1, or a ParseError
+    whose message starts with ``where`` (a line number or a flag)."""
+    try:
+        codes = [int(x) for x in tokens]
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad {what}: {exc}") from exc
+    if len(codes) != width:
+        raise ParseError(f"{where}: expected {width} codes, got {len(codes)}")
+    if any(c < 0 or c >= q for c in codes):
+        raise ParseError(f"{where}: code out of range for {field}")
+    return codes
+
+
 def read_point_set(path) -> PointSet:
     with open(path) as f:
         text = f.read()
@@ -54,10 +78,7 @@ def read_point_set(path) -> PointSet:
 def parse_point_set(text: str) -> PointSet:
     header = None
     rows = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _records(text):
         if header is None:
             parts = line.split()
             if len(parts) != 5 or parts[0] != "PG":
@@ -73,17 +94,10 @@ def parse_point_set(text: str) -> PointSet:
                 raise ParseError(f"line {ln}: bad field: {exc}") from exc
             header = build_geometry(n, fs)
             continue
-        try:
-            codes = [int(x) for x in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"line {ln}: bad point: {exc}") from exc
-        if len(codes) != header.n + 1:
-            raise ParseError(
-                f"line {ln}: expected {header.n + 1} codes, got {len(codes)}")
+        codes = parse_codes(line.split(), header.n + 1, header.fs.q,
+                            f"line {ln}")
         if not any(codes):
             raise ParseError(f"line {ln}: zero vector is not a point")
-        if any(c < 0 or c >= header.fs.q for c in codes):
-            raise ParseError(f"line {ln}: code out of range for the field")
         rows.append(codes)
     if header is None:
         raise ParseError("missing 'PG n p t modulus' header")
@@ -107,10 +121,7 @@ def read_reduced_subspace(path, reduced: Geometry) -> Subspace:
         text = f.read()
     header = None
     rows = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _records(text):
         if header is None:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "RED":
@@ -122,16 +133,8 @@ def read_reduced_subspace(path, reduced: Geometry) -> Subspace:
                     f"reduced geometry PG({reduced.n}, {reduced.fs.q})")
             header = (m, q0)
             continue
-        try:
-            codes = [int(x) for x in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"line {ln}: bad row: {exc}") from exc
-        if len(codes) != reduced.n + 1:
-            raise ParseError(
-                f"line {ln}: expected {reduced.n + 1} codes, got {len(codes)}")
-        if any(c < 0 or c >= reduced.fs.q for c in codes):
-            raise ParseError(f"line {ln}: code out of range for GF(q0)")
-        rows.append(codes)
+        rows.append(parse_codes(line.split(), reduced.n + 1, reduced.fs.q,
+                                f"line {ln}", "row", "GF(q0)"))
     if header is None:
         raise ParseError("missing 'RED m q0' header")
     if not rows:
@@ -143,21 +146,9 @@ def read_vectors(path, fs, width: int):
     """Big-space vectors, one per line of integer codes; '#' comments."""
     with open(path) as f:
         text = f.read()
-    rows = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            codes = [int(x) for x in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"line {ln}: bad vector: {exc}") from exc
-        if len(codes) != width:
-            raise ParseError(
-                f"line {ln}: expected {width} codes, got {len(codes)}")
-        if any(c < 0 or c >= fs.q for c in codes):
-            raise ParseError(f"line {ln}: code out of range for the field")
-        rows.append(tuple(codes))
+    rows = [tuple(parse_codes(line.split(), width, fs.q, f"line {ln}",
+                              "vector"))
+            for ln, line in _records(text)]
     if not rows:
         raise ParseError("no vectors in file")
     return rows

@@ -36,10 +36,6 @@ class ZeroInverseError(FieldError):
     pass
 
 
-class MixedFieldsError(FieldError):
-    pass
-
-
 class NonDivisorDegreeError(FieldError):
     pass
 
@@ -204,9 +200,6 @@ class FieldSpec:
         # find a generator of the multiplicative group by walking powers
         exp = None
         for g in range(2, q):
-            if self.t > 1 and g < p and p > 2:
-                # small prime-field candidates rarely generate; still try them
-                pass
             seq = [1]
             x = 1
             for _ in range(q - 2):
@@ -263,15 +256,7 @@ class FieldSpec:
         self._np_neg = neg
         self._msneg = None  # log-sum -> spread(-product), built on demand
 
-    @property
-    def has_tables(self) -> bool:
-        return self._log is not None
-
     # -- scalar arithmetic ---------------------------------------------------
-
-    def check(self, a: int):
-        if not 0 <= a < self.q:
-            raise FieldError(f"element code {a} out of range for {self!r}")
 
     def add(self, a: int, b: int) -> int:
         p = self.p
@@ -401,6 +386,20 @@ class FieldSpec:
         out = self._np_exp[self._np_log[a] + self._np_log[b]]
         return np.where((a == 0) | (b == 0), 0, out)
 
+    def vmatmul(self, a, b):
+        """``a @ b`` over the field: sums over a's last axis and b's first,
+        giving shape ``a.shape[:-1] + b.shape[1:]``."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.shape[-1] != b.shape[0]:
+            raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+        out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        lift = (...,) + (None,) * (b.ndim - 1)
+        for j in range(b.shape[0]):
+            term = self.vmul(a[..., j][lift], b[j])
+            out = term if j == 0 else self.vadd(out, term)
+        return out
+
     def vinv(self, a):
         self._require_tables()
         a = np.asarray(a)
@@ -476,7 +475,6 @@ class SubfieldHandle:
                 pw = big.mul(pw, root)
             emb.append(acc)
         self.embed_table = tuple(emb)
-        self._down = {v: i for i, v in enumerate(emb)}
         member = np.zeros(big.q, dtype=bool)
         member[list(emb)] = True
         self.member_mask = member
@@ -504,10 +502,6 @@ class SubfieldHandle:
 
     def embed(self, a: int) -> int:
         return self.embed_table[a]
-
-    def down(self, a: int):
-        """Inverse of ``embed`` for codes in the image, else None."""
-        return self._down.get(a)
 
     def __contains__(self, a: int) -> bool:
         return bool(self.member_mask[a])

@@ -3,9 +3,10 @@
 Points are normalized homogeneous coordinate tuples (leftmost nonzero
 coordinate = 1) of element codes.  Point and hyperplane indices are the
 rank of the normalized tuple in lexicographic order; the bijection is
-closed-form, so a Geometry never has to materialize its point table
-unless an exhaustive scan asks for it.  Subspaces are stored as reduced
-echelon bases, making equality a plain tuple comparison.
+closed-form, so a Geometry never materializes its point table.  The
+points of a subspace are enumerated as the ``lex_points`` parameter rows
+times its basis, in one field matrix product.  Subspaces are stored as
+reduced echelon bases, making equality a plain tuple comparison.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ class GeometryError(Exception):
     pass
 
 
-class BudgetExceeded(GeometryError):
-    pass
-
-
 class EqualPoints(GeometryError):
     pass
 
@@ -30,6 +27,21 @@ class EqualPoints(GeometryError):
 def space_size(q: int, k: int) -> int:
     """Number of points of PG(k, q)."""
     return (q ** (k + 1) - 1) // (q - 1)
+
+
+def lex_points(k: int, q: int) -> np.ndarray:
+    """The points of PG(k, q) as normalized code rows, in index order."""
+    chunks = []
+    for piv in range(k + 1):
+        codes = np.arange(q ** (k - piv), dtype=np.int64)
+        block = np.zeros((codes.size, k + 1), dtype=np.int64)
+        block[:, piv] = 1
+        # the trailing coordinates are the base-q digits of the rank
+        for j in range(k, piv, -1):
+            block[:, j] = codes % q
+            codes //= q
+        chunks.append(block)
+    return np.concatenate(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -124,28 +136,10 @@ class Subspace:
         return space_size(self.geometry.fs.q, self.dim)
 
     def coords_array(self) -> np.ndarray:
-        """All points as an (m, n+1) array of codes, lazily enumerated."""
-        g = self.geometry
-        fs = g.fs
-        k = self.dim
-        basis = np.array(self.basis, dtype=np.int64)
-        chunks = []
-        # parameter tuples over PG(k, q): pivot structure, lex order
-        for piv in range(k + 1):
-            rest = k - piv
-            m = fs.q ** rest
-            params = np.zeros((m, k + 1), dtype=np.int64)
-            params[:, piv] = 1
-            if rest:
-                codes = np.arange(m, dtype=np.int64)
-                for j in range(rest):
-                    params[:, piv + 1 + j] = (codes // fs.q ** (rest - 1 - j)) % fs.q
-            rowsum = np.zeros((m, basis.shape[1]), dtype=np.int64)
-            for i in range(k + 1):
-                term = fs.vmul(params[:, i : i + 1], basis[i][None, :])
-                rowsum = fs.vadd(rowsum, term)
-            chunks.append(normalize_rows(fs, rowsum))
-        return np.concatenate(chunks, axis=0)
+        """All points as an (m, n+1) array of codes, in parameter order."""
+        fs = self.geometry.fs
+        params = lex_points(self.dim, fs.q)
+        return normalize_rows(fs, fs.vmatmul(params, self.basis))
 
     def point_set(self) -> "PointSet":
         g = self.geometry
@@ -167,15 +161,13 @@ def normalize_rows(fs: FieldSpec, rows: np.ndarray) -> np.ndarray:
 class Geometry:
     """PG(n, q).  Immutable; all queries are pure."""
 
-    def __init__(self, n: int, fs: FieldSpec, materialize_lines: bool = False,
-                 budget: int = 1 << 27):
+    def __init__(self, n: int, fs: FieldSpec):
         if n < 1:
             raise GeometryError("projective dimension must be >= 1")
         self.n = n
         self.fs = fs
         self.num_points = space_size(fs.q, n)
         self.num_hyperplanes = self.num_points
-        self.budget = budget
         # offsets[i] = number of points whose pivot position is < i
         offs = []
         total = 0
@@ -183,10 +175,6 @@ class Geometry:
             offs.append(total)
             total += fs.q ** (n - piv)
         self._pivot_offsets = offs
-        self._coords_cache = None
-        self.line_table = None
-        if materialize_lines:
-            self.line_table = self._build_line_table()
 
     def __repr__(self):
         return f"PG({self.n}, {self.fs.q})"
@@ -274,19 +262,7 @@ class Geometry:
             out[:, j] = np.where(live, digit, out[:, j])
         return out
 
-    def all_coords(self) -> np.ndarray:
-        if self._coords_cache is None:
-            if self.num_points > self.budget:
-                raise BudgetExceeded(
-                    f"{self.num_points} points exceed budget {self.budget}")
-            self._coords_cache = self.coords_of_indices(
-                np.arange(self.num_points))
-        return self._coords_cache
-
     # -- hyperplanes (dual points, same indexing scheme) ---------------------
-
-    def hyperplane_coords_of(self, index: int):
-        return self.coords_of(index)
 
     def hyperplane_subspace(self, dual) -> Subspace:
         """The hyperplane {x : dual . x = 0} as a Subspace."""
@@ -311,22 +287,6 @@ class Geometry:
         for dual in dual_space.coords_array():
             yield self.hyperplane_subspace(tuple(int(c) for c in dual))
 
-    def dot(self, a, b) -> int:
-        fs = self.fs
-        acc = 0
-        for x, y in zip(a, b):
-            acc = fs.add(acc, fs.mul(x, y))
-        return acc
-
-    def vdot(self, duals: np.ndarray, point) -> np.ndarray:
-        """dual . point for an array of dual rows (or points vs one dual)."""
-        fs = self.fs
-        point = np.asarray(point, dtype=np.int64)
-        acc = np.zeros(duals.shape[0], dtype=np.int64)
-        for j in range(duals.shape[1]):
-            acc = fs.vadd(acc, fs.vmul(duals[:, j], point[j]))
-        return acc
-
     # -- lines ----------------------------------------------------------------
 
     def line_through(self, pc, qc) -> Subspace:
@@ -335,21 +295,6 @@ class Geometry:
         if pc == qc:
             raise EqualPoints("need two distinct points")
         return Subspace(self, [pc, qc])
-
-    def _build_line_table(self):
-        if self.num_points > 1 << 14:
-            raise BudgetExceeded("line table too large to materialize")
-        seen = set()
-        table = []
-        for i in range(self.num_points):
-            pi = self.coords_of(i)
-            for j in range(i + 1, self.num_points):
-                line = self.line_through(pi, self.coords_of(j))
-                if line.basis in seen:
-                    continue
-                seen.add(line.basis)
-                table.append(line)
-        return table
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +372,8 @@ class PointSet:
 # module-level operations
 
 
-def build_geometry(n: int, fs: FieldSpec, materialize_lines: bool = False,
-                   budget: int = 1 << 27) -> Geometry:
-    return Geometry(n, fs, materialize_lines=materialize_lines, budget=budget)
+def build_geometry(n: int, fs: FieldSpec) -> Geometry:
+    return Geometry(n, fs)
 
 
 def line_through(g: Geometry, p, q) -> Subspace:

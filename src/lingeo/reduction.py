@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldError, FieldSpec
-from .pg import Geometry, PointSet, Subspace, rref
+from .pg import Geometry, PointSet, Subspace, lex_points, rref
 
 
 class ReductionError(Exception):
@@ -67,8 +67,14 @@ class SpreadContext:
                     v, r = divmod(v, p)
                     digits.append(r)
                 cols.append(digits)
-        m = [[cols[c][r] for c in range(t)] for r in range(t)]
-        minv = _matrix_inverse_mod_p(m, p)
+        # invert the digit matrix over GF(p): [M | I] reduces to [I | M^-1]
+        # exactly when M is invertible
+        aug = [[cols[c][r] for c in range(t)] + [int(r == c) for c in range(t)]
+               for r in range(t)]
+        red, pivots = rref(FieldSpec(p, 1), aug)
+        if pivots != list(range(t)):
+            raise ReductionError("basis matrix is singular")
+        minv = [row[t:] for row in red]
         # expansion of every big code into h small codes, vectorized
         codes = np.arange(fs.q, dtype=np.int64)
         digs = np.empty((fs.q, t), dtype=np.int64)
@@ -101,16 +107,10 @@ class SpreadContext:
 
     def eps_inv_rows(self, rows: np.ndarray) -> np.ndarray:
         """Map (m, (n+1)h) reduced vectors back to (m, n+1) big vectors."""
-        fs = self.big.fs
         rows = np.asarray(rows, dtype=np.int64)
-        m = rows.shape[0]
-        ncoord = self.big.n + 1
-        chunks = rows.reshape(m, ncoord, self.h)
-        out = np.zeros((m, ncoord), dtype=np.int64)
-        for i in range(self.h):
-            term = fs.vmul(self.embed_np[chunks[:, :, i]], self.delta_pows[i])
-            out = fs.vadd(out, term)
-        return out
+        chunks = rows.reshape(rows.shape[0], self.big.n + 1, self.h)
+        # each coordinate is sum_i embed(chunk_i) * delta^i
+        return self.big.fs.vmatmul(self.embed_np[chunks], self.delta_pows)
 
     def eps_inv(self, vec):
         return tuple(int(c) for c in self.eps_inv_rows(
@@ -146,25 +146,10 @@ class SpreadContext:
         reduced_rows, _ = rref(self.small_field,
                                self.eps_rows(np.array(gens, dtype=np.int64)))
         basis = self.eps_inv_rows(np.array(reduced_rows, dtype=np.int64))
-        r = basis.shape[0]
-        q0 = self.q0
-        # all nonzero GF(q0)-combinations, one block per leading coefficient
-        chunks = []
-        for lead in range(r):
-            rest = r - lead - 1
-            m = q0 ** rest
-            lam = np.zeros((m, r), dtype=np.int64)
-            lam[:, lead] = 1
-            codes = np.arange(m, dtype=np.int64)
-            for j in range(rest):
-                lam[:, lead + 1 + j] = (codes // q0 ** (rest - 1 - j)) % q0
-            emb = self.embed_np[lam]
-            vecs = np.zeros((m, basis.shape[1]), dtype=np.int64)
-            for i in range(r):
-                vecs = fs.vadd(vecs, fs.vmul(emb[:, i : i + 1], basis[i][None, :]))
-            chunks.append(vecs)
-        allvecs = np.concatenate(chunks, axis=0)
-        idx = self.big.index_of_rows(allvecs)
+        # one combination per point of PG(r-1, q0): the projective
+        # coefficient vectors, embedded in the big field
+        lam = self.embed_np[lex_points(basis.shape[0] - 1, self.q0)]
+        idx = self.big.index_of_rows(fs.vmatmul(lam, basis))
         return PointSet(self.big, idx)
 
     def linear_set_from_subspace(self, pi: Subspace) -> PointSet:
@@ -213,26 +198,6 @@ class SpreadContext:
         if self.linear_set_from_subspace(line) != s:
             raise LiftInconsistent("lifted line does not map back onto the subline")
         return line
-
-
-def _matrix_inverse_mod_p(m, p):
-    n = len(m)
-    aug = [[m[i][j] % p for j in range(n)] + [1 if i == j else 0
-                                              for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise ReductionError("basis matrix is singular")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(aug[r][j] - c * aug[row][j]) % p for j in range(2 * n)]
-        row += 1
-    return [r[n:] for r in aug]
 
 
 def _solve_two(fs: FieldSpec, v, w1, w2):

@@ -2,22 +2,20 @@
 
 Depth-first over partial point sets.  At every node the unblocked
 hyperplane with the fewest addable points is selected (fail-first,
-lowest index on ties) and each of its points is branched on.  A node is
-pruned when the current size plus a matching-style lower bound (a
-greedily built family of pairwise disjoint unblocked hyperplanes, each
-demanding one new point) already exceeds the size cap.  Leaves are kept
-when the set is a minimal blocking set; duplicates are removed with a
-memo of the sets already reached, so the catalog is complete and
-duplicate-free.
+lowest index on ties) and each of its points is branched on; a node
+still unblocked at the size cap is cut off (``pruned``).  Any two
+hyperplanes of PG(n, q), n >= 2, meet, so a lower bound from pairwise
+disjoint unblocked hyperplanes never cuts more.  Leaves are kept when
+the set is a minimal blocking set; duplicates are removed with a memo of
+the sets already reached, so the catalog is complete and duplicate-free.
 
 Points and hyperplanes are held as Python int bitmasks.  The set of
 unblocked hyperplanes is passed down the DFS as one int and updated
-incrementally (adding point x clears the hyperplanes through x); the
-fail-first choice is its lowest set bit and the bound walks it through
-precomputed masks of the hyperplanes disjoint from each hyperplane, so a
-step costs a few big-int operations.  At a leaf, minimality
-is the exact tangent test of the definition on the hyperplane masks:
-every point of the set is the only point of the set on some hyperplane.
+incrementally (adding point x clears the hyperplanes through x), and the
+fail-first choice is its lowest set bit, so a step costs a few big-int
+operations.  At a leaf, minimality is the exact tangent test of the
+definition on the hyperplane masks: every point of the set is the only
+point of the set on some hyperplane.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from itertools import combinations
 from .blocking import analyze, is_blocking, is_minimal
 from .census import line_census
 from .pg import Geometry, PointSet, points_of
-from .structure import NoSecant, certify_linearity
+from .structure import NoSecant, NotSmallMinimal, certify_linearity
 
 
 class SearchError(Exception):
@@ -49,7 +47,6 @@ class SearchConfig:
     parallel_width: int = 1
     seed: int = 0
     guard: int = _DEFAULT_GUARD
-    prune: bool = True
 
     def __post_init__(self):
         q = self.geometry.fs.q
@@ -111,11 +108,7 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
     # per point: the hyperplanes that do not contain it
     misses = [every & ~sum(1 << i for i in hyperplanes if masks[i] >> x & 1)
               for x in points]
-    # per hyperplane: the hyperplanes disjoint from it
-    disjoint = [sum(1 << j for j in hyperplanes if masks[j] & m == 0)
-                for m in masks]
     max_size = cfg.max_size
-    prune = cfg.prune
     memo: set = set()
     found: list = []
     nodes = pruned = leaves = duplicates = 0
@@ -135,17 +128,6 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
         if size >= max_size:
             pruned += 1
             return
-        if prune:
-            # greedy in increasing index order: each pick is the lowest
-            # unblocked hyperplane disjoint from all earlier picks
-            slack = max_size - size
-            rest = unblocked
-            while rest:
-                slack -= 1
-                if slack < 0:
-                    pruned += 1
-                    return
-                rest &= disjoint[(rest & -rest).bit_length() - 1]
         # fail-first: an unblocked hyperplane misses s, so all its points are
         # addable, and every hyperplane of PG(n, q) has the same size; the
         # one with the fewest addable points is the lowest unblocked one
@@ -203,6 +185,10 @@ def verify_catalog(res: SearchResult) -> dict:
                 labels = cert.hypothesis_labels
             except NoSecant:
                 verdict = "no-short-secant"
+                labels = None
+            except NotSmallMinimal:
+                # a cap at or above 3(q+1)/2 admits sets that are not small
+                verdict = "not-small-minimal"
                 labels = None
         entries.append({
             "points": [int(i) for i in b.indices],

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import LineCensus, groups_through_point, line_census, pack_rows
-from .pg import PointSet, Subspace, normalize_rows, span
+from .census import (LineCensus, groups_through_point, line_census, pack_rows,
+                     quotient_rows)
+from .pg import PointSet, Subspace, span
 from .reduction import LiftInconsistent, SpreadContext
 
 
@@ -331,17 +332,7 @@ def plane_census(b: PointSet, secant, q0: int) -> PlaneCensus:
     rest_idx = b.indices[~np.isin(b.indices, np.array(secant, dtype=np.int64))]
     if rest_idx.size == 0:
         return PlaneCensus(secant, [], 0, 0)
-    rest = g.coords_of_indices(rest_idx)
-    # quotient by the line: subtract components along both basis rows
-    red = rest
-    pivots = []
-    for row, piv in zip(line.basis, line.pivots):
-        alpha = red[:, piv]
-        red = fs.vsub(red, fs.vmul(alpha[:, None], np.array(row,
-                                                            dtype=np.int64)[None, :]))
-        pivots.append(piv)
-    red = np.delete(red, pivots, axis=1)
-    red = normalize_rows(fs, red)
+    red = quotient_rows(g, line.basis, g.coords_of_indices(rest_idx))
     keys = pack_rows(red, fs.q)
     if keys.ndim == 1:
         uniq, counts = np.unique(keys, return_counts=True)
@@ -471,8 +462,11 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
                 worst_ok = False
             if worst is None or sec_per_point[pos] - bnd < worst[0]:
                 worst = (sec_per_point[pos] - bnd, int(sec_per_point[pos]), bnd)
+        # a point of a line (h = 1) lies on one secant, the line itself;
+        # the bound does not cover that trivial case
         entries.append(_entry("blokhuis_secants", worst[2] if worst else "-",
-                              worst[1] if worst else "-", status(worst_ok)))
+                              worst[1] if worst else "-",
+                              status(worst_ok, h < 2)))
         # points with doubled exponent
         bound, info = bound_value("double_exponent_secants", q0, h)
         doubled = [pos for pos, e_p in enumerate(report.point_exponents)

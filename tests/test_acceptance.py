@@ -235,7 +235,7 @@ def test_criterion_8_projection(planar_baer_3d):
     assert center is not None
     qc = g.coords_of(center)
     dual = next(d for d in np.eye(g.n + 1, dtype=np.int64).tolist()
-                if g.dot(qc, d) != 0)
+                if g.fs.vmatmul(qc, d) != 0)
     img, small = project(planar_baer_3d, qc, g.hyperplane_subspace(dual))
     rep = analyze(img)
     assert rep.is_blocking and rep.is_minimal and rep.is_small

@@ -118,6 +118,17 @@ def test_verify_runs_two_line_censuses(tmp_path, baer_49, monkeypatch):
     assert calls == [(), [8]]
 
 
+def test_verify_line_passes(tmp_path, line_49):
+    pf = tmp_path / "l.txt"
+    write_point_set(pf, line_49)
+    out = tmp_path / "v"
+    assert run(["verify", str(pf), "--out", str(out)]) == 0
+    doc = json.loads((out / "verify_report.json").read_text())
+    # h = 1: a point of a line lies on one secant, outside the bound
+    entry = next(e for e in doc["lemmas"] if e["check"] == "blokhuis_secants")
+    assert entry["status"] == "INFORMATIONAL"
+
+
 def test_verify_line_minus_point_fails(tmp_path, line_49):
     broken = line_49.remove(int(line_49.indices[0]))
     pf = tmp_path / "b.txt"
@@ -156,6 +167,19 @@ def test_search_pg_2_5_report_bytes(tmp_path):
         "e46068b9178b597c8cd8759d95e5a3d31ce2dd31304f37cc787e916fcccf85de")
 
 
+def test_search_above_small_cap(tmp_path):
+    # size 6 = 3(q+1)/2 is not small: those entries are recorded as such,
+    # not certified
+    out = tmp_path / "s"
+    assert run(["search", "--p", "3", "--t", "1", "--max-size", "6",
+                "--out", str(out)]) == 0
+    idx = json.loads((out / "catalog_index.json").read_text())
+    verdicts = [e["linearity"] for e in idx["entries"]]
+    assert idx["total"] == len(verdicts) == 247
+    assert verdicts.count("line") == 13
+    assert verdicts.count("not-small-minimal") == 234
+
+
 def test_search_guard_exit_3(tmp_path):
     assert run(["search", "--p", "2", "--t", "4", "--n", "2",
                 "--out", str(tmp_path / "s")]) == 3
@@ -168,6 +192,23 @@ def test_project_cli(tmp_path, planar_baer_3d):
     assert run(["project", str(pf), "--out", str(out)]) == 0
     after = json.loads((out / "report_after.json").read_text())
     assert after["is_blocking"] and after["is_minimal"] and after["is_small"]
+
+
+@pytest.mark.parametrize("flag,codes,message", [
+    ("--center", "1,99,0,0", "--center: code out of range for the field"),
+    ("--center", "1,0", "--center: expected 4 codes, got 2"),
+    ("--center", "1,x,0,0", "--center: bad point: invalid literal"),
+    ("--hyperplane", "1,99,0,0",
+     "--hyperplane: code out of range for the field"),
+    ("--hyperplane", "0,0,0", "--hyperplane: expected 4 codes, got 3"),
+])
+def test_project_invalid_codes_exit_2(tmp_path, planar_baer_3d, capsys,
+                                      flag, codes, message):
+    pf = tmp_path / "b.txt"
+    write_point_set(pf, planar_baer_3d)
+    assert run(["project", str(pf), flag, codes,
+                "--out", str(tmp_path / "pr")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_project_center_in_set_exit_2(tmp_path, baer_49):

@@ -136,6 +136,37 @@ def test_vectorized_matches_scalar():
     assert all(fs.vinv(nz)[i] == fs.inv(int(nz[i])) for i in range(nz.size))
 
 
+def _scalar_matmul(fs, a, b):
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for ia in np.ndindex(*a.shape[:-1]):
+        for ib in np.ndindex(*b.shape[1:]):
+            acc = 0
+            for j in range(b.shape[0]):
+                acc = fs.add(acc, fs.mul(int(a[ia + (j,)]), int(b[(j,) + ib])))
+            out[ia + ib] = acc
+    return out
+
+
+# one field per vadd path: xor, prime modulo, spread table, digit loop
+@pytest.mark.parametrize("p,t,spread", [(2, 4, False), (3, 1, False),
+                                        (7, 2, True), (3, 10, False)])
+def test_vmatmul_matches_scalar(p, t, spread):
+    fs = make_field(p, t)
+    assert (fs._spread is not None) is spread
+    rng = np.random.default_rng(p * 100 + t)
+    shapes = [((5, 3), (3, 4)),      # matrix . matrix
+              ((5, 3), (3,)),        # matrix . vector
+              ((3,), (3, 4)),        # vector . matrix
+              ((3,), (3,)),          # vector . vector
+              ((4, 2, 3), (3,))]     # 3-D a against a vector
+    for sa, sb in shapes:
+        a = rng.integers(0, fs.q, sa)
+        b = rng.integers(0, fs.q, sb)
+        got = fs.vmatmul(a, b)
+        assert got.shape == sa[:-1] + sb[1:]
+        assert np.array_equal(got, _scalar_matmul(fs, a, b))
+
+
 def test_irreducibility_checker():
     assert poly_is_irreducible((1, 1, 1), 2)
     assert not poly_is_irreducible((1, 0, 1), 2)  # x^2+1 = (x+1)^2 over GF(2)

@@ -1,0 +1,40 @@
+"""Every name a ``lingeo`` module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lingeo"
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # names re-exported through __all__ count as used
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_an_unused_import():
+    src = "import json\nfrom os import path, sep\n\nprint(path)\n"
+    assert unused_imports(src) == [(1, "json"), (2, "sep")]

@@ -9,6 +9,7 @@ from lingeo.pg import (
     Subspace,
     build_geometry,
     intersect,
+    lex_points,
     line_through,
     points_of,
     set_meet,
@@ -52,6 +53,14 @@ def test_index_of_rows_matches_scalar(pg2_49):
     scale = rng.integers(1, fs.q, 200)
     scaled = fs.vmul(scale[:, None], rows)
     assert np.array_equal(pg2_49.index_of_rows(scaled), idx)
+
+
+def test_lex_points_in_index_order():
+    assert lex_points(0, 5).tolist() == [[1]]
+    for k, p, t in ((1, 3, 1), (2, 2, 2), (3, 2, 1)):
+        g = build_geometry(k, make_field(p, t))
+        assert np.array_equal(lex_points(k, g.fs.q),
+                              g.coords_of_indices(np.arange(g.num_points)))
 
 
 def test_line_through_basics(pg2_4):
