@@ -203,6 +203,8 @@ def _exponent_from_sizes(sizes, p: int, t: int):
         g = math.gcd(g, int(s) - 1)
         if g == 1:
             return 0
+    if g == 0:  # no secant: sizes are all 1, no subfield is singled out
+        return 0
     e = 0
     while g % p == 0 and e < t:
         g //= p

@@ -2,10 +2,16 @@
 
 The workhorse trick: for a fixed point P of a set B, two other points
 Q, Q' lie on the same line through P iff their images in the quotient
-space PG(V / <P>) coincide.  Quotient images are computed with numpy
-field arithmetic and packed into int64 keys, so grouping the ~|B| points
-around each P costs one np.unique call.  This keeps censuses of
-16k-point sets in multi-billion-point ambient spaces tractable.
+space PG(V / <P>) coincide.  ``line_census`` takes a block of points P at
+a time, computes the quotient images of B around each of them with numpy
+field arithmetic, one coordinate at a time on 2-D arrays, and packs each
+image into one canonical int64 key (discrete logs relative to the
+leading nonzero coordinate) tagged with P's block position.  One sort of
+the block's keys then puts each line through each P in one run.  This
+keeps censuses of 16k-point sets in multi-billion-point ambient spaces
+tractable.  Every census also keeps the secants of its longest line
+size, which for the linear sets the checks are about are the short
+(q0+1)-secants, so one pass serves every check.
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ def quotient_rows(geometry: Geometry, basis, rows: np.ndarray) -> np.ndarray:
 class LineCensus:
     """Histogram of |L ∩ B| over lines meeting B, plus per-point counts.
 
-    ``per_point_secants`` / ``per_point_tangents`` may be None when the
-    census was computed in pair mode without collecting every secant
-    size (the histogram itself is always exact).
+    ``secants`` holds the asked-for sizes and, when it is at least 3, the
+    longest line size.  ``per_point_secants`` / ``per_point_tangents``
+    are None when the census was computed in pair mode and some secant
+    size is not collected (the histogram itself is always exact).
     """
 
     point_set: PointSet
@@ -74,9 +81,10 @@ class LineCensus:
         return self.secants.get(size, np.zeros((0, size), dtype=np.int64))
 
     def with_secants(self, size: int) -> "LineCensus":
-        """This census if it holds the size-``size`` secants, else a census
-        of the same set collecting them: one pass, cached for later calls,
-        in full mode when longer lines would shadow them in pair mode.
+        """This census if it holds the size-``size`` secants (always so
+        for its longest lines), else a census of the same set collecting
+        them: one pass, cached for later calls, in full mode when longer
+        lines would shadow them in pair mode.
         """
         if size in self.secants:
             return self
@@ -91,12 +99,49 @@ class LineCensus:
 _PAIR_MODE_THRESHOLD = 4096
 
 
+def _block_keys(fs, coords_t, scoords, pc, j0: int, w: int) -> np.ndarray:
+    """(nb, mc) canonical quotient keys of the points j >= j0 around each
+    block point ``pc`` (normalized rows), built one coordinate at a time.
+
+    Coordinate k of the image of point j is coords[j, k] - alpha * pc[k],
+    alpha = coords[j, pivot of pc]; its discrete log is taken relative to
+    the row's leading nonzero coordinate (so every scalar multiple gets
+    the same key) and a zero coordinate gets the digit q-1, so each block
+    point's own zero row gets the all-(q-1) key.
+    """
+    q = fs.q
+    piv = np.argmax(pc != 0, axis=1)
+    alpha = coords_t[piv, j0:]                       # (nb, mc)
+    logs = []
+    for k in range(pc.shape[1]):
+        if scoords is not None:
+            lr = fs.vmulsub_spread_log(scoords[k, j0:], alpha, pc[:, k:k + 1])
+        else:
+            lr = fs.vlog(fs.vsub(coords_t[k, j0:],
+                                 fs.vmul(alpha, pc[:, k:k + 1])))
+        logs.append(lr)
+    # log of the leading nonzero coordinate: last to first, nonzero wins
+    lead = logs[-1].copy()
+    for lr in logs[-2::-1]:
+        np.copyto(lead, lr, where=lr >= 0)
+    keys = np.zeros(alpha.shape, dtype=np.int64)
+    for lr in logs:
+        zero = lr < 0
+        lr -= lead                                   # in -(q-2)..q-2
+        np.add(lr, q - 1, out=lr, where=lr < 0)
+        np.copyto(lr, q - 1, where=zero)
+        keys <<= w
+        keys |= lr
+    return keys
+
+
 def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus:
     """Exact census of all lines meeting B, grouped around each point.
 
     ``collect_sizes`` lists intersection sizes whose secants should be
     returned as explicit (S, size) index arrays (each secant reported
-    once, one sorted row each).  Two strategies:
+    once, one sorted row each).  The secants of the longest line size
+    are always collected when that size is at least 3.  Two strategies:
 
     * ``"full"``: every point is grouped against all other points, so
       per-point tangent/secant counts come out directly.
@@ -105,11 +150,15 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
       each size k-1, ..., 1, so the exact histogram follows from the
       telescoping identity N_k = c_{k-1} - c_k, where c_s counts groups
       of size s.  Explicit collection of size-s secants is only sound
-      when no line is longer than s; otherwise this mode raises.
+      when no line is longer than s; otherwise this mode raises.  Per
+      point counts exist when every secant size is collected.
 
     ``"auto"`` picks pair mode for large sets.  Points are processed in
-    blocks with one combined sort per block, so a 16k-point set costs a
-    few hundred vectorized passes rather than 16k small ones.
+    blocks: the keys of a block (one int64 per point pair, see
+    ``_block_keys``) are tagged with the block point's position and
+    sorted once, and each run of equal keys is one line through that
+    point.  A 16k-point set costs a few hundred vectorized passes rather
+    than 16k small ones.
     """
     g = b.geometry
     fs = g.fs
@@ -133,15 +182,18 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     keybits = w * d
     if keybits > 62:
         raise ValueError("field too wide for packed line keys")
-    marker = fs.q - 1  # key digit for a zero coordinate
-    self_key = 0
+    self_key = 0                      # the zero row's key: all digits q-1
     for _ in range(d):
-        self_key = (self_key << w) | marker
-    scoords = fs.spread_codes(coords)
+        self_key = (self_key << w) | (fs.q - 1)
+    coords_t = np.ascontiguousarray(coords.T)        # (d, m)
+    scoords = fs.spread_codes(coords_t)
     # block size: keep block-id bits inside an int64 next to the key
     bs = max(1, min(1 << (62 - keybits), max(1, (1 << 21) // m)))
     pair = mode == "pair"
-    secants: dict = {s: [] for s in collect_sizes}
+    # size -> chunks of (S, size) position rows; the longest size seen so
+    # far (longest) is collected too, and dropped when a longer line shows up
+    chunks: dict = {s: [] for s in collect_sizes}
+    longest = 0
     hist: dict = {}
     group_counts: dict = {}           # pair mode: group size -> #groups
     n_sec = np.zeros(m, dtype=np.int64)
@@ -152,33 +204,14 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
         nb = i1 - i0
         j0 = i0 if pair else 0        # pair mode: only columns j >= i0
         mc = m - j0
-        pc = coords[i0:i1]                       # (nb, d)
-        piv = np.argmax(pc != 0, axis=1)
-        alpha = coords[j0:, piv].T               # (nb, mc)
-        if scoords is not None:
-            # discrete logs of coords[j] - alpha * pc, per coordinate
-            lr = fs.vmulsub_spread_log(scoords[None, j0:, :],
-                                       alpha[:, :, None], pc[:, None, :])
-        else:
-            red = fs.vsub(np.broadcast_to(coords[j0:], (nb, mc, d)),
-                          fs.vmul(alpha[:, :, None], pc[:, None, :]))
-            lr = fs.vlog(red)
-        # canonical projective key per quotient row: log-ratios against the
-        # leading nonzero coordinate, zero coordinates marked q-1.  The
-        # all-marker key belongs to each block point's own zero row.
-        lead = np.argmax(lr >= 0, axis=2)
-        lead_log = np.take_along_axis(lr, lead[:, :, None], axis=2)
-        rel = (lr - lead_log) % (fs.q - 1) if fs.q > 2 else lr - lead_log
-        rel = np.where(lr < 0, marker, rel)
-        keys = np.zeros((nb, mc), dtype=np.int64)
-        for j in range(d):
-            keys = (keys << w) | rel[:, :, j]
+        keys = _block_keys(fs, coords_t, scoords, coords[i0:i1], j0, w)
         if pair:
             # merge columns j <= i (the lower triangle of the block) into
             # each point's self-group so only j > i members are counted
             keys[:, :nb][np.tril(np.ones((nb, nb), dtype=bool))] = self_key
-        flat = (np.arange(nb, dtype=np.int64)[:, None] << keybits | keys).ravel()
-        order = np.argsort(flat, kind="stable")  # stable: members stay sorted
+        keys |= np.arange(nb, dtype=np.int64)[:, None] << keybits
+        flat = keys.ravel()
+        order = np.argsort(flat)
         sflat = flat[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(sflat)) + 1))
         counts = np.diff(np.concatenate((starts, [sflat.size])))
@@ -200,25 +233,28 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
             for v in np.unique(sizes).tolist():
                 sel = sizes == v
                 arr = by_size.setdefault(v, np.zeros(m, dtype=np.int64))
-                np.add.at(arr, i0 + gpos_r[sel], 1)
+                arr[i0:i1] += np.bincount(gpos_r[sel], minlength=nb)
                 hist[v] = hist.get(v, 0) + int(sel.sum())
-        for s in collect_sizes:
+        k = int(counts_r.max()) + 1 if counts_r.size else 0
+        if k > longest:
+            if longest not in collect_sizes:
+                chunks.pop(longest, None)
+            longest = k
+        for s in collect_sizes | ({longest} if longest >= 3 else set()):
             gsel = np.flatnonzero(counts_r == s - 1)
             if gsel.size == 0:
                 continue
             offs = starts_r[gsel][:, None] + np.arange(s - 1)[None, :]
-            mem = idx[j0 + order[offs] % mc]     # ascending within each group
-            own = idx[i0 + gpos_r[gsel]]
-            if pair:
-                # every member is above the group's own point already
-                keep = np.ones(gsel.size, dtype=bool)
-            else:
-                # report each secant once, at its lowest-index member
-                keep = mem[:, 0] > own
-            if np.any(keep):
-                full = np.concatenate([own[keep, None], mem[keep]], axis=1)
-                full.sort(axis=1)
-                secants[s].append(full)
+            mem = j0 + order[offs] % mc          # member positions
+            own = i0 + gpos_r[gsel]
+            if not pair:
+                # report each secant once, at its lowest member (in pair
+                # mode every member is above the group's own point)
+                keep = mem.min(axis=1) > own
+                mem, own = mem[keep], own[keep]
+            rows = np.concatenate([own[:, None], mem], axis=1)
+            rows.sort(axis=1)
+            chunks.setdefault(s, []).append(rows)
     if pair:
         # N_k = c_{k-1} - c_k: each k-line yields one group of every size < k
         top = max(group_counts) if group_counts else 0
@@ -244,29 +280,24 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
         hist[1] = hist.get(1, 0) + int(n_tan.sum())
         if hist[1] == 0:
             del hist[1]
-    out_secants = {}
-    for s, chunks in secants.items():
-        if chunks:
-            arr = np.concatenate(chunks, axis=0)
-            arr = arr[np.lexsort(arr.T[::-1])]
-        else:
-            arr = np.zeros((0, s), dtype=np.int64)
-        out_secants[s] = arr
+    secants = {}
+    for s, parts in chunks.items():
+        pos = (np.concatenate(parts, axis=0) if parts
+               else np.zeros((0, s), dtype=np.int64))
+        # positions follow index order (idx is sorted), so rows sort alike
+        pos = pos[np.lexsort(pos.T[::-1])]
+        if pair:
+            by_size[s] = np.bincount(pos.ravel(), minlength=m)
+            n_sec += by_size[s]
+        secants[s] = idx[pos]
     if pair:
-        for s, arr in out_secants.items():
-            counts_s = np.zeros(m, dtype=np.int64)
-            if arr.shape[0]:
-                # idx is sorted, so searchsorted inverts idx -> position
-                np.add.at(counts_s, np.searchsorted(idx, arr.ravel()), 1)
-            by_size[s] = counts_s
-            n_sec += counts_s
-        if all(s in collect_sizes for s in hist if s >= 2):
+        if all(s in secants for s in hist if s >= 2):
             # every secant is on record, so totals follow
             n_tan = lines_through_point - n_sec
         else:
             n_sec = None
             n_tan = None
-    return LineCensus(b, hist, n_sec, n_tan, by_size, out_secants)
+    return LineCensus(b, hist, n_sec, n_tan, by_size, secants)
 
 
 def groups_through_point(b: PointSet, i: int):

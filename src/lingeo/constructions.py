@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldSpec
-from .pg import Geometry, PointSet, lex_points, points_of, space_size
+from .pg import (Geometry, GeometryError, PointSet, lex_points, points_of,
+                 space_size)
 from .reduction import SpreadContext
 
 
@@ -25,6 +26,9 @@ def subgeometry(g: Geometry, e: int, carrier_dim: int | None = None) -> PointSet
     """
     sub = g.fs.subfield(e)
     m = g.n if carrier_dim is None else carrier_dim
+    if not 1 <= m <= g.n:
+        raise GeometryError(
+            f"carrier dimension {m} is outside 1..{g.n} for PG({g.n}, {g.fs.q})")
     # the points of PG(m, p^e), embedded, padded with zero coordinates
     pts = lex_points(m, sub.q0)
     rows = np.zeros((pts.shape[0], g.n + 1), dtype=np.int64)

@@ -126,7 +126,10 @@ def read_reduced_subspace(path, reduced: Geometry) -> Subspace:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "RED":
                 raise ParseError(f"line {ln}: expected 'RED m q0'")
-            m, q0 = int(parts[1]), int(parts[2])
+            try:
+                m, q0 = int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"line {ln}: bad header: {exc}") from exc
             if m != reduced.n or q0 != reduced.fs.q:
                 raise ParseError(
                     f"line {ln}: header RED {m} {q0} does not match the "

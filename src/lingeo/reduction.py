@@ -101,10 +101,6 @@ class SpreadContext:
         out = self.expand_table[rows]  # (m, n+1, h)
         return out.reshape(rows.shape[0], -1)
 
-    def eps(self, vec):
-        return tuple(int(c) for c in self.eps_rows(
-            np.asarray(vec, dtype=np.int64)[None, :])[0])
-
     def eps_inv_rows(self, rows: np.ndarray) -> np.ndarray:
         """Map (m, (n+1)h) reduced vectors back to (m, n+1) big vectors."""
         rows = np.asarray(rows, dtype=np.int64)

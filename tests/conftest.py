@@ -1,8 +1,16 @@
+import functools
+
 import pytest
 
 from lingeo.gf import make_field
 from lingeo.pg import build_geometry
 from lingeo.constructions import full_line, subgeometry, trace_linear_set
+
+
+@pytest.fixture(scope="session")
+def field():
+    """``make_field``, memoized for the session: GF(3^10) takes seconds."""
+    return functools.lru_cache(maxsize=None)(make_field)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
+import pytest
 
 from lingeo.census import groups_through_point, line_census
 from lingeo.gf import make_field
-from lingeo.pg import PointSet, build_geometry, points_of, set_meet
+from lingeo.pg import PointSet, build_geometry, points_of, set_meet, space_size
 
 
 def brute_census_hist(b):
@@ -102,3 +105,124 @@ def test_pair_mode_refuses_shadowed_collection():
         assert "shadowed" in str(err)
     else:
         raise AssertionError("expected shadowed-collection error")
+
+
+def scalar_lines(b):
+    """Oracle for any PG(n, q): size -> sorted (S, size) index array of
+    the lines meeting B in >= 2 points, by scalar elimination."""
+    fs = b.geometry.fs
+    pts = [[int(x) for x in c] for c in b.coords()]
+    idx = [int(i) for i in b.indices]
+
+    def reduce(v, u):
+        # v minus its multiple of u that clears u's leading entry (u[k] = 1)
+        k = next(i for i, x in enumerate(u) if x)
+        return [fs.sub(a, fs.mul(v[k], c)) for a, c in zip(v, u)]
+
+    found = set()
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        u = pts[i]
+        v = reduce(pts[j], u)
+        lead = next(x for x in v if x)
+        v = [fs.div(x, lead) for x in v]
+        found.add(tuple(idx[r] for r in range(len(pts))
+                        if not any(reduce(reduce(pts[r], u), v))))
+    lines: dict = {}
+    for members in sorted(found):
+        lines.setdefault(len(members), []).append(members)
+    return {s: np.array(rows, dtype=np.int64) for s, rows in lines.items()}
+
+
+def _mixed_set(g, seed):
+    """Five points on one line, three more on a second line through
+    (1, 0, ..., 0), and up to ten random points."""
+    assert g.fs.q > 4
+    unit = np.eye(g.n + 1, dtype=np.int64)
+    rows = [unit[0] + c * unit[1] for c in range(4)] + [unit[1]]
+    rows += [unit[0] + c * unit[2] for c in range(1, 4)]
+    b = PointSet.from_coords(g, rows)
+    rng = np.random.default_rng(seed)
+    extra = PointSet(g, np.unique(rng.integers(0, g.num_points, 10)))
+    return b.union(extra)
+
+
+# one geometry per census key path: char-2 xor, prime modulo, spread-log
+# gathers, digit loop, and char 2 with 60-bit keys (4 points per block)
+@pytest.mark.parametrize("n,p,t,spread", [(2, 2, 4, False), (2, 5, 1, False),
+                                          (2, 7, 2, True), (2, 3, 10, False),
+                                          (4, 2, 12, False)])
+def test_census_kernel_matches_oracles(field, n, p, t, spread):
+    g = build_geometry(n, field(p, t))
+    assert (g.fs.spread_codes(0) is not None) is spread
+    b = _mixed_set(g, seed=p * 100 + t)
+    lines = scalar_lines(b)
+    hist = {s: len(rows) for s, rows in lines.items()}
+    slots = b.card * space_size(g.fs.q, n - 1)
+    hist[1] = slots - sum(s * c for s, c in hist.items())
+    if g.num_points < 3000:
+        assert hist == brute_census_hist(b)
+    pos = {int(i): k for k, i in enumerate(b.indices)}
+    on_secants = np.zeros(b.card, dtype=np.int64)
+    for rows in lines.values():
+        np.add.at(on_secants, [pos[int(i)] for i in rows.ravel()], 1)
+    longest = max(lines)
+    assert longest >= 5
+    for mode in ("full", "pair"):
+        census = line_census(b, mode=mode)
+        assert census.hist == hist
+        assert list(census.secants) == [longest]
+        assert np.array_equal(census.secant_members(longest), lines[longest])
+        if mode == "full":
+            assert np.array_equal(census.per_point_secants, on_secants)
+        explicit = line_census(b, collect_sizes=list(lines), mode="full")
+        for s, rows in lines.items():
+            assert np.array_equal(explicit.secant_members(s), rows)
+
+
+def test_longer_line_in_a_later_block_replaces_collected_secants(field):
+    # 60-bit keys of PG(4, 2^12) leave 4 points per block: the first block
+    # holds points of two 3-secants only, the 5-point line comes later
+    g = build_geometry(4, field(2, 12))
+    unit = np.eye(5, dtype=np.int64)
+    rows = [unit[0] + c * unit[4] for c in range(3)]
+    rows += [unit[0] + unit[3] + c * unit[4] for c in range(3)]
+    rows += [unit[1] + c * unit[2] for c in range(4)] + [unit[2]]
+    b = PointSet.from_coords(g, rows)
+    lines = scalar_lines(b)
+    assert max(lines) == 5 and len(lines[3]) == 2
+    for mode in ("full", "pair"):
+        census = line_census(b, mode=mode)
+        assert list(census.secants) == [5]
+        assert np.array_equal(census.secant_members(5), lines[5])
+
+
+def test_longest_secants_collected_as_if_asked(baer_49, trace_343, line_49):
+    for b in (baer_49, trace_343, line_49):
+        for mode in ("full", "pair"):
+            census = line_census(b, mode=mode)
+            k = max(census.hist)
+            explicit = line_census(b, collect_sizes=[k], mode=mode)
+            assert list(census.secants) == [k]
+            assert census.hist == explicit.hist
+            assert np.array_equal(census.secant_members(k),
+                                  explicit.secant_members(k))
+            assert census.per_point_by_size.keys() == \
+                explicit.per_point_by_size.keys()
+            for s, counts in census.per_point_by_size.items():
+                assert np.array_equal(counts, explicit.per_point_by_size[s])
+            for attr in ("per_point_secants", "per_point_tangents"):
+                got, want = getattr(census, attr), getattr(explicit, attr)
+                assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_two_secants_are_not_collected_unasked():
+    # a conic of PG(2, 7) is an arc: its longest lines are 2-secants
+    g = build_geometry(2, make_field(7, 1))
+    conic = PointSet.from_coords(g, [(1, x, x * x % 7) for x in range(7)]
+                                 + [(0, 0, 1)])
+    for mode in ("full", "pair"):
+        census = line_census(conic, mode=mode)
+        assert census.hist[2] == 28
+        assert census.secants == {}
+        assert line_census(conic, collect_sizes=[2], mode=mode) \
+            .secant_members(2).shape == (28, 2)

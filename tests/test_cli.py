@@ -101,7 +101,7 @@ def test_verify_baer_all_checks(tmp_path, baer_49):
     assert all(e["status"] != "FAIL" for e in doc["checks"])
 
 
-def test_verify_runs_two_line_censuses(tmp_path, baer_49, monkeypatch):
+def _count_line_censuses(monkeypatch):
     calls = []
     real = census.line_census
 
@@ -111,10 +111,25 @@ def test_verify_runs_two_line_censuses(tmp_path, baer_49, monkeypatch):
 
     for mod in (census, cli, structure, blocking):
         monkeypatch.setattr(mod, "line_census", counting)
+    return calls
+
+
+def test_verify_runs_one_line_census(tmp_path, baer_49, monkeypatch):
+    calls = _count_line_censuses(monkeypatch)
     pf = tmp_path / "b.txt"
     write_point_set(pf, baer_49)
     assert run(["verify", str(pf), "--out", str(tmp_path / "v")]) == 0
-    # one plain census, one collecting the short secants for every check
+    # the short secants are the longest lines, so the census holds them
+    assert calls == [()]
+
+
+def test_verify_collects_shadowed_secants_once(tmp_path, trace_343,
+                                               monkeypatch):
+    calls = _count_line_censuses(monkeypatch)
+    pf = tmp_path / "t.txt"
+    write_point_set(pf, trace_343)
+    run(["verify", str(pf), "--out", str(tmp_path / "v")])
+    # the 8-secants lie under longer lines: one more pass collects them
     assert calls == [(), [8]]
 
 
@@ -229,3 +244,25 @@ def test_reports_byte_identical_across_threads(tmp_path, baer_49):
                     "--out", str(out)]) == 0
         outs.append((out / "verify_report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_build_carrier_dim_out_of_range_exit_2(tmp_path, capsys):
+    assert run(["build", "baer-subplane", "--p", "2", "--t", "2", "--n", "2",
+                "--carrier-dim", "3", "--out", str(tmp_path / "x")]) == 2
+    assert "error: carrier dimension 3 is outside 1..2 for PG(2, 4)" in \
+        capsys.readouterr().err
+
+
+def test_verify_one_point_has_no_exponent(tmp_path):
+    # PG(4, 373) has too many hyperplanes through a point to enumerate, so
+    # the exponent comes from the line census, where only tangents occur
+    pf = tmp_path / "p.txt"
+    pf.write_text("PG 4 373 1 0,1\n1 0 0 0 0\n")
+    out = tmp_path / "v"
+    run(["verify", str(pf), "--out", str(out)])
+    doc = json.loads((out / "verify_report.json").read_text())
+    assert doc["report"]["strategy"] == "structural"
+    assert doc["report"]["exponent_e"] == 0
+    assert doc["report"]["q0"] is None
+    sublines = next(c for c in doc["checks"] if c["check"] == "sublines")
+    assert sublines["status"] == "INFORMATIONAL"

@@ -19,6 +19,8 @@ def reduced():
     ("RED 2 3\n# no rows\n", "empty subspace"),
     ("", "missing 'RED m q0' header"),
     ("RED 2\n1 0 0\n", "line 1: expected 'RED m q0'"),
+    ("RED x 3\n1 0 0\n",
+     "line 1: bad header: invalid literal for int() with base 10: 'x'"),
     ("RED 2 5\n1 0 0\n", "line 1: header RED 2 5 does not match the "
      "reduced geometry PG(2, 3)"),
 ])

@@ -150,8 +150,8 @@ def _scalar_matmul(fs, a, b):
 # one field per vadd path: xor, prime modulo, spread table, digit loop
 @pytest.mark.parametrize("p,t,spread", [(2, 4, False), (3, 1, False),
                                         (7, 2, True), (3, 10, False)])
-def test_vmatmul_matches_scalar(p, t, spread):
-    fs = make_field(p, t)
+def test_vmatmul_matches_scalar(field, p, t, spread):
+    fs = field(p, t)
     assert (fs._spread is not None) is spread
     rng = np.random.default_rng(p * 100 + t)
     shapes = [((5, 3), (3, 4)),      # matrix . matrix
