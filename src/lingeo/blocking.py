@@ -203,13 +203,23 @@ def _exponent_from_sizes(sizes, p: int, t: int):
         g = math.gcd(g, int(s) - 1)
         if g == 1:
             return 0
-    if g == 0:  # no secant: sizes are all 1, no subfield is singled out
-        return 0
     e = 0
     while g % p == 0 and e < t:
         g //= p
         e += 1
     return e
+
+
+def _exponent_from_line_sizes(sizes, p: int, t: int):
+    """Exponent from the sizes of lines meeting B (or a point of it).
+
+    With no secant among them every size is 1 and no subfield is singled
+    out, so the exponent is 0, as for coprime sizes.  (Hyperplane sizes
+    all 1 are another matter: the line PG(1, q) itself has exponent t.)
+    """
+    if all(int(s) < 2 for s in sizes):
+        return 0
+    return _exponent_from_sizes(sizes, p, t)
 
 
 def exponent(b: PointSet):
@@ -235,7 +245,7 @@ def exponent_from_lines(b: PointSet, census: LineCensus | None = None):
         census = line_census(b)
     fs = b.geometry.fs
     sizes = [s for s in census.hist if s >= 1]
-    e = _exponent_from_sizes(sizes, fs.p, fs.t)
+    e = _exponent_from_line_sizes(sizes, fs.p, fs.t)
     return _exponent_tuple(e, fs)
 
 
@@ -248,14 +258,15 @@ def _exponent_tuple(e, fs):
 
 
 def point_exponent(b: PointSet, index: int) -> int:
-    """Largest e_P with every line through the point meeting B in 1 mod p^e_P."""
+    """Largest e_P with every line through the point meeting B in 1 mod p^e_P
+    (0 when no secant passes through the point)."""
     pos = int(np.searchsorted(b.indices, index))
     if pos >= b.card or int(b.indices[pos]) != int(index):
         raise NotMember(f"{index} is not in the set")
     groups = groups_through_point(b, pos)
     fs = b.geometry.fs
     sizes = {int(grp.size) + 1 for grp in groups}
-    return _exponent_from_sizes(sizes, fs.p, fs.t)
+    return _exponent_from_line_sizes(sizes, fs.p, fs.t)
 
 
 def all_point_exponents(b: PointSet) -> list:
@@ -263,7 +274,7 @@ def all_point_exponents(b: PointSet) -> list:
     out = []
     for pos in range(b.card):
         sizes = {int(g.size) + 1 for g in groups_through_point(b, pos)}
-        out.append(_exponent_from_sizes(sizes, fs.p, fs.t))
+        out.append(_exponent_from_line_sizes(sizes, fs.p, fs.t))
     return out
 
 

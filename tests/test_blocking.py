@@ -62,6 +62,22 @@ def test_point_exponents_baer(baer_49):
     assert blocking.all_point_exponents(baer_49) == [1] * 57
 
 
+def test_full_pg1_keeps_exponent_t():
+    # every hyperplane (a point) of PG(1, 49) meets the whole line once,
+    # yet the set has a secant, the line itself: e = t on both readings
+    g = build_geometry(1, make_field(7, 2))
+    rep = blocking.analyze(PointSet(g, np.arange(g.num_points)))
+    assert rep.strategy == "cover"
+    assert rep.exponent_e == 2 and rep.q0 == 49 and rep.h == 1
+    assert rep.exponent_e_lines == 2
+
+
+def test_one_point_has_no_exponent(pg2_49):
+    b = PointSet(pg2_49, [0])
+    assert blocking.exponent_from_lines(b) == (0, None, None, False)
+    assert blocking.point_exponent(b, 0) == 0
+
+
 def test_line_plus_points_not_minimal(line_49):
     g = line_49.geometry
     extra = [i for i in range(g.num_points) if i not in line_49][:3]

@@ -195,6 +195,14 @@ def test_search_above_small_cap(tmp_path):
     assert verdicts.count("not-small-minimal") == 234
 
 
+def test_search_pg_1_3_line_has_exponent_t(tmp_path):
+    out = tmp_path / "s"
+    assert run(["search", "--p", "3", "--t", "1", "--n", "1",
+                "--out", str(out)]) == 0
+    idx = json.loads((out / "catalog_index.json").read_text())
+    assert [(e["size"], e["exponent_e"]) for e in idx["entries"]] == [(4, 1)]
+
+
 def test_search_guard_exit_3(tmp_path):
     assert run(["search", "--p", "2", "--t", "4", "--n", "2",
                 "--out", str(tmp_path / "s")]) == 3
@@ -232,6 +240,21 @@ def test_project_center_in_set_exit_2(tmp_path, baer_49):
     c = ",".join(str(int(x)) for x in baer_49.coords()[0])
     assert run(["project", str(pf), "--center", c,
                 "--out", str(tmp_path / "pr")]) == 2
+
+
+def test_project_baer_onto_full_line(tmp_path, baer_49):
+    # B blocks every line, so the image is all of PG(1, 49): exponent t
+    g = baer_49.geometry
+    off = next(i for i in range(g.num_points) if i not in baer_49)
+    pf = tmp_path / "b.txt"
+    write_point_set(pf, baer_49)
+    out = tmp_path / "pr"
+    c = ",".join(str(int(x)) for x in g.coords_of(off))
+    assert run(["project", str(pf), "--center", c, "--out", str(out)]) == 0
+    after = json.loads((out / "report_after.json").read_text())
+    assert after["size"] == 50
+    assert after["exponent_e"] == after["exponent_e_lines"] == 2
+    assert after["q0"] == 49
 
 
 def test_reports_byte_identical_across_threads(tmp_path, baer_49):
