@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import (LineCensus, groups_through_point, line_census, pack_rows,
-                     quotient_rows)
+from .census import (LineCensus, free_columns, groups_through_point,
+                     line_census, pack_rows, quotient_rows, tile_rows)
 from .pg import (Geometry, GeometryError, PointSet, Subspace, normalize_rows,
                  right_nullspace, space_size, span)
 
@@ -154,34 +154,62 @@ def _tangents_from_profile(b: PointSet, met: np.ndarray, counts: np.ndarray):
 
 def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
                                  trials: int = 400):
-    """Seeded per-point search for tangent hyperplanes in huge geometries.
+    """Seeded search for a tangent hyperplane at every point of B, for
+    geometries whose dual family is too large to enumerate.
 
-    Returns (witness dualvec per member or None, all_found). A returned
-    witness is always exact; a miss after ``trials`` proves nothing.
+    The duals through a point P with pivot column ``piv`` (P[piv] = 1)
+    have the closed-form basis e_f - P_f e_piv, f != piv: coefficients c
+    give the dual with c_f at each f and -sum_f c_f P_f at ``piv``.  The
+    search runs in rounds.  Each round makes one seeded draw
+    ``rng.integers(0, q, (pending, n))``, a coefficient row for every
+    point still without a witness, in point order (an all-zero row is a
+    spent trial), and evaluates all the candidate duals on all of B, in
+    cache-sized (candidate, point) blocks against B's coordinates, whose
+    logs are taken once.  A candidate is a witness when P is the only
+    point of B on it, so every witness returned is exact; a point still
+    without one after ``trials`` rounds proves nothing.  Reports record
+    only ``all_found``, never the witnesses, so the draw order (not that
+    of a point-by-point search) does not reach them.
+
+    Returns (witness dual per member index, all_found).
     """
     fs = b.geometry.fs
     rng = np.random.default_rng(seed)
     coords = b.coords()
+    m, d = coords.shape
+    piv = np.argmax(coords != 0, axis=1)
+    free = free_columns(piv[:, None], d)
+    p_free = np.take_along_axis(coords, free, axis=1)      # P_f, f != piv
+    log_b = fs.vlog0(coords.T)                             # (d, m)
+    bs = tile_rows(m)
     witnesses = {}
-    all_found = True
-    for i, c in enumerate(coords):
-        basis = np.array(right_nullspace(fs, [tuple(int(x) for x in c)]),
-                         dtype=np.int64)
-        found = None
-        for _ in range(trials):
-            coef = rng.integers(0, fs.q, basis.shape[0])
-            if not coef.any():
-                continue
-            dual = fs.vmatmul(coef, basis)
-            vals = fs.vmatmul(coords, dual)
-            if int((vals == 0).sum()) == 1:
-                found = tuple(int(x) for x in dual)
-                break
-        if found is None:
-            all_found = False
-        else:
-            witnesses[int(b.indices[i])] = found
-    return witnesses, all_found
+    pending = np.arange(m)
+    for _ in range(trials):
+        if pending.size == 0:
+            break
+        coef = rng.integers(0, fs.q, (pending.size, d - 1))
+        live = coef.any(axis=1)
+        pts, coef = pending[live], coef[live]
+        duals = np.zeros((pts.size, d), dtype=np.int64)
+        np.put_along_axis(duals, free[pts], coef, axis=1)
+        at_piv = fs.vmul(coef[:, 0], p_free[pts, 0])
+        for f in range(1, d - 1):
+            at_piv = fs.vadd(at_piv, fs.vmul(coef[:, f], p_free[pts, f]))
+        duals[np.arange(pts.size), piv[pts]] = fs.vneg(at_piv)
+        log_d = fs.vlog0(duals)
+        tangent = np.zeros(pts.size, dtype=bool)
+        for c0 in range(0, pts.size, bs):
+            c1 = min(c0 + bs, pts.size)
+            vals = fs.vexp0(log_d[c0:c1, :1] + log_b[0])
+            for k in range(1, d):
+                vals = fs.vadd(vals, fs.vexp0(log_d[c0:c1, k:k + 1] + log_b[k]))
+            tangent[c0:c1] = np.count_nonzero(vals == 0, axis=1) == 1
+        for i in np.flatnonzero(tangent):
+            witnesses[int(b.indices[pts[i]])] = tuple(int(x) for x in duals[i])
+        done = np.zeros(m, dtype=bool)
+        done[pts[tangent]] = True
+        pending = pending[~done[pending]]
+    return dict(sorted(witnesses.items())), pending.size == 0
 
 
 def is_minimal(b: PointSet):
@@ -296,7 +324,8 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
     size = b.card
     small = size < 3 * (fs.q + 1) / 2
     span_dim = span(g, [tuple(int(x) for x in c) for c in b.coords()]).dim
-    e_lines, *_ = exponent_from_lines(b, census)
+    line_exponent = exponent_from_lines(b, census)
+    e_lines = line_exponent[0]
     witnesses: dict = {}
     try:
         met, hcounts = _hyperplane_profile(b)
@@ -305,8 +334,8 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
         blocking = bool(assume_blocking)
         if assume_blocking:
             witnesses["blocking_certificate"] = "construction"
-        e, q0, h, integral = exponent_from_lines(b, census)
-        tw, all_found = randomized_tangent_witnesses(b, seed=seed)
+        e, q0, h, integral = line_exponent
+        _, all_found = randomized_tangent_witnesses(b, seed=seed)
         minimal = blocking and all_found
         witnesses["minimality_method"] = "randomized-witness"
     else:
@@ -318,7 +347,7 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
             if g.n == 2 and census.per_point_tangents is not None:
                 # in a plane the hyperplanes are the lines, so the census
                 # already holds exact exponent data and tangent counts
-                e, q0, h, integral = exponent_from_lines(b, census)
+                e, q0, h, integral = line_exponent
                 counts = census.per_point_tangents
             else:
                 e, q0, h, integral = _exponent_from_profile(fs, hcounts)

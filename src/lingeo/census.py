@@ -4,14 +4,21 @@ The workhorse trick: for a fixed point P of a set B, two other points
 Q, Q' lie on the same line through P iff their images in the quotient
 space PG(V / <P>) coincide.  ``line_census`` takes a block of points P at
 a time, computes the quotient images of B around each of them with numpy
-field arithmetic, one coordinate at a time on 2-D arrays, and packs each
-image into one canonical int64 key (discrete logs relative to the
-leading nonzero coordinate) tagged with P's block position.  One sort of
-the block's keys then puts each line through each P in one run.  This
-keeps censuses of 16k-point sets in multi-billion-point ambient spaces
-tractable.  Every census also keeps the secants of its longest line
-size, which for the linear sets the checks are about are the short
-(q0+1)-secants, so one pass serves every check.
+field arithmetic, one free coordinate at a time on 2-D arrays, and packs
+each image into one canonical int64 key (discrete logs relative to the
+leading nonzero coordinate).  One sort of each row of the block's keys
+then puts each line through each P in one run.  This keeps censuses of
+16k-point sets in multi-billion-point ambient spaces tractable.  Every
+census also keeps the secants of its longest line size, which for the
+linear sets the checks are about are the short (q0+1)-secants, so one
+pass serves every check.
+
+The same kernel (``quotient_keys`` and ``row_groups``) quotients by any
+block of subspaces given by reduced bases of k rows: points (k = 1) for
+the line census, secant lines (k = 2) for the plane census of
+``structure.plane_block_data``.  The logs of B's coordinates are taken
+once per kernel call, and the field work runs in cache-sized row tiles
+(``TILE_ELEMS``) inside each sorted block (``BLOCK_ELEMS``).
 """
 
 from __future__ import annotations
@@ -97,42 +104,174 @@ class LineCensus:
 
 
 _PAIR_MODE_THRESHOLD = 4096
+BLOCK_ELEMS = 1 << 21       # (row, column) elements per sorted kernel block
+TILE_ELEMS = 1 << 15        # elements per cache-sized step inside a block
+_WORD_BITS = 63             # bits of a non-negative int64 sort key
 
 
-def _block_keys(fs, coords_t, scoords, pc, j0: int, w: int) -> np.ndarray:
-    """(nb, mc) canonical quotient keys of the points j >= j0 around each
-    block point ``pc`` (normalized rows), built one coordinate at a time.
+def block_rows(width: int) -> int:
+    """Rows per sorted kernel block whose rows are ``width`` long."""
+    return max(1, BLOCK_ELEMS // max(1, width))
 
-    Coordinate k of the image of point j is coords[j, k] - alpha * pc[k],
-    alpha = coords[j, pivot of pc]; its discrete log is taken relative to
-    the row's leading nonzero coordinate (so every scalar multiple gets
-    the same key) and a zero coordinate gets the digit q-1, so each block
-    point's own zero row gets the all-(q-1) key.
+
+def tile_rows(width: int) -> int:
+    """Rows per cache-sized step whose rows are ``width`` long."""
+    return max(1, TILE_ELEMS // max(1, width))
+
+
+def free_columns(piv: np.ndarray, d: int) -> np.ndarray:
+    """For each row of pivot columns ``piv`` (nb, k), the other d-k
+    columns of 0..d-1 in increasing order."""
+    is_piv = np.zeros((piv.shape[0], d), dtype=bool)
+    is_piv[np.arange(piv.shape[0])[:, None], piv] = True
+    return np.argsort(is_piv, axis=1, kind="stable")[:, :d - piv.shape[1]]
+
+
+def kernel_operands(fs, coords: np.ndarray):
+    """B's (m, d) coordinates prepared once for ``quotient_keys``: the
+    (d, m) codes, their zero-safe logs and their spread codes (None off
+    the spread-table path)."""
+    codes = np.ascontiguousarray(coords.T)
+    return codes, fs.vlog0(codes), fs.spread_codes(codes)
+
+
+def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
+                  cols: bool = False, merge_lower: bool = False):
+    """Sort keys of the canonical quotient images of the points j >= j0
+    of B by each subspace of a block.
+
+    ``operands`` is ``kernel_operands`` of B; ``basis`` is (nb, k, d), one
+    reduced basis per row (row r of it is 1 at its own pivot column and
+    0 at the others'): a normalized point (k = 1) or the reduced rows of
+    a line (k = 2).  Only the d-k free columns of a basis carry
+    information; there coordinate c of point j's image is
+    coords[j, c] - sum_r alpha_r * basis[r, c], alpha_r = coords[j, pivot_r],
+    computed in the log domain from B's logs, taken once.  The image
+    becomes d-k digits: each coordinate's log relative to the leading
+    nonzero one (so every scalar multiple gets the same digits), or q-1
+    for a zero coordinate, so the points of the subspace itself get all
+    digits q-1.  The work runs in cache-sized row tiles.
+
+    Returns (words, self_words, jbits): the digits packed ``w`` bits
+    each into one (nb, mc) integer array (int32 when it fits 31 bits),
+    with the column index in the low ``jbits`` bits when ``cols``; or,
+    for a key too wide for that, arrays of at most 63 // w digits each
+    and ``jbits`` 0.  ``self_words`` are the zero image's words (without
+    column bits).  ``merge_lower`` (pair-mode censuses, where row r is
+    the point in column r) gives each row's columns up to its own the
+    zero image, so they join the row's own group.
     """
+    codes, logs, spread = operands
+    nb, k, d = basis.shape
     q = fs.q
-    piv = np.argmax(pc != 0, axis=1)
-    alpha = coords_t[piv, j0:]                       # (nb, mc)
-    logs = []
-    for k in range(pc.shape[1]):
-        if scoords is not None:
-            lr = fs.vmulsub_spread_log(scoords[k, j0:], alpha, pc[:, k:k + 1])
-        else:
-            lr = fs.vlog(fs.vsub(coords_t[k, j0:],
-                                 fs.vmul(alpha, pc[:, k:k + 1])))
-        logs.append(lr)
-    # log of the leading nonzero coordinate: last to first, nonzero wins
-    lead = logs[-1].copy()
-    for lr in logs[-2::-1]:
-        np.copyto(lead, lr, where=lr >= 0)
-    keys = np.zeros(alpha.shape, dtype=np.int64)
-    for lr in logs:
-        zero = lr < 0
-        lr -= lead                                   # in -(q-2)..q-2
-        np.add(lr, q - 1, out=lr, where=lr < 0)
-        np.copyto(lr, q - 1, where=zero)
-        keys <<= w
-        keys |= lr
-    return keys
+    z = fs.zero_log
+    w = _pack_width(q)
+    mc = codes.shape[1] - j0
+    nd = d - k
+    jbits = int(mc - 1).bit_length() if cols else 0
+    if w * nd + jbits > _WORD_BITS:
+        per, jbits = max(1, _WORD_BITS // w), 0
+    else:
+        per = nd
+    spans = [(a, min(a + per, nd)) for a in range(0, nd, per)]
+    self_words = []
+    for a, b in spans:
+        key = 0
+        for _ in range(a, b):
+            key = (key << w) | (q - 1)
+        self_words.append(key)
+    piv = np.argmax(basis != 0, axis=2)                  # (nb, k)
+    free = free_columns(piv, d)
+    lb = fs.vlog0(np.take_along_axis(basis, free[:, None, :], axis=2))
+    table = _digit_table(q)
+    col = np.arange(mc)
+    # a key of at most 31 bits sorts as int32, twice as fast
+    dtype = np.int32 if w * per + jbits <= 31 else np.int64
+    words = [np.empty((nb, mc), dtype=dtype) for _ in spans]
+    step = tile_rows(mc)
+    for r0 in range(0, nb, step):
+        r1 = min(r0 + step, nb)
+        la = [logs[piv[r0:r1, r], j0:] for r in range(k)]
+        if merge_lower:
+            low = col[None, :r1] <= np.arange(r0, r1)[:, None]
+        lr = []
+        for i in range(nd):
+            sums = [la[r] + lb[r0:r1, r, i:i + 1] for r in range(k)]
+            if spread is not None:
+                x = fs.vmulsub_spread_log0(spread[free[r0:r1, i], j0:], sums)
+            else:
+                x = codes[free[r0:r1, i], j0:]
+                for s in sums:
+                    x = fs.vsub(x, fs.vexp0(s))
+                x = fs.vlog0(x)
+            if merge_lower:
+                x[:, :r1][low] = z
+            lr.append(x)
+        # log of the leading nonzero coordinate (0 on an all-zero row):
+        # last to first, nonzero wins
+        lead = np.where(lr[-1] != z, lr[-1], 0)
+        for x in lr[-2::-1]:
+            np.copyto(lead, x, where=x != z)
+        # x - lead is in -(q-2)..q-2 for a nonzero coordinate and in
+        # q..2(q-1) for a zero one: one table maps both to the digit
+        lead -= q - 2
+        for kw, (a, b) in zip(words, spans):
+            tile = kw[r0:r1]
+            tile[...] = table[lr[a] - lead]
+            for x in lr[a + 1:b]:
+                tile <<= w
+                tile |= table[x - lead]
+            if jbits:
+                tile <<= jbits
+                tile |= col
+    return words, self_words, jbits
+
+
+def _digit_table(q: int) -> np.ndarray:
+    """Digit of (log - lead log + q - 2) for a quotient coordinate: the
+    relative log mod q-1 when the coordinate is nonzero, q-1 when zero."""
+    x = np.arange(3 * q - 3, dtype=np.int64)
+    return np.where(x <= 2 * q - 4, (x - (q - 2)) % max(1, q - 1), q - 1)
+
+
+def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
+    """Runs of equal keys within each row of a ``quotient_keys`` block.
+
+    Returns (starts, counts, pos, own, members): the start of each run
+    in the row-major sorted order, its length, its row, whether it is
+    the row's zero-image group, and, when ``cols``, the column of every
+    sorted element (else None).  One word, with its ``jbits`` column
+    bits when ``cols``, is sorted row by row; otherwise the block is
+    sorted by ``np.lexsort`` with the row as the primary key.
+    """
+    nb, mc = words[0].shape
+    size = nb * mc
+    brk = np.zeros(size, dtype=bool)
+    brk[::mc] = True
+    members = None
+    if len(words) == 1 and (jbits or not cols):
+        words[0].sort(axis=1)
+        flat = words[0].ravel()
+        if jbits:
+            members = flat & ((1 << jbits) - 1)
+            flat >>= jbits
+        brk[1:] |= flat[1:] != flat[:-1]
+        starts = np.flatnonzero(brk)
+        own = flat[starts] == self_words[0]
+    else:
+        tag = np.repeat(np.arange(nb, dtype=np.int64), mc)
+        order = np.lexsort([kw.ravel() for kw in words[::-1]] + [tag])
+        ordered = [kw.ravel()[order] for kw in words]
+        for sw in ordered:
+            brk[1:] |= sw[1:] != sw[:-1]
+        starts = np.flatnonzero(brk)
+        own = np.ones(starts.size, dtype=bool)
+        for sw, self_word in zip(ordered, self_words):
+            own &= sw[starts] == self_word
+        if cols:
+            members = order % mc
+    counts = np.diff(np.append(starts, size))
+    return starts, counts, starts // mc, own, members
 
 
 def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus:
@@ -154,10 +293,13 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
       point counts exist when every secant size is collected.
 
     ``"auto"`` picks pair mode for large sets.  Points are processed in
-    blocks: the keys of a block (one int64 per point pair, see
-    ``_block_keys``) are tagged with the block point's position and
-    sorted once, and each run of equal keys is one line through that
-    point.  A 16k-point set costs a few hundred vectorized passes rather
+    blocks: the keys of a block (one per point pair, with the member's
+    column in the low bits, see ``quotient_keys``) are sorted row by row,
+    and each run of equal keys is one line through that row's point
+    (``row_groups``).  Keys too wide for one int64 with their column
+    bits are grouped by ``np.lexsort`` instead, so every field up to
+    2^16 and every dimension whose point indices fit int64 has an exact
+    path.  A 16k-point set costs a few hundred vectorized passes rather
     than 16k small ones.
     """
     g = b.geometry
@@ -165,7 +307,6 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     coords = b.coords()
     idx = b.indices
     m = b.card
-    d = g.n + 1
     lines_through_point = space_size(fs.q, g.n - 1)
     collect_sizes = set(collect_sizes)
     if m == 1:
@@ -178,17 +319,8 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
         mode = "pair" if m > _PAIR_MODE_THRESHOLD else "full"
     if mode not in ("full", "pair"):
         raise ValueError(f"unknown census mode: {mode!r}")
-    w = _pack_width(fs.q)
-    keybits = w * d
-    if keybits > 62:
-        raise ValueError("field too wide for packed line keys")
-    self_key = 0                      # the zero row's key: all digits q-1
-    for _ in range(d):
-        self_key = (self_key << w) | (fs.q - 1)
-    coords_t = np.ascontiguousarray(coords.T)        # (d, m)
-    scoords = fs.spread_codes(coords_t)
-    # block size: keep block-id bits inside an int64 next to the key
-    bs = max(1, min(1 << (62 - keybits), max(1, (1 << 21) // m)))
+    operands = kernel_operands(fs, coords)
+    bs = block_rows(m)
     pair = mode == "pair"
     # size -> chunks of (S, size) position rows; the longest size seen so
     # far (longest) is collected too, and dropped when a longer line shows up
@@ -203,21 +335,12 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
         i1 = min(i0 + bs, m)
         nb = i1 - i0
         j0 = i0 if pair else 0        # pair mode: only columns j >= i0
-        mc = m - j0
-        keys = _block_keys(fs, coords_t, scoords, coords[i0:i1], j0, w)
-        if pair:
-            # merge columns j <= i (the lower triangle of the block) into
-            # each point's self-group so only j > i members are counted
-            keys[:, :nb][np.tril(np.ones((nb, nb), dtype=bool))] = self_key
-        keys |= np.arange(nb, dtype=np.int64)[:, None] << keybits
-        flat = keys.ravel()
-        order = np.argsort(flat)
-        sflat = flat[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(sflat)) + 1))
-        counts = np.diff(np.concatenate((starts, [sflat.size])))
-        gpos = (sflat[starts] >> keybits)        # block-local point position
-        gkey = sflat[starts] & ((1 << keybits) - 1)
-        real = gkey != self_key                  # drop each point's self-group
+        # pair mode merges columns j <= i into each point's self-group, so
+        # only j > i members are counted
+        block = quotient_keys(fs, operands, coords[i0:i1, None, :], j0,
+                              cols=True, merge_lower=pair)
+        starts, counts, gpos, own, cols = row_groups(*block, cols=True)
+        real = ~own                              # drop each point's self-group
         gpos_r = gpos[real]
         counts_r = counts[real]
         starts_r = starts[real]
@@ -245,7 +368,7 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
             if gsel.size == 0:
                 continue
             offs = starts_r[gsel][:, None] + np.arange(s - 1)[None, :]
-            mem = j0 + order[offs] % mc          # member positions
+            mem = j0 + cols[offs]                # member positions
             own = i0 + gpos_r[gsel]
             if not pair:
                 # report each secant once, at its lowest member (in pair
@@ -284,8 +407,9 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     for s, parts in chunks.items():
         pos = (np.concatenate(parts, axis=0) if parts
                else np.zeros((0, s), dtype=np.int64))
-        # positions follow index order (idx is sorted), so rows sort alike
-        pos = pos[np.lexsort(pos.T[::-1])]
+        # positions follow index order (idx is sorted), so rows sort alike;
+        # two points span one line, so the two lowest members order them
+        pos = pos[np.argsort(pos[:, 0] * m + pos[:, min(1, s - 1)])]
         if pair:
             by_size[s] = np.bincount(pos.ravel(), minlength=m)
             n_sec += by_size[s]

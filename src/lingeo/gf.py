@@ -9,6 +9,14 @@ For q = p^t <= 2^16 a discrete log / antilog pair is precomputed, which
 both the scalar and the numpy-vectorized operations use.  Fields above
 2^16 fall back to polynomial arithmetic (and have no vectorized path);
 fields with p^t > 2^31 are out of scope.
+
+The vectorized product works in the log domain without a zero mask: a
+private log table sends 0 to the sentinel Z = 2(q-1), and the antilog
+table is zero-padded to 2Z+1 entries, so ``exp0[log0[a] + log0[b]]`` is
+the product for every pair, zeros included (a sum of two logs of nonzero
+codes stays below Z, a sum with a sentinel in it does not).  ``vlog0`` /
+``vexp0`` expose that pair, so a kernel that multiplies one operand by
+many others takes its log once.
 """
 
 from __future__ import annotations
@@ -195,6 +203,9 @@ class FieldSpec:
             self._exp = None
             self._np_log = None
             self._np_exp = None
+            self._log0 = None
+            self._exp0 = None
+            self.zero_log = None
             self._spread = None
             return
         # find a generator of the multiplicative group by walking powers
@@ -221,6 +232,12 @@ class FieldSpec:
         self._log = log
         self._np_exp = np.array(exp + exp, dtype=np.int64)  # doubled: no mod needed
         self._np_log = np.array([-1] + log[1:], dtype=np.int64)
+        # zero-safe pair: log 0 is the sentinel Z = 2(q-1), and every sum
+        # that holds a sentinel (Z..2Z) lands on the zero padding
+        self.zero_log = 2 * (q - 1)
+        self._log0 = np.array([self.zero_log] + log[1:], dtype=np.int64)
+        self._exp0 = np.concatenate(
+            [self._np_exp, np.zeros(self.zero_log + 1, dtype=np.int64)])
         self._init_add_tables()
 
     def _init_add_tables(self):
@@ -254,7 +271,9 @@ class FieldSpec:
         self._spread = spread
         self._unspread = unspread
         self._np_neg = neg
-        self._msneg = None  # log-sum -> spread(-product), built on demand
+        # zero-safe log sum -> spread(-product), and the spread-sum tables
+        # back to spread codes and to logs; built on first use
+        self._msneg = None
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -381,10 +400,19 @@ class FieldSpec:
 
     def vmul(self, a, b):
         self._require_tables()
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self._np_exp[self._np_log[a] + self._np_log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp0[self._log0[np.asarray(a)] + self._log0[np.asarray(b)]]
+
+    def vlog0(self, a):
+        """Zero-safe discrete logs: like ``vlog``, but 0 maps to the
+        sentinel ``zero_log`` = 2(q-1), so sums of two of them feed
+        ``vexp0`` and ``vmulsub_spread_log0`` with no zero mask."""
+        self._require_tables()
+        return self._log0[np.asarray(a)]
+
+    def vexp0(self, s):
+        """Codes of the products whose ``vlog0`` sums are ``s``: for any
+        a, b, ``vexp0(vlog0(a) + vlog0(b)) == vmul(a, b)``."""
+        return self._exp0[s]
 
     def vmatmul(self, a, b):
         """``a @ b`` over the field: sums over a's last axis and b's first,
@@ -415,31 +443,31 @@ class FieldSpec:
     def spread_codes(self, a):
         """Spread representation of codes, or None if unavailable.
 
-        Feed the result to vmulsub_spread to evaluate c - a*b with two
-        table gathers per element instead of seven.
+        Feed the result to vmulsub_spread_log0 to evaluate the log of
+        c - a*b with two table gathers per element instead of seven.
         """
         if self._spread is None:
             return None
         return self._spread[np.asarray(a)]
 
-    def vmulsub_spread_log(self, sc, a, b):
-        """Discrete logs of c - a*b, with c pre-spread (sc = spread_codes(c)).
+    def vmulsub_spread_log0(self, sc, sums):
+        """Zero-safe discrete logs (``vlog0``) of c - a1*b1 - a2*b2 - ...,
+        with c pre-spread (sc = spread_codes(c)) and each product given
+        by its ``vlog0`` sum in ``sums``.
 
-        Returns -1 where the difference is zero.  Two large gathers per
-        element: log-sum -> spread(-product), then spread-sum -> log.
+        Two gathers per product: log sum -> spread(-product), then the
+        spread sum -> spread code (between products) or -> log (after the
+        last one).
         """
         if self._msneg is None:
-            # spread(-exp[l]) for every unreduced log sum l, plus a 0 slot
-            self._msneg = np.concatenate(
-                [self._spread[self._np_neg[self._np_exp]],
-                 np.zeros(1, dtype=np.int64)])
-            self._unspread_log = self._np_log[self._unspread]
-        zero_slot = 2 * (self.q - 1)
-        a = np.asarray(a)
-        b = np.asarray(b)
-        lsum = self._np_log[a] + self._np_log[b]
-        lsum = np.where((a == 0) | (b == 0), zero_slot, lsum)
-        return self._unspread_log[sc + self._msneg[lsum]]
+            # spread(-exp0[l]) for every zero-safe log sum l
+            self._msneg = self._spread[self._np_neg[self._exp0]]
+            self._respread = self._spread[self._unspread]
+            self._unspread_log0 = self._log0[self._unspread]
+        acc = sc
+        for s in sums[:-1]:
+            acc = self._respread[acc + self._msneg[s]]
+        return self._unspread_log0[acc + self._msneg[sums[-1]]]
 
     # -- subfields -----------------------------------------------------------
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import (LineCensus, groups_through_point, line_census, pack_rows,
-                     quotient_rows)
+from .census import (LineCensus, block_rows, groups_through_point,
+                     kernel_operands, line_census, pack_rows, quotient_keys,
+                     quotient_rows, row_groups)
 from .pg import PointSet, Subspace, span
 from .reduction import LiftInconsistent, SpreadContext
 
@@ -110,39 +111,49 @@ def is_subline(s: PointSet, e: int) -> bool:
     return True
 
 
+def _member_coords(b: PointSet, secants: np.ndarray) -> np.ndarray:
+    """(S, k, n+1) coordinates of the members of (S, k) point indices."""
+    g = b.geometry
+    flat = secants.reshape(-1)
+    # members of secants of B are points of B, so gather their coords
+    # from B's cached array instead of re-decoding every index
+    pos = np.clip(np.searchsorted(b.indices, flat), 0, b.card - 1)
+    if np.array_equal(b.indices[pos], flat):
+        rows = b.coords()[pos]
+    else:
+        rows = g.coords_of_indices(flat)
+    return rows.reshape(secants.shape + (g.n + 1,))
+
+
+def _line_bases(fs, u, v):
+    """Reduced bases of the lines through normalized point pairs u, v
+    (rows): (S, 2, n+1) rows with 1 at their own pivot and 0 at the
+    other's, plus the two pivot columns."""
+    piv0 = np.argmax(u != 0, axis=1)
+    alpha = np.take_along_axis(v, piv0[:, None], axis=1)
+    r1 = fs.vsub(v, fs.vmul(alpha, u))
+    piv1 = np.argmax(r1 != 0, axis=1)
+    lead = np.take_along_axis(r1, piv1[:, None], axis=1)
+    r1 = fs.vmul(fs.vinv(lead), r1)
+    c = np.take_along_axis(u, piv1[:, None], axis=1)
+    r0 = fs.vsub(u, fs.vmul(c, r1))
+    return np.stack([r0, r1], axis=1), piv0, piv1
+
+
 def sublines_pass_batch(b: PointSet, secants, e: int) -> np.ndarray:
     """Vectorized is_subline over many same-size secants of B.
 
     ``secants`` is an (S, q0+1) array of point indices into the geometry.
     Returns a boolean verdict per secant.
     """
-    g = b.geometry
-    fs = g.fs
+    fs = b.geometry.fs
     sec = np.asarray(secants, dtype=np.int64)
-    ns, k = sec.shape
-    if ns == 0:
+    if sec.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    # members of secants of B are points of B, so gather their coords
-    # from B's cached array instead of re-decoding every index
-    pos = np.searchsorted(b.indices, sec.reshape(-1))
-    pos = np.clip(pos, 0, b.card - 1)
-    if np.array_equal(b.indices[pos], sec.reshape(-1)):
-        flat = b.coords()[pos]
-    else:
-        flat = g.coords_of_indices(sec.reshape(-1))
-    pts = flat.reshape(ns, k, g.n + 1)
-    # carrier line basis per secant: r0 = pts[:,0] (normalized), reduce pts[:,1]
-    r0 = pts[:, 0, :]
-    piv0 = np.argmax(r0 != 0, axis=1)
-    alpha = np.take_along_axis(pts[:, 1, :], piv0[:, None], axis=1)[:, 0]
-    r1 = fs.vsub(pts[:, 1, :], fs.vmul(alpha[:, None], r0))
-    piv1 = np.argmax(r1 != 0, axis=1)
-    lead = np.take_along_axis(r1, piv1[:, None], axis=1)[:, 0]
-    r1 = fs.vmul(fs.vinv(lead)[:, None], r1)
-    # full reduction of r0 against r1 so pivot columns read off coefficients
-    c = np.take_along_axis(r0, piv1[:, None], axis=1)[:, 0]
-    r0 = fs.vsub(r0, fs.vmul(c[:, None], r1))
-    # coefficients of every member: a at piv0, b at piv1
+    pts = _member_coords(b, sec)
+    # coefficients of every member w.r.t. the carrier line's reduced
+    # basis: a at the first pivot, b at the second
+    _, piv0, piv1 = _line_bases(fs, pts[:, 0, :], pts[:, 1, :])
     a = np.take_along_axis(pts, piv0[:, None, None], axis=2)[:, :, 0]
     bb = np.take_along_axis(pts, piv1[:, None, None], axis=2)[:, :, 0]
     # Moebius to (1:0),(0:1),(1:1) using the first three members
@@ -352,6 +363,56 @@ def plane_census(b: PointSet, secant, q0: int) -> PlaneCensus:
     return PlaneCensus(secant, planes, good, bad)
 
 
+@dataclass
+class PlaneData:
+    """Plane census of many secants at once, one entry per secant row:
+    its good plane count and its smallest plane size (0 when no plane
+    through it holds a point of B off it), plus the distinct sizes of
+    all these planes."""
+
+    good: np.ndarray
+    min_size: np.ndarray
+    sizes: list
+
+
+def plane_block_data(b: PointSet, secants, q0: int) -> PlaneData:
+    """``plane_census`` of every (q0+1)-secant in ``secants`` (an (S, q0+1)
+    index array), as block kernels instead of one call per secant.
+
+    B is quotiented by a block of secant lines at once
+    (``quotient_keys`` with two-row bases), each (secant, point) key
+    sorted within its secant's row; a run of equal keys is one plane
+    through the secant and its length is the plane's point count off the
+    secant.  The secant's own points are the zero-image run, dropped.
+    """
+    g = b.geometry
+    fs = g.fs
+    sec = np.asarray(secants, dtype=np.int64).reshape(-1, q0 + 1)
+    ns = sec.shape[0]
+    good = np.zeros(ns, dtype=np.int64)
+    min_size = np.zeros(ns, dtype=np.int64)
+    sizes: set = set()
+    if ns:
+        pts = _member_coords(b, sec[:, :2])
+        basis, _, _ = _line_bases(fs, pts[:, 0], pts[:, 1])
+        operands = kernel_operands(fs, b.coords())
+        target = q0 * q0 + q0 + 1
+        bs = block_rows(b.card)
+        for s0 in range(0, ns, bs):
+            s1 = min(s0 + bs, ns)
+            block = quotient_keys(fs, operands, basis[s0:s1])
+            _, counts, row, own, _ = row_groups(*block)
+            row, size = row[~own], counts[~own] + q0 + 1
+            # off-line points make a plane non-collinear, so size decides
+            good[s0:s1] = np.bincount(row[size == target], minlength=s1 - s0)
+            if row.size:
+                # runs come in row order: each row's first run opens its segment
+                first = np.flatnonzero(np.diff(row, prepend=-1))
+                min_size[s0 + row[first]] = np.minimum.reduceat(size, first)
+                sizes.update(np.unique(size).tolist())
+    return PlaneData(good, min_size, sorted(sizes))
+
+
 def distinct_plane_sizes(b: PointSet, secants) -> dict:
     """Map canonical plane -> |B ∩ plane| over all planes through the secants."""
     g = b.geometry
@@ -479,9 +540,9 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
             entries.append(_entry("double_exponent_secants", bound, "-",
                                   "INFORMATIONAL", "no point has exponent 2e"))
 
-    # plane checks: one plane census per secant.  A plane has the same
-    # |B ∩ plane| from every secant in it, and the size checks need only
-    # min, max and the gap, so distinct sizes suffice.
+    # plane checks: one block plane census over the secants.  A plane has
+    # the same |B ∩ plane| from every secant in it, and the size checks
+    # need only min, max and the gap, so distinct sizes suffice.
     if g.n == 2:
         plane_sizes = {b.card}
     else:
@@ -489,25 +550,20 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
         capped = plane_secant_cap is not None and len(secants) > plane_secant_cap
         if plane_secant_cap is not None:
             secants = secants[:plane_secant_cap]
-        plane_sizes = set()
         bound, info = bound_value("good_planes", q0, h)
-        dichotomy_ok = True
-        worst_good = None
-        all_bad_per_point: dict = {}
-        for sec in secants:
-            pc = plane_census(b, sec, q0)
-            plane_sizes.update(size for _k, size, _g in pc.planes)
-            if pc.good_count == 0:
-                for i in sec:
-                    all_bad_per_point[i] = all_bad_per_point.get(i, 0) + 1
-                # latter case: all listed planes carry many points off the line
-                if any(size < q0 ** 3 + q0 + 1 for _k, size, _g in pc.planes):
-                    dichotomy_ok = False
-            else:
-                if pc.good_count < bound:
-                    dichotomy_ok = False
-                if worst_good is None or pc.good_count < worst_good:
-                    worst_good = pc.good_count
+        planes = plane_block_data(b, secants, q0)
+        plane_sizes = set(planes.sizes)
+        all_bad = planes.good == 0
+        # latter case: all listed planes carry many points off the line
+        dichotomy_ok = not (
+            np.any(all_bad & (planes.min_size > 0)
+                   & (planes.min_size < q0 ** 3 + q0 + 1))
+            or np.any(planes.good[~all_bad] < bound))
+        worst_good = (int(planes.good[~all_bad].min())
+                      if np.any(~all_bad) else None)
+        all_bad_per_point = np.bincount(
+            np.searchsorted(b.indices, secants[all_bad]).ravel(),
+            minlength=b.card)
 
     if plane_sizes:
         pm, _ = bound_value("plane_min", q0)
@@ -534,10 +590,9 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
         entries.append(_entry("good_planes", bound,
                               worst_good if worst_good is not None else "-",
                               status(dichotomy_ok, info or q0 < 7), note))
-        ok_one_bad = all(v <= 1 for v in all_bad_per_point.values())
-        entries.append(_entry("one_all_bad_secant", 1,
-                              max(all_bad_per_point.values(), default=0),
-                              status(ok_one_bad), note))
+        most_bad = int(all_bad_per_point.max(initial=0))
+        entries.append(_entry("one_all_bad_secant", 1, most_bad,
+                              status(most_bad <= 1), note))
     return entries
 
 

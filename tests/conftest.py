@@ -68,6 +68,23 @@ def scattered_11_4():
 
 
 @pytest.fixture(scope="session")
+def rank5_pg3_81():
+    """Scattered rank-5 linear set of PG(3, 81): 121 points, 1,210
+    4-secants, planes of 13 (good) and 40 (bad) points."""
+    from lingeo.constructions import random_linear_blocking_set
+    g = build_geometry(3, make_field(3, 4))
+    return random_linear_blocking_set(g, 1, 5, seed=1)[0]
+
+
+@pytest.fixture(scope="session")
+def rank5_pg3_16():
+    """Rank-5 linear set of PG(3, 16), characteristic 2: 31 points."""
+    from lingeo.constructions import random_linear_blocking_set
+    g = build_geometry(3, make_field(2, 4))
+    return random_linear_blocking_set(g, 1, 5, seed=2)[0]
+
+
+@pytest.fixture(scope="session")
 def corpus(line_49, baer_25, baer_49, trace_343, planar_baer_3d,
            scattered_11_4):
     """(name, point set, subfield degree e) for every corpus instance."""

@@ -140,6 +140,66 @@ def test_one_hyperplane_profile_per_check(baer_49, planar_baer_3d,
     assert len(calls) == 1
 
 
+def _scalar_form(fs, dual, point):
+    acc = 0
+    for a, x in zip(dual, point):
+        acc = fs.add(acc, fs.mul(int(a), int(x)))
+    return acc
+
+
+@pytest.mark.parametrize("name", ["baer_49", "planar_baer_3d", "trace_343",
+                                  "rank5_pg3_16"])
+def test_tangent_witnesses_are_exact(request, name):
+    b = request.getfixturevalue(name)
+    fs = b.geometry.fs
+    witnesses, all_found = blocking.randomized_tangent_witnesses(b, seed=3)
+    assert all_found and sorted(witnesses) == [int(i) for i in b.indices]
+    coords = b.coords()
+    for k, (idx, dual) in enumerate(witnesses.items()):
+        # the hyperplane meets B in its own point and nowhere else
+        zeros = [int(b.indices[j]) for j, c in enumerate(coords)
+                 if _scalar_form(fs, dual, c) == 0]
+        assert zeros == [idx]
+
+
+def test_tangent_witnesses_miss_an_inessential_point(line_49):
+    g = line_49.geometry
+    off = next(i for i in range(g.num_points) if i not in line_49)
+    b = line_49.add(off)
+    witnesses, all_found = blocking.randomized_tangent_witnesses(b)
+    # every line through the extra point meets the full line again
+    assert not all_found
+    assert sorted(witnesses) == [int(i) for i in line_49.indices]
+
+
+def test_tangent_witnesses_do_not_depend_on_block_size(baer_49, monkeypatch):
+    want = blocking.randomized_tangent_witnesses(baer_49, seed=5)
+    for elems in (1, 3 * baer_49.card, 1 << 30):
+        monkeypatch.setattr("lingeo.census.TILE_ELEMS", elems)
+        assert blocking.randomized_tangent_witnesses(baer_49, seed=5) == want
+    other = blocking.randomized_tangent_witnesses(baer_49, seed=6)
+    assert other[1] and other[0] != want[0]
+
+
+def test_structural_analyze_reads_line_exponent_once(monkeypatch):
+    # 5 points of PG(4, 2^13): far too many hyperplanes to enumerate
+    g = build_geometry(4, make_field(2, 13))
+    unit = np.eye(5, dtype=np.int64)
+    b = PointSet.from_coords(g, [unit[0], unit[0] + unit[1], unit[1],
+                                 unit[2] + unit[3], unit[4]])
+    calls = []
+    real = blocking.exponent_from_lines
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blocking, "exponent_from_lines", counting)
+    rep = blocking.analyze(b)
+    assert rep.strategy == "structural" and len(calls) == 1
+    assert rep.witnesses["minimality_method"] == "randomized-witness"
+
+
 def test_trace_set_report(trace_343):
     rep = blocking.analyze(trace_343)
     assert rep.is_blocking and rep.is_minimal and rep.is_small

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from lingeo.census import groups_through_point, line_census
+from lingeo.census import (groups_through_point, kernel_operands, line_census,
+                           quotient_keys)
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, build_geometry, points_of, set_meet, space_size
 
@@ -147,14 +148,17 @@ def _mixed_set(g, seed):
 
 
 # one geometry per census key path: char-2 xor, prime modulo, spread-log
-# gathers, digit loop, and char 2 with 60-bit keys (4 points per block)
+# gathers, digit loop, and char 2 with 48-bit keys; blocks of 4 points
+# and tiles of 2 rows, so the multi-block and multi-tile paths are covered
 @pytest.mark.parametrize("n,p,t,spread", [(2, 2, 4, False), (2, 5, 1, False),
                                           (2, 7, 2, True), (2, 3, 10, False),
                                           (4, 2, 12, False)])
-def test_census_kernel_matches_oracles(field, n, p, t, spread):
+def test_census_kernel_matches_oracles(field, monkeypatch, n, p, t, spread):
     g = build_geometry(n, field(p, t))
     assert (g.fs.spread_codes(0) is not None) is spread
     b = _mixed_set(g, seed=p * 100 + t)
+    monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 4 * b.card)
+    monkeypatch.setattr("lingeo.census.TILE_ELEMS", 2 * b.card)
     lines = scalar_lines(b)
     hist = {s: len(rows) for s, rows in lines.items()}
     slots = b.card * space_size(g.fs.q, n - 1)
@@ -179,15 +183,17 @@ def test_census_kernel_matches_oracles(field, n, p, t, spread):
             assert np.array_equal(explicit.secant_members(s), rows)
 
 
-def test_longer_line_in_a_later_block_replaces_collected_secants(field):
-    # 60-bit keys of PG(4, 2^12) leave 4 points per block: the first block
-    # holds points of two 3-secants only, the 5-point line comes later
+def test_longer_line_in_a_later_block_replaces_collected_secants(
+        field, monkeypatch):
+    # blocks of 4 points: the first block holds points of two 3-secants
+    # only, the 5-point line comes later
     g = build_geometry(4, field(2, 12))
     unit = np.eye(5, dtype=np.int64)
     rows = [unit[0] + c * unit[4] for c in range(3)]
     rows += [unit[0] + unit[3] + c * unit[4] for c in range(3)]
     rows += [unit[1] + c * unit[2] for c in range(4)] + [unit[2]]
     b = PointSet.from_coords(g, rows)
+    monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 4 * b.card)
     lines = scalar_lines(b)
     assert max(lines) == 5 and len(lines[3]) == 2
     for mode in ("full", "pair"):
@@ -226,3 +232,68 @@ def test_two_secants_are_not_collected_unasked():
         assert census.secants == {}
         assert line_census(conic, collect_sizes=[2], mode=mode) \
             .secant_members(2).shape == (28, 2)
+
+
+def _assert_same_census(got, want):
+    assert got.hist == want.hist
+    assert got.secants.keys() == want.secants.keys()
+    for s, rows in want.secants.items():
+        assert np.array_equal(got.secants[s], rows)
+    assert got.per_point_by_size.keys() == want.per_point_by_size.keys()
+    for s, counts in want.per_point_by_size.items():
+        assert np.array_equal(got.per_point_by_size[s], counts)
+    for attr in ("per_point_secants", "per_point_tangents"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,p,t", [(2, 2, 4), (2, 5, 1), (2, 7, 2), (4, 2, 12)])
+def test_multiword_keys_match_one_word(field, monkeypatch, n, p, t):
+    # keys split into words of one or two digits, grouped by np.lexsort
+    g = build_geometry(n, field(p, t))
+    b = _mixed_set(g, seed=p * 100 + t + 1)
+    w = int(g.fs.q - 1).bit_length()
+    for kwargs in ({"collect_sizes": [2, 3], "mode": "full"}, {"mode": "pair"}):
+        want = line_census(b, **kwargs)
+        for digits in (1, 2):
+            with monkeypatch.context() as mp:
+                mp.setattr("lingeo.census._WORD_BITS", digits * w)
+                mp.setattr("lingeo.census.BLOCK_ELEMS", 3 * b.card)
+                got = line_census(b, **kwargs)
+            _assert_same_census(got, want)
+
+
+def _wide_key_set(t, extra):
+    """A 3-secant and two more points of PG(4, 2^t), plus ``extra``
+    random points."""
+    g = build_geometry(4, make_field(2, t))
+    unit = np.eye(5, dtype=np.int64)
+    rows = [unit[0], unit[0] + unit[1], unit[1], unit[2] + unit[3],
+            unit[4] + 5 * unit[2]]
+    rng = np.random.default_rng(t)
+    more = PointSet(g, rng.integers(0, g.num_points, extra))
+    return PointSet.from_coords(g, rows).union(more)
+
+
+# PG(4, 2^13) once stopped with "field too wide for packed line keys";
+# its 52-bit keys and column bits fit one sort word.  PG(4, 2^15) has
+# 60-bit keys, and with 20 points the column bits make 65, so the
+# census groups it by np.lexsort on (row, key) instead.
+@pytest.mark.parametrize("t,extra,sorted_word", [(13, 0, True),
+                                                 (15, 15, False)])
+def test_wide_field_census_matches_oracle(t, extra, sorted_word):
+    b = _wide_key_set(t, extra)
+    g = b.geometry
+    operands = kernel_operands(g.fs, b.coords())
+    _, _, jbits = quotient_keys(g.fs, operands, b.coords()[:, None, :],
+                                cols=True)
+    assert (jbits > 0) is sorted_word
+    lines = scalar_lines(b)
+    hist = {s: len(rows) for s, rows in lines.items()}
+    hist[1] = b.card * space_size(g.fs.q, 3) - sum(
+        s * c for s, c in hist.items())
+    assert lines[3].shape == (1, 3) and max(lines) == 3
+    for mode in ("full", "pair"):
+        got = line_census(b, mode=mode)
+        assert got.hist == hist
+        assert np.array_equal(got.secant_members(3), lines[3])

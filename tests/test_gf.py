@@ -177,3 +177,51 @@ def test_json_roundtrip():
     fs = make_field(11, 2)
     again = FieldSpec.from_json(fs.to_json())
     assert again == fs
+
+
+# q = 2, then one field per vadd path: xor, prime modulo, spread table,
+# digit loop
+@pytest.mark.parametrize("p,t", [(2, 1), (2, 4), (3, 1), (7, 2), (3, 10)])
+def test_zero_safe_log_product_matches_scalar(field, p, t):
+    fs = field(p, t)
+    rng = np.random.default_rng(p * 10 + t)
+    a = rng.integers(0, fs.q, 300)
+    b = rng.integers(0, fs.q, 300)
+    # zeros on the left, on the right and on both sides
+    a[:20] = 0
+    b[10:30] = 0
+    want = np.array([fs.mul(int(x), int(y)) for x, y in zip(a, b)])
+    assert np.array_equal(fs.vmul(a, b), want)
+    assert np.array_equal(fs.vexp0(fs.vlog0(a) + fs.vlog0(b)), want)
+    # the log of one operand taken once, against a whole row of others
+    la = fs.vlog0(a[:, None])
+    assert np.array_equal(fs.vexp0(la + fs.vlog0(b[None, :40])),
+                          [[fs.mul(int(x), int(y)) for y in b[:40]] for x in a])
+    # vlog keeps its -1-on-zero contract; vlog0 marks zero with zero_log
+    assert np.array_equal(fs.vlog(a) < 0, a == 0)
+    assert np.array_equal(fs.vlog0(a) == fs.zero_log, a == 0)
+    nz = a != 0
+    assert np.array_equal(fs.vlog(a)[nz], fs.vlog0(a)[nz])
+
+
+def test_spread_log_difference_matches_scalar(field):
+    fs = field(7, 2)
+    assert fs.spread_codes(0) is not None
+    rng = np.random.default_rng(5)
+    c, a1, b1, a2, b2 = rng.integers(0, fs.q, (5, 400))
+    a1[:40] = 0
+    b1[20:60] = 0
+    a2[50:90] = 0
+    c[::7] = 0
+    s1 = fs.vlog0(a1) + fs.vlog0(b1)
+    s2 = fs.vlog0(a2) + fs.vlog0(b2)
+    sc = fs.spread_codes(c)
+
+    def log0(x):
+        return fs.zero_log if x == 0 else fs.vlog(x)
+
+    one = [fs.sub(int(x), fs.mul(int(y), int(z))) for x, y, z in zip(c, a1, b1)]
+    assert np.array_equal(fs.vmulsub_spread_log0(sc, [s1]), [log0(v) for v in one])
+    two = [fs.sub(v, fs.mul(int(y), int(z))) for v, y, z in zip(one, a2, b2)]
+    assert np.array_equal(fs.vmulsub_spread_log0(sc, [s1, s2]),
+                          [log0(v) for v in two])

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -120,19 +121,121 @@ def test_lemma_suite_planar_baer(planar_baer_3d):
     assert "good_planes" in by and "one_all_bad_secant" in by
 
 
-def test_lemma_suite_one_plane_census_per_secant(planar_baer_3d, monkeypatch):
-    rep = blocking.analyze(planar_baer_3d)
-    census = line_census(planar_baer_3d, collect_sizes=[8])
-    calls = []
-    real = structure.plane_census
+@pytest.fixture(scope="module")
+def all_bad_3d(planar_baer_3d):
+    """The planar Baer subplane of PG(3, 49) without one point, plus two
+    points off its plane: the 8-secants that miss the removed point see
+    only bad planes (56 points, or 9)."""
+    g = planar_baer_3d.geometry
+    rest = planar_baer_3d.remove(int(planar_baer_3d.indices[0]))
+    return rest.union(PointSet.from_coords(g, [(0, 0, 0, 1), (0, 1, 3, 1)]))
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(structure, "plane_census", counting)
-    structure.run_lemma_suite(planar_baer_3d, rep, census=census)
-    assert len(calls) == census.secant_members(8).shape[0] > 0
+def _secants(b, q0):
+    return line_census(b, collect_sizes=[q0 + 1], mode="full") \
+        .secant_members(q0 + 1)
+
+
+@pytest.mark.parametrize("name,q0", [("planar_baer_3d", 7),
+                                     ("rank5_pg3_81", 3),
+                                     ("rank5_pg3_16", 2),
+                                     ("all_bad_3d", 7)])
+@pytest.mark.parametrize("words", ["one", "lexsort"])
+def test_plane_block_data_matches_scalar(request, monkeypatch, name, q0,
+                                         words):
+    b = request.getfixturevalue(name)
+    secants = _secants(b, q0)
+    assert len(secants) > 40
+    # 40 secants per block and 3 per tile: several of each
+    monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 40 * b.card)
+    monkeypatch.setattr("lingeo.census.TILE_ELEMS", 3 * b.card)
+    if words == "lexsort":
+        monkeypatch.setattr("lingeo.census._WORD_BITS",
+                            int(b.geometry.fs.q - 1).bit_length())
+    got = structure.plane_block_data(b, secants, q0)
+    sizes = set()
+    for i, sec in enumerate(secants):
+        pc = structure.plane_census(b, sec, q0)
+        assert got.good[i] == pc.good_count
+        assert got.min_size[i] == min((size for _k, size, _g in pc.planes),
+                                      default=0)
+        sizes.update(size for _k, size, _g in pc.planes)
+    assert got.sizes == sorted(sizes)
+
+
+def _scalar_plane_entries(b, report, census, cap):
+    """The plane entries of the bound suite from one scalar
+    ``plane_census`` per secant (the suite's earlier loop)."""
+    q0, h = report.q0, report.h
+    secants = census.secant_members(q0 + 1)
+    capped = cap is not None and len(secants) > cap
+    if cap is not None:
+        secants = secants[:cap]
+    bound, info = structure.bound_value("good_planes", q0, h)
+    plane_sizes, dichotomy_ok, worst_good, all_bad = set(), True, None, {}
+    for sec in secants:
+        pc = structure.plane_census(b, sec, q0)
+        plane_sizes.update(size for _k, size, _g in pc.planes)
+        if pc.good_count == 0:
+            for i in sec:
+                all_bad[i] = all_bad.get(i, 0) + 1
+            if any(size < q0 ** 3 + q0 + 1 for _k, size, _g in pc.planes):
+                dichotomy_ok = False
+        else:
+            dichotomy_ok &= pc.good_count >= bound
+            if worst_good is None or pc.good_count < worst_good:
+                worst_good = pc.good_count
+
+    def status(ok, informational=False):
+        return "INFORMATIONAL" if informational else ("PASS" if ok else "FAIL")
+
+    pm, pgap, pcap = (structure.bound_value(k, q0)[0]
+                      for k in ("plane_min", "plane_gap", "plane_cap"))
+    out = []
+    if plane_sizes:
+        lo, hi = min(plane_sizes), max(plane_sizes)
+        out.append(structure._entry("plane_min", pm, lo,
+                                    status(lo >= pm, h < 2)))
+        out.append(structure._entry(
+            "plane_gap", pgap, hi,
+            status(all(not pm < s < pgap for s in plane_sizes), h < 2)))
+        out.append(structure._entry(
+            "plane_cap", pcap, hi,
+            status(hi <= pcap, h < 2) if report.span_dim == h - 1
+            else "OUTSIDE_HYPOTHESES",
+            "" if report.span_dim == h - 1
+            else "set does not span an (h-1)-space"))
+    note = "secant sample capped" if capped else ""
+    out.append(structure._entry(
+        "good_planes", bound, worst_good if worst_good is not None else "-",
+        status(dichotomy_ok, info or q0 < 7), note))
+    out.append(structure._entry(
+        "one_all_bad_secant", 1, max(all_bad.values(), default=0),
+        status(all(v <= 1 for v in all_bad.values())), note))
+    return out
+
+
+@pytest.mark.parametrize("name,report_of", [("planar_baer_3d", None),
+                                            ("rank5_pg3_81", None),
+                                            ("all_bad_3d", "planar_baer_3d")])
+@pytest.mark.parametrize("cap", [None, 20])
+def test_lemma_suite_plane_entries_match_scalar_census(request, name,
+                                                       report_of, cap):
+    b = request.getfixturevalue(name)
+    rep = blocking.analyze(request.getfixturevalue(report_of or name))
+    # statuses read PASS / FAIL only under the small-minimal hypothesis
+    rep = dataclasses.replace(rep, is_blocking=True, is_minimal=True,
+                              is_small=True)
+    census = line_census(b, collect_sizes=[rep.q0 + 1], mode="full")
+    want = _scalar_plane_entries(b, rep, census, cap)
+    checks = {e["check"] for e in want}
+    got = [e for e in structure.run_lemma_suite(b, rep, census=census,
+                                                plane_secant_cap=cap)
+           if e["check"] in checks]
+    assert got == want
+    if name == "all_bad_3d":
+        one_bad = {e["check"]: e for e in got}["one_all_bad_secant"]
+        assert one_bad["status"] == "FAIL" and int(one_bad["measured"]) > 1
 
 
 def test_pair_mode_census_with_shadowed_secants(trace_343):
