@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import (LineCensus, free_columns, groups_through_point,
-                     line_census, pack_rows, quotient_rows, tile_rows)
-from .pg import (Geometry, GeometryError, PointSet, Subspace, normalize_rows,
-                 right_nullspace, space_size, span)
+from .census import (LineCensus, block_rows, free_columns, kernel_operands,
+                     line_census, quotient_keys, row_groups, tile_rows)
+from .pg import (Geometry, GeometryError, PointSet, Subspace, lex_points,
+                 normalize_rows, space_size, span)
 
 _COVER_LIMIT = 50_000_000
 
@@ -38,10 +38,6 @@ class BlockingError(Exception):
 
 
 class NotBlocking(BlockingError):
-    pass
-
-
-class NotMember(BlockingError):
     pass
 
 
@@ -88,11 +84,27 @@ class BlockingReport:
 # hyperplane machinery
 
 
-def _duals_through_point(g: Geometry, coords) -> np.ndarray:
-    """All normalized hyperplane duals vanishing on one point."""
-    basis = right_nullspace(g.fs, [tuple(coords)])
-    s = Subspace(g, basis)
-    return s.coords_array()
+def _duals_through(fs, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Hyperplane duals through normalized points, one per row of ``coef``.
+
+    The duals through a point P with pivot column ``piv`` (P[piv] = 1)
+    have the closed-form basis e_f - P_f e_piv, f != piv: coefficients c
+    give the dual with c_f at each f and -sum_f c_f P_f at ``piv``.
+    ``points`` holds one point per coefficient row, or one point for all
+    of them.  The duals come unnormalized.
+    """
+    k, nf = coef.shape
+    pts = np.broadcast_to(points, (k, nf + 1))
+    piv = np.argmax(pts != 0, axis=1)
+    free = free_columns(piv[:, None], nf + 1)
+    duals = np.zeros((k, nf + 1), dtype=np.int64)
+    np.put_along_axis(duals, free, coef, axis=1)
+    prods = fs.vmul(coef, np.take_along_axis(pts, free, axis=1))
+    at_piv = prods[:, 0]
+    for f in range(1, nf):
+        at_piv = fs.vadd(at_piv, prods[:, f])
+    duals[np.arange(k), piv] = fs.vneg(at_piv)
+    return duals
 
 
 def _hyperplane_profile(b: PointSet):
@@ -102,10 +114,11 @@ def _hyperplane_profile(b: PointSet):
     if b.card * per_point > _COVER_LIMIT:
         raise HyperplaneFamilyTooLarge(
             f"{b.card} x {per_point} dual enumerations needed")
-    keys = []
-    for c in b.coords():
-        duals = _duals_through_point(g, [int(x) for x in c])
-        keys.append(g.index_of_rows(duals))
+    # every dual through a point, once each: the points of PG(n-1, q) as
+    # coefficients on its closed-form basis
+    coef = lex_points(g.n - 1, g.fs.q)
+    keys = [g.index_of_rows(_duals_through(g.fs, coef, c))
+            for c in b.coords()]
     allkeys = np.concatenate(keys)
     met, counts = np.unique(allkeys, return_counts=True)
     return met, counts
@@ -157,10 +170,9 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
     """Seeded search for a tangent hyperplane at every point of B, for
     geometries whose dual family is too large to enumerate.
 
-    The duals through a point P with pivot column ``piv`` (P[piv] = 1)
-    have the closed-form basis e_f - P_f e_piv, f != piv: coefficients c
-    give the dual with c_f at each f and -sum_f c_f P_f at ``piv``.  The
-    search runs in rounds.  Each round makes one seeded draw
+    Candidates are drawn on the closed-form basis of the duals through
+    each point (``_duals_through``).  The search runs in rounds.  Each
+    round makes one seeded draw
     ``rng.integers(0, q, (pending, n))``, a coefficient row for every
     point still without a witness, in point order (an all-zero row is a
     spent trial), and evaluates all the candidate duals on all of B, in
@@ -177,9 +189,6 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
     rng = np.random.default_rng(seed)
     coords = b.coords()
     m, d = coords.shape
-    piv = np.argmax(coords != 0, axis=1)
-    free = free_columns(piv[:, None], d)
-    p_free = np.take_along_axis(coords, free, axis=1)      # P_f, f != piv
     log_b = fs.vlog0(coords.T)                             # (d, m)
     bs = tile_rows(m)
     witnesses = {}
@@ -190,12 +199,7 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
         coef = rng.integers(0, fs.q, (pending.size, d - 1))
         live = coef.any(axis=1)
         pts, coef = pending[live], coef[live]
-        duals = np.zeros((pts.size, d), dtype=np.int64)
-        np.put_along_axis(duals, free[pts], coef, axis=1)
-        at_piv = fs.vmul(coef[:, 0], p_free[pts, 0])
-        for f in range(1, d - 1):
-            at_piv = fs.vadd(at_piv, fs.vmul(coef[:, f], p_free[pts, f]))
-        duals[np.arange(pts.size), piv[pts]] = fs.vneg(at_piv)
+        duals = _duals_through(fs, coef, coords[pts])
         log_d = fs.vlog0(duals)
         tangent = np.zeros(pts.size, dtype=bool)
         for c0 in range(0, pts.size, bs):
@@ -285,25 +289,23 @@ def _exponent_tuple(e, fs):
     return e, q0, (fs.t // e if integral else None), integral
 
 
-def point_exponent(b: PointSet, index: int) -> int:
-    """Largest e_P with every line through the point meeting B in 1 mod p^e_P
-    (0 when no secant passes through the point)."""
-    pos = int(np.searchsorted(b.indices, index))
-    if pos >= b.card or int(b.indices[pos]) != int(index):
-        raise NotMember(f"{index} is not in the set")
-    groups = groups_through_point(b, pos)
-    fs = b.geometry.fs
-    sizes = {int(grp.size) + 1 for grp in groups}
-    return _exponent_from_line_sizes(sizes, fs.p, fs.t)
+def all_point_exponents(b: PointSet, census: LineCensus) -> list:
+    """e_P of every point of B, in position order: the largest e with every
+    line through P meeting B in 1 mod p^e (0 when no secant passes
+    through P).
 
-
-def all_point_exponents(b: PointSet) -> list:
+    The sizes of the secants through P are those with a nonzero count at
+    P in ``census.per_point_by_size``.  A census without per-point
+    counts (pair mode with a size left uncollected) is replaced by one
+    full-mode census.
+    """
+    if census.per_point_secants is None:
+        census = line_census(b, mode="full")
     fs = b.geometry.fs
-    out = []
-    for pos in range(b.card):
-        sizes = {int(g.size) + 1 for g in groups_through_point(b, pos)}
-        out.append(_exponent_from_line_sizes(sizes, fs.p, fs.t))
-    return out
+    by_size = census.per_point_by_size.items()
+    return [_exponent_from_line_sizes([s for s, n in by_size if n[pos]],
+                                      fs.p, fs.t)
+            for pos in range(b.card)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +362,7 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
             e = q0 = h = None
             integral = False
             minimal = False
-    pexp = all_point_exponents(b) if with_point_exponents else None
+    pexp = all_point_exponents(b, census) if with_point_exponents else None
     return BlockingReport(
         size=size, kappa=size - fs.q, is_blocking=blocking,
         is_minimal=minimal, is_small=bool(small), exponent_e=e,
@@ -402,19 +404,33 @@ def project(b: PointSet, q_coords, h: Subspace):
     return PointSet(small, small.index_of_rows(reco)), small
 
 
-def find_tangent_only_point(b: PointSet, limit: int | None = None):
-    """First point (in index order) off B lying only on tangent lines."""
+def find_tangent_only_point(b: PointSet):
+    """First point (in index order) off B lying only on tangent lines.
+
+    A block of candidate points off B is a block of one-row bases for the
+    census kernel (``quotient_keys``): a candidate is tangent-only exactly
+    when B's images in its quotient are all distinct, that is, when its
+    row splits into |B| runs.  Blocks double from one candidate, so an
+    early hit stays cheap, up to the kernel's block size.
+    """
     g = b.geometry
     fs = g.fs
-    coords = b.coords()
-    stop = g.num_points if limit is None else min(limit, g.num_points)
-    for idx in range(stop):
-        if idx in b:
-            continue
-        keys = pack_rows(quotient_rows(g, g.coords_of(idx), coords), fs.q)
-        uniq = np.unique(keys, axis=0 if keys.ndim > 1 else None)
-        if uniq.shape[0] == b.card:
-            return idx
+    operands = kernel_operands(fs, b.coords())
+    most = block_rows(b.card)
+    start, size = 0, 1
+    while start < g.num_points:
+        cand = np.arange(start, min(start + size, g.num_points))
+        cand = cand[~np.isin(cand, b.indices)]
+        if cand.size:
+            block = quotient_keys(fs, operands,
+                                  g.coords_of_indices(cand)[:, None, :])
+            row = row_groups(*block)[2]
+            hits = np.flatnonzero(np.bincount(row, minlength=cand.size)
+                                  == b.card)
+            if hits.size:
+                return int(cand[hits[0]])
+        start += size
+        size = min(2 * size, most)
     return None
 
 

@@ -11,14 +11,20 @@ then puts each line through each P in one run.  This keeps censuses of
 16k-point sets in multi-billion-point ambient spaces tractable.  Every
 census also keeps the secants of its longest line size, which for the
 linear sets the checks are about are the short (q0+1)-secants, so one
-pass serves every check.
+pass serves every check.  Secants are kept as rows of positions into B,
+the form in which every check reads them.  This is the only grouping
+routine in production: point exponents read its per-point counts, the
+certifier its secant rows, and the tangent-only point search runs on
+its kernel.
 
 The same kernel (``quotient_keys`` and ``row_groups``) quotients by any
 block of subspaces given by reduced bases of k rows: points (k = 1) for
 the line census, secant lines (k = 2) for the plane census of
 ``structure.plane_block_data``.  The logs of B's coordinates are taken
 once per kernel call, and the field work runs in cache-sized row tiles
-(``TILE_ELEMS``) inside each sorted block (``BLOCK_ELEMS``).
+(``TILE_ELEMS``) inside each sorted block (``BLOCK_ELEMS``).  The scalar
+``quotient_rows`` and ``pack_rows`` serve only ``structure.plane_census``,
+the plane kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -61,9 +67,11 @@ class LineCensus:
     """Histogram of |L ∩ B| over lines meeting B, plus per-point counts.
 
     ``secants`` holds the asked-for sizes and, when it is at least 3, the
-    longest line size.  ``per_point_secants`` / ``per_point_tangents``
-    are None when the census was computed in pair mode and some secant
-    size is not collected (the histogram itself is always exact).
+    longest line size, as rows of positions into ``point_set.indices``
+    (the form every check reads them in; ``secant_members`` gives the
+    point indices).  ``per_point_secants`` / ``per_point_tangents`` are
+    None when the census was computed in pair mode and some secant size
+    is not collected (the histogram itself is always exact).
     """
 
     point_set: PointSet
@@ -71,7 +79,7 @@ class LineCensus:
     per_point_secants: np.ndarray   # lines through P with >= 2 points of B
     per_point_tangents: np.ndarray  # lines through P meeting B in {P} only
     per_point_by_size: dict         # size -> np.ndarray of counts per point
-    secants: dict = field(default_factory=dict)  # size -> (S, size) index array
+    secants: dict = field(default_factory=dict)  # size -> (S, size) positions
     _collected: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)  # size -> census collecting it
 
@@ -85,7 +93,8 @@ class LineCensus:
 
     def secant_members(self, size: int) -> np.ndarray:
         """(S, size) array of member indices, one sorted row per secant."""
-        return self.secants.get(size, np.zeros((0, size), dtype=np.int64))
+        rows = self.secants.get(size, np.zeros((0, size), dtype=np.int64))
+        return self.point_set.indices[rows]
 
     def with_secants(self, size: int) -> "LineCensus":
         """This census if it holds the size-``size`` secants (always so
@@ -278,9 +287,10 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     """Exact census of all lines meeting B, grouped around each point.
 
     ``collect_sizes`` lists intersection sizes whose secants should be
-    returned as explicit (S, size) index arrays (each secant reported
-    once, one sorted row each).  The secants of the longest line size
-    are always collected when that size is at least 3.  Two strategies:
+    returned as explicit (S, size) arrays of positions in B (each secant
+    reported once, one sorted row each).  The secants of the longest line
+    size are always collected when that size is at least 3.  Two
+    strategies:
 
     * ``"full"``: every point is grouped against all other points, so
       per-point tangent/secant counts come out directly.
@@ -305,7 +315,6 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     g = b.geometry
     fs = g.fs
     coords = b.coords()
-    idx = b.indices
     m = b.card
     lines_through_point = space_size(fs.q, g.n - 1)
     collect_sizes = set(collect_sizes)
@@ -407,13 +416,12 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     for s, parts in chunks.items():
         pos = (np.concatenate(parts, axis=0) if parts
                else np.zeros((0, s), dtype=np.int64))
-        # positions follow index order (idx is sorted), so rows sort alike;
-        # two points span one line, so the two lowest members order them
+        # two points span one line, so the two lowest members order the rows
         pos = pos[np.argsort(pos[:, 0] * m + pos[:, min(1, s - 1)])]
         if pair:
             by_size[s] = np.bincount(pos.ravel(), minlength=m)
             n_sec += by_size[s]
-        secants[s] = idx[pos]
+        secants[s] = pos
     if pair:
         if all(s in secants for s in hist if s >= 2):
             # every secant is on record, so totals follow
@@ -422,24 +430,3 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
             n_sec = None
             n_tan = None
     return LineCensus(b, hist, n_sec, n_tan, by_size, secants)
-
-
-def groups_through_point(b: PointSet, i: int):
-    """Partition of B \\ {P_i} into the lines through P_i.
-
-    Returns a list of np arrays of point indices, one per line, sorted by
-    quotient key so the order is reproducible.
-    """
-    g = b.geometry
-    coords = b.coords()
-    others = np.delete(coords, i, axis=0)
-    oidx = np.delete(b.indices, i)
-    keys = pack_rows(quotient_rows(g, coords[i], others), g.fs.q)
-    if keys.ndim == 1:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-    else:
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    sorted_inv = inverse[order]
-    boundaries = np.flatnonzero(np.diff(sorted_inv)) + 1
-    return [oidx[chunk] for chunk in np.split(order, boundaries)]

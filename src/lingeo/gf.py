@@ -5,10 +5,11 @@ of a polynomial of degree < t (least significant digit = constant term).
 A FieldSpec owns the modulus and all lookup tables; it is immutable after
 construction, so instances can be shared freely between threads.
 
-For q = p^t <= 2^16 a discrete log / antilog pair is precomputed, which
-both the scalar and the numpy-vectorized operations use.  Fields above
-2^16 fall back to polynomial arithmetic (and have no vectorized path);
-fields with p^t > 2^31 are out of scope.
+For q = p^t <= 2^16 one discrete log / antilog pair is precomputed: the
+scalar operations read it as lists, the vectorized ones as one zero-safe
+numpy pair (below).  Fields above 2^16 fall back to polynomial
+arithmetic (and have no vectorized path); fields with p^t > 2^31 are out
+of scope.
 
 The vectorized product works in the log domain without a zero mask: a
 private log table sends 0 to the sentinel Z = 2(q-1), and the antilog
@@ -201,8 +202,6 @@ class FieldSpec:
         if q > _TABLE_LIMIT:
             self._log = None
             self._exp = None
-            self._np_log = None
-            self._np_exp = None
             self._log0 = None
             self._exp0 = None
             self.zero_log = None
@@ -230,14 +229,13 @@ class FieldSpec:
             log[v] = i
         self._exp = exp
         self._log = log
-        self._np_exp = np.array(exp + exp, dtype=np.int64)  # doubled: no mod needed
-        self._np_log = np.array([-1] + log[1:], dtype=np.int64)
-        # zero-safe pair: log 0 is the sentinel Z = 2(q-1), and every sum
+        # zero-safe pair: log 0 is the sentinel Z = 2(q-1), the antilogs
+        # are doubled so a sum of two logs needs no mod, and every sum
         # that holds a sentinel (Z..2Z) lands on the zero padding
         self.zero_log = 2 * (q - 1)
         self._log0 = np.array([self.zero_log] + log[1:], dtype=np.int64)
-        self._exp0 = np.concatenate(
-            [self._np_exp, np.zeros(self.zero_log + 1, dtype=np.int64)])
+        self._exp0 = np.array(exp + exp + [0] * (self.zero_log + 1),
+                              dtype=np.int64)
         self._init_add_tables()
 
     def _init_add_tables(self):
@@ -403,9 +401,10 @@ class FieldSpec:
         return self._exp0[self._log0[np.asarray(a)] + self._log0[np.asarray(b)]]
 
     def vlog0(self, a):
-        """Zero-safe discrete logs: like ``vlog``, but 0 maps to the
-        sentinel ``zero_log`` = 2(q-1), so sums of two of them feed
-        ``vexp0`` and ``vmulsub_spread_log0`` with no zero mask."""
+        """Zero-safe discrete logs: a nonzero code maps to its log in
+        0..q-2 and 0 to the sentinel ``zero_log`` = 2(q-1), so sums of two
+        of them feed ``vexp0`` and ``vmulsub_spread_log0`` with no zero
+        mask."""
         self._require_tables()
         return self._log0[np.asarray(a)]
 
@@ -433,12 +432,7 @@ class FieldSpec:
         a = np.asarray(a)
         if np.any(a == 0):
             raise ZeroInverseError("0 has no multiplicative inverse")
-        return self._np_exp[self.q - 1 - self._np_log[a]]
-
-    def vlog(self, a):
-        """Discrete log of nonzero codes; -1 marks zero entries."""
-        self._require_tables()
-        return self._np_log[np.asarray(a)]
+        return self._exp0[self.q - 1 - self._log0[a]]
 
     def spread_codes(self, a):
         """Spread representation of codes, or None if unavailable.

@@ -5,6 +5,9 @@ the quantitative bounds on sizes and secant counts, the classification
 of planes through secants, and the constructive linearity certifier
 (lift all short secants through one anchor into the reduced space, span
 them, and verify the resulting subspace reproduces the set exactly).
+The checks read a census's short secants as rows of positions into B;
+the batch subline test is one cross-ratio test per member, with the
+scalar ``is_subline`` as its oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import (LineCensus, block_rows, groups_through_point,
-                     kernel_operands, line_census, pack_rows, quotient_keys,
-                     quotient_rows, row_groups)
+from .census import (LineCensus, block_rows, kernel_operands, line_census,
+                     pack_rows, quotient_keys, quotient_rows, row_groups)
 from .pg import PointSet, Subspace, span
 from .reduction import LiftInconsistent, SpreadContext
 
@@ -111,20 +113,6 @@ def is_subline(s: PointSet, e: int) -> bool:
     return True
 
 
-def _member_coords(b: PointSet, secants: np.ndarray) -> np.ndarray:
-    """(S, k, n+1) coordinates of the members of (S, k) point indices."""
-    g = b.geometry
-    flat = secants.reshape(-1)
-    # members of secants of B are points of B, so gather their coords
-    # from B's cached array instead of re-decoding every index
-    pos = np.clip(np.searchsorted(b.indices, flat), 0, b.card - 1)
-    if np.array_equal(b.indices[pos], flat):
-        rows = b.coords()[pos]
-    else:
-        rows = g.coords_of_indices(flat)
-    return rows.reshape(secants.shape + (g.n + 1,))
-
-
 def _line_bases(fs, u, v):
     """Reduced bases of the lines through normalized point pairs u, v
     (rows): (S, 2, n+1) rows with 1 at their own pivot and 0 at the
@@ -140,54 +128,37 @@ def _line_bases(fs, u, v):
     return np.stack([r0, r1], axis=1), piv0, piv1
 
 
-def sublines_pass_batch(b: PointSet, secants, e: int) -> np.ndarray:
+def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
     """Vectorized is_subline over many same-size secants of B.
 
-    ``secants`` is an (S, q0+1) array of point indices into the geometry.
-    Returns a boolean verdict per secant.
+    ``rows`` is an (S, q0+1) array of positions into ``b.indices``, one
+    secant per row, as ``LineCensus.secants`` holds them.  Returns a
+    boolean verdict per secant.
+
+    A member's homogeneous coordinates (a, b) on its line are its entries
+    at the two pivot columns of the line's reduced basis.  With
+    d_ik = a_i b_k - a_k b_i, the cross-ratio (P0, P1; P2, Pk) is
+    d_02 d_1k / (d_12 d_0k), and the secant is a subline exactly when it
+    lies in GF(q0)* for every k >= 2: d_0k, d_1k nonzero and
+    log d_1k - log d_0k - log d_12 + log d_02 divisible by (q-1)/(q0-1).
     """
     fs = b.geometry.fs
-    sec = np.asarray(secants, dtype=np.int64)
-    if sec.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    pts = _member_coords(b, sec)
-    # coefficients of every member w.r.t. the carrier line's reduced
-    # basis: a at the first pivot, b at the second
-    _, piv0, piv1 = _line_bases(fs, pts[:, 0, :], pts[:, 1, :])
-    a = np.take_along_axis(pts, piv0[:, None, None], axis=2)[:, :, 0]
-    bb = np.take_along_axis(pts, piv1[:, None, None], axis=2)[:, :, 0]
-    # Moebius to (1:0),(0:1),(1:1) using the first three members
-    a0, b0 = a[:, 0], bb[:, 0]
-    a1, b1 = a[:, 1], bb[:, 1]
-    a2, b2 = a[:, 2], bb[:, 2]
+    rows = np.asarray(rows, dtype=np.int64)
+    coords = b.coords()
+    _, piv0, piv1 = _line_bases(fs, coords[rows[:, 0]], coords[rows[:, 1]])
+    la = fs.vlog0(coords[rows, piv0[:, None]])
+    lb = fs.vlog0(coords[rows, piv1[:, None]])
 
-    def vsub_mul(x1, y1, x2, y2):
-        return fs.vsub(fs.vmul(x1, y1), fs.vmul(x2, y2))
+    def log_d(i):
+        # log d_ik for k >= 2
+        return fs.vlog0(fs.vsub(fs.vexp0(la[:, i:i + 1] + lb[:, 2:]),
+                                fs.vexp0(la[:, 2:] + lb[:, i:i + 1])))
 
-    det = vsub_mul(a0, b1, b0, a1)
-    di = fs.vinv(det)
-    al = fs.vmul(di, vsub_mul(a2, b1, b2, a1))
-    be = fs.vmul(di, vsub_mul(a0, b2, b0, a2))
-    m00, m10 = fs.vmul(al, a0), fs.vmul(al, b0)
-    m01, m11 = fs.vmul(be, a1), fs.vmul(be, b1)
-    d2 = vsub_mul(m00, m11, m01, m10)
-    d2i = fs.vinv(d2)
-    i00 = fs.vmul(d2i, m11)
-    i01 = fs.vmul(d2i, fs.vneg(m01))
-    i10 = fs.vmul(d2i, fs.vneg(m10))
-    i11 = fs.vmul(d2i, m00)
-    rest_a, rest_b = a[:, 3:], bb[:, 3:]
-    na = fs.vadd(fs.vmul(i00[:, None], rest_a), fs.vmul(i01[:, None], rest_b))
-    nb = fs.vadd(fs.vmul(i10[:, None], rest_a), fs.vmul(i11[:, None], rest_b))
-    ok = nb != 0
-    # subfield membership of na/nb: na = 0, or a log difference divisible
-    # by (q-1)/(q0-1); vlog returns -1 exactly on zeros
-    q0 = fs.p ** e
-    step = (fs.q - 1) // (q0 - 1)
-    la = fs.vlog(na)
-    lb = fs.vlog(nb)
-    member = (la < 0) | ((la - lb) % step == 0)
-    return np.all(ok & member, axis=1)
+    ld0, ld1 = log_d(0), log_d(1)
+    z = fs.zero_log
+    step = (fs.q - 1) // (fs.p ** e - 1)
+    cross = ld1 - ld0 - ld1[:, :1] + ld0[:, :1]
+    return np.all((ld0 != z) & (ld1 != z) & (cross % step == 0), axis=1)
 
 
 def _short_secants(b: PointSet, q0: int, census: LineCensus | None):
@@ -205,17 +176,14 @@ def check_sublines(b: PointSet, e: int, census: LineCensus | None = None) -> dic
     (``census.with_secants``).
     """
     q0 = b.geometry.fs.p ** e
-    secants = _short_secants(b, q0, census).secant_members(q0 + 1)
-    if secants.shape[0] == 0:
-        return {"checked": 0, "violations": []}
+    secants = _short_secants(b, q0, census).secants[q0 + 1]
     # chunked so million-secant instances never hold giant temporaries
     chunk = 200_000
     violations = []
     for lo in range(0, secants.shape[0], chunk):
         part = secants[lo:lo + chunk]
-        verdicts = sublines_pass_batch(b, part, e)
-        violations.extend(tuple(int(x) for x in part[i])
-                          for i in np.flatnonzero(~verdicts))
+        bad = part[~sublines_pass_batch(b, part, e)]
+        violations.extend(tuple(row) for row in b.indices[bad].tolist())
     return {"checked": int(secants.shape[0]), "violations": violations}
 
 
@@ -377,7 +345,8 @@ class PlaneData:
 
 def plane_block_data(b: PointSet, secants, q0: int) -> PlaneData:
     """``plane_census`` of every (q0+1)-secant in ``secants`` (an (S, q0+1)
-    index array), as block kernels instead of one call per secant.
+    array of positions into ``b.indices``), as block kernels instead of
+    one call per secant.
 
     B is quotiented by a block of secant lines at once
     (``quotient_keys`` with two-row bases), each (secant, point) key
@@ -393,9 +362,9 @@ def plane_block_data(b: PointSet, secants, q0: int) -> PlaneData:
     min_size = np.zeros(ns, dtype=np.int64)
     sizes: set = set()
     if ns:
-        pts = _member_coords(b, sec[:, :2])
-        basis, _, _ = _line_bases(fs, pts[:, 0], pts[:, 1])
-        operands = kernel_operands(fs, b.coords())
+        coords = b.coords()
+        basis, _, _ = _line_bases(fs, coords[sec[:, 0]], coords[sec[:, 1]])
+        operands = kernel_operands(fs, coords)
         target = q0 * q0 + q0 + 1
         bs = block_rows(b.card)
         for s0 in range(0, ns, bs):
@@ -546,7 +515,7 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
     if g.n == 2:
         plane_sizes = {b.card}
     else:
-        secants = census.secant_members(q0 + 1)
+        secants = census.secants[q0 + 1]
         capped = plane_secant_cap is not None and len(secants) > plane_secant_cap
         if plane_secant_cap is not None:
             secants = secants[:plane_secant_cap]
@@ -561,9 +530,8 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
             or np.any(planes.good[~all_bad] < bound))
         worst_good = (int(planes.good[~all_bad].min())
                       if np.any(~all_bad) else None)
-        all_bad_per_point = np.bincount(
-            np.searchsorted(b.indices, secants[all_bad]).ravel(),
-            minlength=b.card)
+        all_bad_per_point = np.bincount(secants[all_bad].ravel(),
+                                        minlength=b.card)
 
     if plane_sizes:
         pm, _ = bound_value("plane_min", q0)
@@ -625,26 +593,43 @@ class LinearityCertificate:
         }
 
 
-def check_span_hypotheses(q0: int, h: int, span_dim: int) -> dict:
-    """Labels for the main-theorem hypotheses; checks still run outside them."""
+def check_span_hypotheses(p: int, q0: int, h: int, span_dim: int) -> dict:
+    """Labels for the main-theorem hypotheses; checks still run outside them.
+
+    The theorem covers a small minimal blocking set with exponent e in
+    PG(n, p^t), p prime, that spans an (h-1)-space, h = t/e, when
+    p > 5h - 11; ``inside`` is exactly these two conditions.  The other
+    two labels are not hypotheses of the theorem and stay out of
+    ``inside``: ``q0_ge_7`` is the range in which ``run_lemma_suite``
+    enforces its quantitative bounds (below it they read INFORMATIONAL),
+    and ``h_gt_3`` marks h >= 4, past the planar cases h = 2 (Baer
+    subplanes) and h = 3 that were settled before this theorem.
+    """
+    p_ok = p > 5 * h - 11
+    spans = span_dim == h - 1
     return {
         "h_gt_3": h > 3,
-        "q0_gt_5h_minus_11": q0 > 5 * h - 11,
+        "p_gt_5h_minus_11": p_ok,
         "q0_ge_7": q0 >= 7,
-        "spans_h_minus_1": span_dim == h - 1,
-        "inside": h > 3 and q0 > 5 * h - 11 and q0 >= 7,
+        "spans_h_minus_1": spans,
+        "inside": p_ok and spans,
     }
 
 
-def certify_linearity(b: PointSet, report, census: LineCensus | None = None,
-                      max_anchors: int = 5, max_x_per_anchor: int = 3,
-                      require_hypotheses: bool = False) -> LinearityCertificate:
+_MAX_ANCHORS = 5            # anchor points tried, lowest position first
+_MAX_X_PER_ANCHOR = 3       # reduced points tried per anchor
+
+
+def certify_linearity(b: PointSet, report,
+                      census: LineCensus | None = None) -> LinearityCertificate:
     """Rediscover B as a linear set B(xi) by lifting secant sublines.
 
     Anchors (a point of B on a short secant, then a reduced point of its
     spread element) are tried lowest-index-first, so runs are
-    reproducible bit for bit.  ``census`` is reused, its short secants
-    collected at most once (``census.with_secants``).
+    reproducible bit for bit.  The secants lifted through an anchor are
+    the census's (q0+1)-secant rows that hold its position; ``census`` is
+    reused, its short secants collected at most once
+    (``census.with_secants``).
     """
     g = b.geometry
     if not (report.is_blocking and report.is_minimal and report.is_small):
@@ -652,26 +637,25 @@ def certify_linearity(b: PointSet, report, census: LineCensus | None = None,
     if report.h is None:
         raise NotSmallMinimal("exponent does not divide the field degree")
     e, q0, h = report.exponent_e, report.q0, report.h
-    per_pt = _short_secants(b, q0, census).per_point_by_size.get(q0 + 1)
-    labels = check_span_hypotheses(q0, h, report.span_dim)
-    if require_hypotheses and not labels["inside"]:
-        raise NotSmallMinimal("outside the certification hypotheses")
+    census = _short_secants(b, q0, census)
+    secants = census.secants[q0 + 1]
+    per_pt = census.per_point_by_size.get(q0 + 1)
+    labels = check_span_hypotheses(g.fs.p, q0, h, report.span_dim)
     ctx = SpreadContext(g, e)
     if per_pt is None or not np.any(per_pt > 0):
         raise NoSecant(f"no ({q0 + 1})-secant exists")
-    anchors = [int(pos) for pos in np.flatnonzero(per_pt > 0)][:max_anchors]
+    anchors = np.flatnonzero(per_pt > 0)[:_MAX_ANCHORS].tolist()
     last = None
     for pos in anchors:
         p_index = int(b.indices[pos])
-        groups = [grp for grp in groups_through_point(b, pos)
-                  if grp.size == q0]
+        through = b.indices[secants[np.any(secants == pos, axis=1)]]
         spread_pts = ctx.spread_element(g.coords_of(p_index)).coords_array()
-        for xi_try in range(min(max_x_per_anchor, spread_pts.shape[0])):
+        for xi_try in range(min(_MAX_X_PER_ANCHOR, spread_pts.shape[0])):
             x = tuple(int(c) for c in spread_pts[xi_try])
             lifted, skipped = [], []
             rows = []
-            for grp in groups:
-                s = PointSet(g, np.concatenate([[p_index], grp]))
+            for members in through:
+                s = PointSet(g, members)
                 try:
                     line = ctx.lift_subline(s, p_index, x, check_subline=False)
                 except LiftInconsistent:

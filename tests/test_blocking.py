@@ -3,8 +3,10 @@ import pytest
 
 from lingeo import blocking
 from lingeo.census import line_census
+from lingeo.constructions import random_linear_blocking_set, subgeometry
 from lingeo.gf import make_field
-from lingeo.pg import PointSet, build_geometry, points_of, set_meet
+from lingeo.pg import (PointSet, build_geometry, lex_points, points_of,
+                       set_meet)
 
 
 def brute_is_blocking(b):
@@ -54,12 +56,52 @@ def test_blocking_matches_brute_force_small():
 
 
 def test_point_exponent_line(line_49):
-    for idx in line_49.indices[:3]:
-        assert blocking.point_exponent(line_49, int(idx)) == 2
+    assert blocking.all_point_exponents(line_49, line_census(line_49)) \
+        == [2] * 50
 
 
 def test_point_exponents_baer(baer_49):
-    assert blocking.all_point_exponents(baer_49) == [1] * 57
+    assert blocking.all_point_exponents(baer_49, line_census(baer_49)) \
+        == [1] * 57
+
+
+def _scalar_point_exponent(b, pos):
+    """e_P from a scalar grouping of B \\ {P} into the lines through P."""
+    g = b.geometry
+    coords = [tuple(c) for c in b.coords().tolist()]
+    lines = {}
+    for c in coords[:pos] + coords[pos + 1:]:
+        basis = g.line_through(coords[pos], c).basis
+        lines[basis] = lines.get(basis, 0) + 1
+    sizes = {k + 1 for k in lines.values()}
+    e = 0
+    while sizes and e < g.fs.t and all((s - 1) % g.fs.p ** (e + 1) == 0
+                                       for s in sizes):
+        e += 1
+    return e
+
+
+@pytest.fixture(scope="module")
+def exponent_sets(baer_49, line_49):
+    off = next(i for i in range(line_49.geometry.num_points)
+               if i not in line_49)
+    g64 = build_geometry(2, make_field(2, 6))
+    return {"baer_49": baer_49, "line_49": line_49,
+            "one_point": PointSet(line_49.geometry, [off]),
+            "line_plus_point": line_49.add(off),
+            "rank4_pg2_64": random_linear_blocking_set(g64, 2, 4, seed=0)[0]}
+
+
+@pytest.mark.parametrize("name", ["baer_49", "line_49", "one_point",
+                                  "line_plus_point", "rank4_pg2_64"])
+@pytest.mark.parametrize("mode", ["full", "pair"])
+def test_all_point_exponents_from_census(exponent_sets, name, mode):
+    b = exponent_sets[name]
+    want = [_scalar_point_exponent(b, pos) for pos in range(b.card)]
+    # a pair-mode census with an uncollected secant size has no per-point
+    # counts (line_plus_point, rank4_pg2_64): one full census stands in
+    census = line_census(b, mode=mode)
+    assert blocking.all_point_exponents(b, census) == want
 
 
 def test_full_pg1_keeps_exponent_t():
@@ -75,7 +117,7 @@ def test_full_pg1_keeps_exponent_t():
 def test_one_point_has_no_exponent(pg2_49):
     b = PointSet(pg2_49, [0])
     assert blocking.exponent_from_lines(b) == (0, None, None, False)
-    assert blocking.point_exponent(b, 0) == 0
+    assert blocking.all_point_exponents(b, line_census(b)) == [0]
 
 
 def test_line_plus_points_not_minimal(line_49):
@@ -104,6 +146,45 @@ def test_project_planar_baer(planar_baer_3d):
     assert small.n == 2 and img.card == b.card
     rep = blocking.analyze(img)
     assert rep.is_blocking and rep.is_minimal and rep.is_small
+
+
+def _scalar_tangent_only_point(b):
+    g = b.geometry
+    coords = [tuple(c) for c in b.coords().tolist()]
+    for x in range(g.num_points):
+        if x not in b:
+            lines = {g.line_through(g.coords_of(x), c).basis for c in coords}
+            if len(lines) == b.card:
+                return x
+    return None
+
+
+@pytest.mark.parametrize("block", ["default", "three_rows"])
+def test_find_tangent_only_point_matches_scalar(monkeypatch, block):
+    g5 = build_geometry(2, make_field(5, 1))
+    late = PointSet(g5, [8, 9, 14, 17, 22])       # first hit: point 23
+    baer_9 = subgeometry(build_geometry(2, make_field(3, 2)), 1)  # none
+    want = {}
+    for name, b in (("late", late), ("baer_9", baer_9)):
+        want[name] = _scalar_tangent_only_point(b)
+    assert want == {"late": 23, "baer_9": None}
+    if block == "three_rows":
+        # blocks of 1, 2, then 3 candidates: the hit lies past several
+        monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 3 * late.card)
+    assert blocking.find_tangent_only_point(late) == 23
+    assert blocking.find_tangent_only_point(baer_9) is None
+
+
+def test_duals_through_a_point_each_once():
+    g = build_geometry(3, make_field(3, 1))
+    coef = lex_points(g.n - 1, g.fs.q)
+    for idx in (0, 7, 25, 39):
+        point = g.coords_of(idx)
+        got = g.index_of_rows(blocking._duals_through(g.fs, coef,
+                                                      np.array(point)))
+        want = [h for h in range(g.num_hyperplanes)
+                if _scalar_form(g.fs, g.coords_of(h), point) == 0]
+        assert sorted(got.tolist()) == want
 
 
 def test_project_rejects_center_in_set(baer_49):

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lingeo.census import (groups_through_point, kernel_operands, line_census,
-                           quotient_keys)
+from lingeo.census import kernel_operands, line_census, quotient_keys
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, build_geometry, points_of, set_meet, space_size
 
@@ -28,6 +27,8 @@ def test_census_matches_brute_force_baer(baer_49):
     assert census.pair_count_identity()
     secants = census.secant_members(8)
     assert len(secants) == 57
+    # the census keeps positions into B; secant_members is their index view
+    assert np.array_equal(secants, baer_49.indices[census.secants[8]])
     # every member listed once, all collinear
     g = baer_49.geometry
     for tup in secants[:5]:
@@ -52,14 +53,6 @@ def test_census_small_random():
     census = line_census(b)
     assert census.hist == brute_census_hist(b)
     assert census.pair_count_identity()
-
-
-def test_groups_through_point(baer_49):
-    groups = groups_through_point(baer_49, 0)
-    sizes = sorted(g.size for g in groups)
-    assert sizes == [7] * 8  # 8 subplane lines through each point
-    total = sum(g.size for g in groups)
-    assert total == baer_49.card - 1
 
 
 def test_census_lines_meeting_count(baer_49):

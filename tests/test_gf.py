@@ -197,11 +197,12 @@ def test_zero_safe_log_product_matches_scalar(field, p, t):
     la = fs.vlog0(a[:, None])
     assert np.array_equal(fs.vexp0(la + fs.vlog0(b[None, :40])),
                           [[fs.mul(int(x), int(y)) for y in b[:40]] for x in a])
-    # vlog keeps its -1-on-zero contract; vlog0 marks zero with zero_log
-    assert np.array_equal(fs.vlog(a) < 0, a == 0)
+    # vlog0 marks zero with zero_log and is the scalar log elsewhere
     assert np.array_equal(fs.vlog0(a) == fs.zero_log, a == 0)
     nz = a != 0
-    assert np.array_equal(fs.vlog(a)[nz], fs.vlog0(a)[nz])
+    assert np.array_equal(fs.vlog0(a)[nz], [fs._log[x] for x in a[nz]])
+    # vinv reads the same pair
+    assert np.array_equal(fs.vinv(a[nz]), [fs.inv(int(x)) for x in a[nz]])
 
 
 def test_spread_log_difference_matches_scalar(field):
@@ -218,7 +219,7 @@ def test_spread_log_difference_matches_scalar(field):
     sc = fs.spread_codes(c)
 
     def log0(x):
-        return fs.zero_log if x == 0 else fs.vlog(x)
+        return fs.zero_log if x == 0 else fs._log[x]
 
     one = [fs.sub(int(x), fs.mul(int(y), int(z))) for x, y, z in zip(c, a1, b1)]
     assert np.array_equal(fs.vmulsub_spread_log0(sc, [s1]), [log0(v) for v in one])

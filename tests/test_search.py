@@ -67,7 +67,8 @@ def test_pg_2_4_full_catalog(pg_2_4, pg_2_4_catalog):
     assert verdicts == {"line", "linear"}
     non_lines = [e for e in report["entries"] if e["linearity"] != "line"]
     assert len(non_lines) == 360
-    # q0 = 2 < 7: certified, but flagged as outside the theorem hypotheses
+    # certified, but outside the theorem's hypotheses: a Baer subplane of
+    # PG(2, 4) spans a plane, where h - 1 = 1 asks for a line
     assert all(e["outside_hypotheses"] for e in non_lines)
 
 

@@ -7,8 +7,8 @@ import pytest
 from lingeo import blocking, structure
 from lingeo.census import line_census
 from lingeo.gf import make_field
-from lingeo.pg import PointSet, build_geometry
-from lingeo.reduction import SpreadContext
+from lingeo.pg import PointSet, Subspace, build_geometry, lex_points
+from lingeo.reduction import LiftInconsistent, SpreadContext
 
 
 def test_bound_values_exact():
@@ -48,12 +48,52 @@ def test_is_subline_canonical():
 
 def test_batch_agrees_with_scalar(baer_49):
     census = line_census(baer_49, collect_sizes=[8])
-    secants = np.array(census.secant_members(8), dtype=np.int64)
-    verdicts = structure.sublines_pass_batch(baer_49, secants, 1)
+    rows = census.secants[8]
+    verdicts = structure.sublines_pass_batch(baer_49, rows, 1)
     g = baer_49.geometry
-    for row, v in zip(secants, verdicts):
+    for row, v in zip(baer_49.indices[rows], verdicts):
         assert structure.is_subline(PointSet(g, row), 1) == bool(v)
     assert verdicts.all()
+
+
+# char 2, the spread-add path, and an odd prime off the spread path
+@pytest.mark.parametrize("p,t,e", [(2, 6, 3), (7, 2, 1), (3, 10, 5)])
+def test_batch_sublines_match_scalar_on_mixed_rows(field, p, t, e):
+    fs = field(p, t)
+    g = build_geometry(2, fs)
+    q0 = p ** e
+    rng = np.random.default_rng(p * 100 + t * 10 + e)
+    # B is a whole line, spanned by u and v; rows are (q0+1)-subsets of it
+    uv = np.array([[1, 2, 3], [0, 1, int(rng.integers(1, fs.q))]])
+    b = PointSet(g, g.index_of_rows(fs.vmatmul(lex_points(1, fs.q), uv)))
+
+    def positions(params):
+        idx = g.index_of_rows(fs.vmatmul(np.array(params), uv))
+        return np.searchsorted(b.indices, idx)
+
+    sub = fs.subfield(e).members()
+    rows = []
+    for k in range(24):
+        while True:
+            a, c, d0, d1 = (int(x) for x in rng.integers(0, fs.q, 4))
+            if fs.sub(fs.mul(a, d1), fs.mul(c, d0)):
+                break
+        # image of GF(q0) + infinity under (x : 1) -> (a x + c : d0 x + d1)
+        params = [(fs.add(fs.mul(a, x), c), fs.add(fs.mul(d0, x), d1))
+                  for x in sub] + [(a, d0)]
+        row = positions(params)
+        if k % 3 == 1:      # one point swapped for another of the line
+            row[rng.integers(q0 + 1)] = rng.choice(
+                np.setdiff1d(np.arange(b.card), row))
+        elif k % 3 == 2:    # any q0+1 points of the line
+            row = rng.choice(b.card, q0 + 1, replace=False)
+        rows.append(rng.permutation(row))
+    rows = np.array(rows)
+    got = structure.sublines_pass_batch(b, rows, e)
+    want = [structure.is_subline(PointSet(g, b.indices[row]), e)
+            for row in rows]
+    assert got.tolist() == want
+    assert all(want[::3]) and not any(want[2::3])
 
 
 def test_check_sublines_corpus(baer_49, trace_343):
@@ -132,8 +172,7 @@ def all_bad_3d(planar_baer_3d):
 
 
 def _secants(b, q0):
-    return line_census(b, collect_sizes=[q0 + 1], mode="full") \
-        .secant_members(q0 + 1)
+    return line_census(b, collect_sizes=[q0 + 1], mode="full").secants[q0 + 1]
 
 
 @pytest.mark.parametrize("name,q0", [("planar_baer_3d", 7),
@@ -154,7 +193,7 @@ def test_plane_block_data_matches_scalar(request, monkeypatch, name, q0,
                             int(b.geometry.fs.q - 1).bit_length())
     got = structure.plane_block_data(b, secants, q0)
     sizes = set()
-    for i, sec in enumerate(secants):
+    for i, sec in enumerate(b.indices[secants]):
         pc = structure.plane_census(b, sec, q0)
         assert got.good[i] == pc.good_count
         assert got.min_size[i] == min((size for _k, size, _g in pc.planes),
@@ -261,8 +300,50 @@ def test_certify_baer(baer_49):
     assert cert.verified and cert.xi_dim == 2
     ctx = SpreadContext(baer_49.geometry, 1)
     assert ctx.linear_set_from_subspace(cert.xi) == baer_49
-    assert cert.hypothesis_labels["q0_ge_7"]
-    assert not cert.hypothesis_labels["h_gt_3"]
+    labels = cert.hypothesis_labels
+    # p = 7 > 5h - 11 = -1, but a Baer subplane spans a plane, not a line
+    assert labels["p_gt_5h_minus_11"] and not labels["spans_h_minus_1"]
+    assert not labels["inside"]
+    # labels outside the theorem's hypotheses, under their own names
+    assert labels["q0_ge_7"] and not labels["h_gt_3"]
+
+
+def test_span_hypotheses_test_p_not_q0():
+    # PG(n, 2^16) with e = 4: q0 = 16 > 5h - 11 = 9, but p = 2 is not
+    labels = structure.check_span_hypotheses(2, 16, 4, 3)
+    assert labels["spans_h_minus_1"] and labels["q0_ge_7"]
+    assert not labels["p_gt_5h_minus_11"] and not labels["inside"]
+    assert structure.check_span_hypotheses(11, 11, 4, 3)["inside"]
+    assert not structure.check_span_hypotheses(11, 11, 4, 2)["inside"]
+
+
+@pytest.mark.parametrize("name", ["baer_49", "trace_343"])
+def test_certify_lifts_the_short_secants_through_its_anchor(request, name):
+    b = request.getfixturevalue(name)
+    rep = blocking.analyze(b)
+    cert = structure.certify_linearity(b, rep)
+    assert cert.verified
+    # the (q0+1)-secants through the anchor, from a scalar grouping
+    g = b.geometry
+    anchor = g.coords_of(cert.anchor_index)
+    lines = {}
+    for i, c in zip(b.indices.tolist(), b.coords().tolist()):
+        if i != cert.anchor_index:
+            lines.setdefault(g.line_through(anchor, c).basis,
+                             [cert.anchor_index]).append(i)
+    ctx = SpreadContext(g, rep.exponent_e)
+    rows, skipped = [], 0
+    for members in lines.values():
+        if len(members) == rep.q0 + 1:
+            try:
+                rows.extend(ctx.lift_subline(PointSet(g, members),
+                                             cert.anchor_index, cert.x_coords,
+                                             check_subline=False).basis)
+            except LiftInconsistent:
+                skipped += 1
+    assert len(cert.lifted_lines) == len(rows) // 2
+    assert len(cert.skipped) == skipped
+    assert cert.xi.basis == Subspace(ctx.reduced, rows).basis
 
 
 def test_certify_trace(trace_343):
