@@ -1,20 +1,25 @@
 """Blocking-set predicates: blocking, minimal, small, exponents, projection.
 
-The hyperplane-facing operations pick a strategy by geometry size:
+Every hyperplane answer is read off one point-hyperplane incidence,
+``hyperplane_incidence``: the hyperplanes through each point of B, from
+the closed-form basis of the duals through that point.  With |H ∩ B|
+at each entry (``_hyperplane_profile``):
 
-* ``cover``  - enumerate the hyperplanes through each member point and
-  compare the union against the total count; also yields every
-  hyperplane intersection size, so the exponent comes for free.
-  Needs |B| * (hyperplanes through a point) to be affordable.
-* ``scan``   - walk every hyperplane dual and test B against it
-  (only for small geometries).
-* ``randomized-witness`` - for minimality in huge geometries: a seeded
-  search for a tangent hyperplane per point.  Found witnesses are exact
-  proofs; the method never certifies a false positive.
+* B is blocking when every hyperplane index occurs; the first gap in the
+  sorted indices is the lowest unblocked hyperplane;
+* a point's tangent hyperplanes are its entries of size 1.  B is minimal
+  when every point has one, and the lowest is the point's witness;
+* the exponent e is read off the sizes.
 
-Exponents are defined through hyperplane intersections; the line-based
-reading is always computed alongside as a cross-check and is the only
-one available when the hyperplane family is out of reach.
+This ``cover`` strategy needs |B| * (hyperplanes through a point) to stay
+below ``_COVER_LIMIT``.  Beyond it (``structural``) minimality rests on
+a seeded search for a tangent hyperplane per point
+(``randomized_tangent_witnesses``): found witnesses are exact proofs,
+and the method never certifies a false positive.
+
+The line-based exponent is always computed alongside as a cross-check,
+and is the only one available when the hyperplane family is out of
+reach.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .pg import (Geometry, GeometryError, PointSet, Subspace, lex_points,
                  normalize_rows, space_size, span)
 
 _COVER_LIMIT = 50_000_000
+_WITNESS_TRIALS = 400
 
 
 class BlockingError(Exception):
@@ -107,66 +113,53 @@ def _duals_through(fs, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
     return duals
 
 
+def hyperplane_incidence(g: Geometry, coords: np.ndarray) -> np.ndarray:
+    """(m, k) indices of the k hyperplanes through each of m normalized
+    points ``coords``: row i lists the duals through point i once each,
+    the points of PG(n-1, q) as coefficients on their closed-form basis
+    (``_duals_through``)."""
+    coef = lex_points(g.n - 1, g.fs.q)
+    out = np.empty((len(coords), coef.shape[0]), dtype=np.int64)
+    for i, c in enumerate(coords):
+        out[i] = g.index_of_rows(_duals_through(g.fs, coef, c))
+    return out
+
+
 def _hyperplane_profile(b: PointSet):
-    """(met_keys, counts): every hyperplane meeting B with its |H ∩ B|."""
+    """(incidence, sizes, met, counts): B's ``hyperplane_incidence`` with
+    |H ∩ B| at each of its entries, and every hyperplane meeting B,
+    sorted, with its |H ∩ B|."""
     g = b.geometry
     per_point = space_size(g.fs.q, g.n - 1)
     if b.card * per_point > _COVER_LIMIT:
         raise HyperplaneFamilyTooLarge(
             f"{b.card} x {per_point} dual enumerations needed")
-    # every dual through a point, once each: the points of PG(n-1, q) as
-    # coefficients on its closed-form basis
-    coef = lex_points(g.n - 1, g.fs.q)
-    keys = [g.index_of_rows(_duals_through(g.fs, coef, c))
-            for c in b.coords()]
-    allkeys = np.concatenate(keys)
-    met, counts = np.unique(allkeys, return_counts=True)
-    return met, counts
+    inc = hyperplane_incidence(g, b.coords())
+    met, inverse, counts = np.unique(inc, return_inverse=True,
+                                     return_counts=True)
+    return inc, counts[inverse].reshape(inc.shape), met, counts
+
+
+def _first_unblocked(g: Geometry, met: np.ndarray):
+    """(verdict, witness): whether the sorted ``met`` holds every
+    hyperplane index, else its first gap, the lowest unblocked one."""
+    gaps = np.flatnonzero(met != np.arange(met.size))
+    first = int(gaps[0]) if gaps.size else met.size
+    return (True, None) if first == g.num_hyperplanes else (False, first)
 
 
 def is_blocking(b: PointSet):
-    """(verdict, witness): witness is an unblocked hyperplane index or None."""
-    return _blocking_from_profile(b.geometry, _hyperplane_profile(b)[0])
+    """(verdict, witness): witness is the lowest unblocked hyperplane
+    index, or None."""
+    return _first_unblocked(b.geometry, _hyperplane_profile(b)[2])
 
 
-def _blocking_from_profile(g: Geometry, met: np.ndarray):
-    if met.size == g.num_hyperplanes:
-        return True, None
-    missing = np.setdiff1d(np.arange(g.num_hyperplanes, dtype=np.int64), met,
-                           assume_unique=True) if g.num_hyperplanes <= 1 << 24 \
-        else None
-    if missing is not None and missing.size:
-        return False, int(missing[0])
-    # large dual space: find the first gap in the sorted met array
-    expect = np.arange(met.size, dtype=np.int64)
-    gaps = np.flatnonzero(met != expect)
-    return False, int(gaps[0]) if gaps.size else int(met.size)
+def tangent_counts(b: PointSet) -> np.ndarray:
+    """Tangent-hyperplane count for every member of B, in position order."""
+    return np.count_nonzero(_hyperplane_profile(b)[1] == 1, axis=1)
 
 
-def tangent_counts(b: PointSet):
-    """Tangent-hyperplane count for every member of B, via a full profile."""
-    return _tangents_from_profile(b, *_hyperplane_profile(b))
-
-
-def _tangents_from_profile(b: PointSet, met: np.ndarray, counts: np.ndarray):
-    g = b.geometry
-    tangents = met[counts == 1]
-    out = np.zeros(b.card, dtype=np.int64)
-    if tangents.size == 0:
-        return out, {}
-    duals = g.coords_of_indices(tangents)
-    witness: dict = {}
-    for i, c in enumerate(b.coords()):
-        hits = g.fs.vmatmul(duals, c) == 0
-        out[i] = int(hits.sum())
-        w = np.flatnonzero(hits)
-        if w.size:
-            witness[int(b.indices[i])] = int(tangents[w[0]])
-    return out, witness
-
-
-def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
-                                 trials: int = 400):
+def randomized_tangent_witnesses(b: PointSet, seed: int = 0):
     """Seeded search for a tangent hyperplane at every point of B, for
     geometries whose dual family is too large to enumerate.
 
@@ -179,9 +172,9 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
     cache-sized (candidate, point) blocks against B's coordinates, whose
     logs are taken once.  A candidate is a witness when P is the only
     point of B on it, so every witness returned is exact; a point still
-    without one after ``trials`` rounds proves nothing.  Reports record
-    only ``all_found``, never the witnesses, so the draw order (not that
-    of a point-by-point search) does not reach them.
+    without one after ``_WITNESS_TRIALS`` rounds proves nothing.  Reports
+    record only ``all_found``, never the witnesses, so the draw order
+    (not that of a point-by-point search) does not reach them.
 
     Returns (witness dual per member index, all_found).
     """
@@ -193,7 +186,7 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
     bs = tile_rows(m)
     witnesses = {}
     pending = np.arange(m)
-    for _ in range(trials):
+    for _ in range(_WITNESS_TRIALS):
         if pending.size == 0:
             break
         coef = rng.integers(0, fs.q, (pending.size, d - 1))
@@ -217,16 +210,19 @@ def randomized_tangent_witnesses(b: PointSet, seed: int = 0,
 
 
 def is_minimal(b: PointSet):
-    """(verdict, witnesses): per-point tangent hyperplane or violating point."""
-    met, hcounts = _hyperplane_profile(b)
-    blocking, w = _blocking_from_profile(b.geometry, met)
+    """(verdict, witnesses): per point its lowest tangent hyperplane, or
+    the points without one."""
+    g = b.geometry
+    inc, sizes, met, _ = _hyperplane_profile(b)
+    blocking, w = _first_unblocked(g, met)
     if not blocking:
         raise NotBlocking(f"unblocked hyperplane {w}")
-    counts, witness = _tangents_from_profile(b, met, hcounts)
-    bad = np.flatnonzero(counts == 0)
+    tangent = sizes == 1
+    bad = np.flatnonzero(~tangent.any(axis=1))
     if bad.size:
         return False, {"inessential": [int(b.indices[i]) for i in bad]}
-    return True, {"tangents": witness}
+    lowest = np.where(tangent, inc, g.num_hyperplanes).min(axis=1)
+    return True, {"tangents": dict(zip(b.indices.tolist(), lowest.tolist()))}
 
 
 def _exponent_from_sizes(sizes, p: int, t: int):
@@ -261,7 +257,7 @@ def exponent(b: PointSet):
     enumerated; use ``exponent_from_lines`` then.
     """
     g = b.geometry
-    met, counts = _hyperplane_profile(b)
+    _, _, met, counts = _hyperplane_profile(b)
     if met.size != g.num_hyperplanes:
         raise NotBlocking("set does not block every hyperplane")
     return _exponent_from_profile(g.fs, counts)
@@ -330,34 +326,27 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
     e_lines = line_exponent[0]
     witnesses: dict = {}
     try:
-        met, hcounts = _hyperplane_profile(b)
+        _, sizes, met, counts = _hyperplane_profile(b)
     except HyperplaneFamilyTooLarge:
         strategy = "structural"
         blocking = bool(assume_blocking)
         if assume_blocking:
             witnesses["blocking_certificate"] = "construction"
         e, q0, h, integral = line_exponent
-        _, all_found = randomized_tangent_witnesses(b, seed=seed)
-        minimal = blocking and all_found
+        # minimality presupposes blocking: search witnesses only then
+        minimal = blocking and randomized_tangent_witnesses(b, seed=seed)[1]
         witnesses["minimality_method"] = "randomized-witness"
     else:
         strategy = "cover"
-        blocking, w = _blocking_from_profile(g, met)
+        blocking, w = _first_unblocked(g, met)
         if w is not None:
             witnesses["unblocked_hyperplane"] = w
         if blocking:
-            if g.n == 2 and census.per_point_tangents is not None:
-                # in a plane the hyperplanes are the lines, so the census
-                # already holds exact exponent data and tangent counts
-                e, q0, h, integral = line_exponent
-                counts = census.per_point_tangents
-            else:
-                e, q0, h, integral = _exponent_from_profile(fs, hcounts)
-                counts, _ = _tangents_from_profile(b, met, hcounts)
-            minimal = bool(np.all(counts > 0))
+            e, q0, h, integral = _exponent_from_profile(fs, counts)
+            bad = np.flatnonzero(~np.any(sizes == 1, axis=1))
+            minimal = not bad.size
             if not minimal:
-                witnesses["inessential"] = [
-                    int(b.indices[i]) for i in np.flatnonzero(counts == 0)]
+                witnesses["inessential"] = [int(b.indices[i]) for i in bad]
         else:
             e = q0 = h = None
             integral = False
@@ -453,7 +442,7 @@ def reduce_to_minimal(b: PointSet, order: str = "lex", seed: int = 0,
     def run(strategy_rng):
         cur = b
         while True:
-            counts, _ = tangent_counts(cur)
+            counts = tangent_counts(cur)
             loose = np.flatnonzero(counts == 0)
             if loose.size == 0:
                 return cur

@@ -15,7 +15,9 @@ pass serves every check.  Secants are kept as rows of positions into B,
 the form in which every check reads them.  This is the only grouping
 routine in production: point exponents read its per-point counts, the
 certifier its secant rows, and the tangent-only point search runs on
-its kernel.
+its kernel.  Hyperplane questions (blocking, minimality, the exponent)
+read ``blocking.hyperplane_incidence`` instead, in the plane too, where
+the hyperplanes are the lines and both give the same numbers.
 
 The same kernel (``quotient_keys`` and ``row_groups``) quotients by any
 block of subspaces given by reduced bases of k rows: points (k = 1) for
@@ -69,19 +71,27 @@ class LineCensus:
     ``secants`` holds the asked-for sizes and, when it is at least 3, the
     longest line size, as rows of positions into ``point_set.indices``
     (the form every check reads them in; ``secant_members`` gives the
-    point indices).  ``per_point_secants`` / ``per_point_tangents`` are
-    None when the census was computed in pair mode and some secant size
-    is not collected (the histogram itself is always exact).
+    point indices).  ``per_point_secants`` (and so
+    ``per_point_tangents``) is None when the census was computed in pair
+    mode and some secant size is not collected (the histogram itself is
+    always exact).
     """
 
     point_set: PointSet
     hist: dict                      # size -> number of lines
     per_point_secants: np.ndarray   # lines through P with >= 2 points of B
-    per_point_tangents: np.ndarray  # lines through P meeting B in {P} only
     per_point_by_size: dict         # size -> np.ndarray of counts per point
     secants: dict = field(default_factory=dict)  # size -> (S, size) positions
     _collected: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)  # size -> census collecting it
+
+    @property
+    def per_point_tangents(self):
+        """Lines through P meeting B in {P} only, per point, or None."""
+        if self.per_point_secants is None:
+            return None
+        g = self.point_set.geometry
+        return space_size(g.fs.q, g.n - 1) - self.per_point_secants
 
     def lines_meeting(self) -> int:
         return sum(self.hist.values())
@@ -319,9 +329,8 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     lines_through_point = space_size(fs.q, g.n - 1)
     collect_sizes = set(collect_sizes)
     if m == 1:
-        n_tan = np.full(1, lines_through_point, dtype=np.int64)
         return LineCensus(b, {1: lines_through_point},
-                          np.zeros(1, dtype=np.int64), n_tan, {},
+                          np.zeros(1, dtype=np.int64), {},
                           {s: np.zeros((0, s), dtype=np.int64)
                            for s in collect_sizes})
     if mode == "auto":
@@ -338,7 +347,6 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     hist: dict = {}
     group_counts: dict = {}           # pair mode: group size -> #groups
     n_sec = np.zeros(m, dtype=np.int64)
-    n_tan = np.zeros(m, dtype=np.int64)
     by_size: dict = {}
     for i0 in range(0, m, bs):
         i1 = min(i0 + bs, m)
@@ -357,9 +365,7 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
             for v, c in zip(*np.unique(counts_r, return_counts=True)):
                 group_counts[int(v)] = group_counts.get(int(v), 0) + int(c)
         else:
-            n_groups = np.bincount(gpos_r, minlength=nb)
-            n_sec[i0:i1] = n_groups
-            n_tan[i0:i1] = lines_through_point - n_groups
+            n_sec[i0:i1] = np.bincount(gpos_r, minlength=nb)
             sizes = counts_r + 1
             # histogram contribution: each k-line is seen from k members
             for v in np.unique(sizes).tolist():
@@ -402,16 +408,14 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
             raise ValueError(
                 f"secants of sizes {sorted(shadow)} are shadowed by longer "
                 "secants; use mode='full' to collect them")
-        point_slots = sum(k * c for k, c in hist.items())
-        hist[1] = m * lines_through_point - point_slots
-        if hist[1] == 0:
-            del hist[1]
     else:
         # each secant of size k was counted k times
-        hist = {s: (c if s == 1 else c // s) for s, c in hist.items()}
-        hist[1] = hist.get(1, 0) + int(n_tan.sum())
-        if hist[1] == 0:
-            del hist[1]
+        hist = {s: c // s for s, c in hist.items()}
+    # each point lies on lines_through_point lines: those not on a secant
+    # are tangents
+    hist[1] = m * lines_through_point - sum(k * c for k, c in hist.items())
+    if hist[1] == 0:
+        del hist[1]
     secants = {}
     for s, parts in chunks.items():
         pos = (np.concatenate(parts, axis=0) if parts
@@ -422,11 +426,6 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
             by_size[s] = np.bincount(pos.ravel(), minlength=m)
             n_sec += by_size[s]
         secants[s] = pos
-    if pair:
-        if all(s in secants for s in hist if s >= 2):
-            # every secant is on record, so totals follow
-            n_tan = lines_through_point - n_sec
-        else:
-            n_sec = None
-            n_tan = None
-    return LineCensus(b, hist, n_sec, n_tan, by_size, secants)
+    if pair and not all(s in secants for s in hist if s >= 2):
+        n_sec = None        # some secant is not on record
+    return LineCensus(b, hist, n_sec, by_size, secants)

@@ -10,11 +10,10 @@ from .pg import (Geometry, GeometryError, PointSet, lex_points, points_of,
 from .reduction import SpreadContext
 
 
-def full_line(g: Geometry, p0=None, p1=None) -> PointSet:
-    if p0 is None:
-        p0 = (1,) + (0,) * g.n
-        p1 = (0, 1) + (0,) * (g.n - 1)
-    return points_of(g.line_through(p0, p1))
+def full_line(g: Geometry) -> PointSet:
+    """The line through the first two unit points."""
+    return points_of(g.line_through((1,) + (0,) * g.n,
+                                    (0, 1) + (0,) * (g.n - 1)))
 
 
 def subgeometry(g: Geometry, e: int, carrier_dim: int | None = None) -> PointSet:
@@ -64,20 +63,23 @@ def trace_linear_set(g: Geometry, e: int) -> PointSet:
     return ctx.linear_set_from_vectors(trace_trick_vectors(g.fs, e))
 
 
-def random_linear_blocking_set(g: Geometry, e: int, rank: int, seed: int,
-                               max_tries: int = 60):
+_MAX_TRIES = 60
+
+
+def random_linear_blocking_set(g: Geometry, e: int, rank: int, seed: int):
     """A rank-``rank`` linear set B(U) from seeded random generators.
 
-    Retries until the generators are GF(q0)-independent and the set is
-    scattered enough to have short secants (|B| near its maximum), which
-    in practice also makes it minimal.  Returns (PointSet, ctx, vectors).
+    Retries, up to ``_MAX_TRIES`` draws, until the generators are
+    GF(q0)-independent and the set is scattered enough to have short
+    secants (|B| near its maximum), which in practice also makes it
+    minimal.  Returns (PointSet, ctx, vectors).
     """
     fs = g.fs
     ctx = SpreadContext(g, e)
     rng = np.random.default_rng(seed)
     target = space_size(ctx.q0, rank - 1)
     best = None
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         vecs = [tuple(int(x) for x in rng.integers(0, fs.q, g.n + 1))
                 for _ in range(rank)]
         if ctx.reduced_rank(vecs) != rank:

@@ -9,7 +9,9 @@ disjoint unblocked hyperplanes never cuts more.  Leaves are kept when
 the set is a minimal blocking set; duplicates are removed with a memo of
 the sets already reached, so the catalog is complete and duplicate-free.
 
-Points and hyperplanes are held as Python int bitmasks.  The set of
+Points and hyperplanes are held as Python int bitmasks, both read off
+one table: ``blocking.hyperplane_incidence`` of every point, the same
+incidence that ``blocking.analyze`` reads for a set.  The set of
 unblocked hyperplanes is passed down the DFS as one int and updated
 incrementally (adding point x clears the hyperplanes through x), and the
 fail-first choice is its lowest set bit, so a step costs a few big-int
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .blocking import analyze, is_blocking, is_minimal
+from .blocking import analyze, hyperplane_incidence, is_blocking, is_minimal
 from .census import line_census
-from .pg import Geometry, PointSet, points_of
+from .pg import Geometry, PointSet, lex_points
 from .structure import NoSecant, NotSmallMinimal, certify_linearity
 
 
@@ -68,15 +70,21 @@ class SearchResult:
     duplicates: int = 0
 
 
-def _hyperplane_masks(g: Geometry) -> list:
-    masks = []
-    for d in range(g.num_hyperplanes):
-        h = g.hyperplane_subspace(g.coords_of(d))
-        m = 0
-        for idx in points_of(h).indices:
-            m |= 1 << int(idx)
-        masks.append(m)
-    return masks
+def _hyperplane_masks(g: Geometry):
+    """(masks, misses): every hyperplane as a point bitmask, and per point
+    the bitmask of the hyperplanes that miss it, both read off the
+    hyperplane incidence of all of PG(n, q)."""
+    every = (1 << g.num_hyperplanes) - 1
+    masks = [0] * g.num_hyperplanes
+    misses = []
+    for x, row in enumerate(hyperplane_incidence(
+            g, lex_points(g.n, g.fs.q)).tolist()):
+        through = 0
+        for h in row:
+            masks[h] |= 1 << x
+            through |= 1 << h
+        misses.append(every & ~through)
+    return masks, misses
 
 
 def mask_is_minimal(masks, s: int) -> bool:
@@ -101,13 +109,8 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
         raise GuardExceeded(
             f"{g.num_points} points exceeds the guard ({cfg.guard}); "
             "override the guard to force the run")
-    masks = _hyperplane_masks(g)
+    masks, misses = _hyperplane_masks(g)
     points = range(g.num_points)
-    hyperplanes = range(len(masks))
-    every = (1 << len(masks)) - 1
-    # per point: the hyperplanes that do not contain it
-    misses = [every & ~sum(1 << i for i in hyperplanes if masks[i] >> x & 1)
-              for x in points]
     max_size = cfg.max_size
     memo: set = set()
     found: list = []
@@ -138,7 +141,7 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
                     size + 1)
             free ^= low
 
-    descend(every, 0, 0)
+    descend((1 << len(masks)) - 1, 0, 0)
     result = SearchResult(catalog=[], reports=[], nodes=nodes, pruned=pruned,
                           leaves=leaves, duplicates=duplicates)
     for key in sorted(found):

@@ -190,8 +190,10 @@ def check_sublines(b: PointSet, e: int, census: LineCensus | None = None) -> dic
 def is_subplane(s: PointSet, q0: int) -> bool:
     """True iff s is a subplane of order q0 of its carrier plane.
 
-    Checked directly: every point pair lies on a (q0+1)-secant whose
-    s-part is a subline, and any two such secants meet inside s.
+    Read off one line census: every line meets s in 1 or q0+1 points and
+    every (q0+1)-secant is a subline (``check_sublines``).  Then the
+    q0^2+q0+1 points, every pair on exactly one (q0+1)-secant, form a
+    symmetric 2-design, so any two of its secants meet inside s.
     """
     g = s.geometry
     fs = g.fs
@@ -200,28 +202,15 @@ def is_subplane(s: PointSet, q0: int) -> bool:
     coords = [tuple(int(x) for x in c) for c in s.coords()]
     if span(g, coords).dim != 2:
         raise NotPlanar("points do not span a plane")
-    e = round(np.log(q0) / np.log(fs.p))
+    e = 1
+    while fs.p ** e < q0:
+        e += 1
     if fs.p ** e != q0 or fs.t % e != 0:
         return False
-    idx = [int(i) for i in s.indices]
-    by_line: dict = {}
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            l = g.line_through(coords[i], coords[j])
-            by_line.setdefault(l.basis, set()).update((idx[i], idx[j]))
-    lines = []
-    for basis, members in by_line.items():
-        if len(members) != q0 + 1:
-            return False
-        part = PointSet(g, list(members))
-        if not is_subline(part, e):
-            return False
-        lines.append(frozenset(members))
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if not lines[i] & lines[j]:
-                return False
-    return True
+    census = line_census(s)
+    if set(census.hist) - {1, q0 + 1}:
+        return False
+    return not check_sublines(s, e, census)["violations"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,14 @@ from lingeo.pg import (PointSet, build_geometry, lex_points, points_of,
                        set_meet)
 
 
+def brute_unblocked(b):
+    """Indices of the hyperplanes missing B, in increasing order."""
+    return [d for d, h in enumerate(b.geometry.hyperplanes())
+            if set_meet(b, h).card == 0]
+
+
 def brute_is_blocking(b):
-    g = b.geometry
-    return all(set_meet(b, h).card > 0 for h in g.hyperplanes())
+    return not brute_unblocked(b)
 
 
 def brute_is_minimal(b):
@@ -41,18 +46,70 @@ def test_baer_is_minimal_blocking(baer_49):
 
 
 def test_blocking_matches_brute_force_small():
-    g = build_geometry(2, make_field(3, 1))
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        b = PointSet(g, rng.choice(g.num_points, 6, replace=False))
-        verdict, witness = blocking.is_blocking(b)
-        assert verdict == brute_is_blocking(b)
-        if not verdict:
-            hw = g.hyperplane_subspace(g.coords_of(witness))
-            assert set_meet(b, hw).card == 0
-        if verdict:
-            minimal, _ = blocking.is_minimal(b)
-            assert minimal == brute_is_minimal(b)
+    for n, p, size in ((2, 3, 6), (3, 2, 4)):
+        g = build_geometry(n, make_field(p, 1))
+        verdicts = set()
+        for _ in range(10):
+            b = PointSet(g, rng.choice(g.num_points, size, replace=False))
+            unblocked = brute_unblocked(b)
+            # the witness is the lowest unblocked hyperplane
+            assert blocking.is_blocking(b) == (
+                (False, unblocked[0]) if unblocked else (True, None))
+            verdicts.add(not unblocked)
+            if not unblocked:
+                minimal, _ = blocking.is_minimal(b)
+                assert minimal == brute_is_minimal(b)
+        assert verdicts == {True, False}
+
+
+def test_hyperplane_incidence_matches_brute_force():
+    for g in (build_geometry(2, make_field(2, 2)),
+              build_geometry(3, make_field(2, 1))):
+        every = PointSet(g, np.arange(g.num_points))
+        on = [set(set_meet(every, h).indices.tolist())
+              for h in g.hyperplanes()]
+        inc = blocking.hyperplane_incidence(g, lex_points(g.n, g.fs.q))
+        assert inc.shape == (g.num_points, len(lex_points(g.n - 1, g.fs.q)))
+        for x, row in enumerate(inc.tolist()):
+            assert sorted(row) == [d for d in range(g.num_hyperplanes)
+                                   if x in on[d]]
+
+
+def _scalar_tangents(b):
+    """Per member index, its tangent hyperplanes in increasing order, from
+    a scalar evaluation of every hyperplane form on every point of B."""
+    g = b.geometry
+    coords = b.coords().tolist()
+    out = {int(i): [] for i in b.indices}
+    for d in range(g.num_hyperplanes):
+        dual = g.coords_of(d)
+        on = [int(i) for i, c in zip(b.indices, coords)
+              if _scalar_form(g.fs, dual, c) == 0]
+        if len(on) == 1:
+            out[on[0]].append(d)
+    return out
+
+
+@pytest.mark.parametrize("name", ["baer_9", "rank5_pg3_16", "baer_pg3_16"])
+def test_is_minimal_witness_is_lowest_tangent(request, name):
+    if name == "baer_9":
+        b = subgeometry(build_geometry(2, make_field(3, 2)), 1)
+    elif name == "baer_pg3_16":
+        # PG(3, 4) in PG(3, 16): blocking, but every point inessential
+        b = subgeometry(build_geometry(3, make_field(2, 4)), 2)
+    else:
+        b = request.getfixturevalue(name)
+    tangents = _scalar_tangents(b)
+    assert blocking.tangent_counts(b).tolist() == [
+        len(tangents[int(i)]) for i in b.indices]
+    inessential = [i for i, ts in tangents.items() if not ts]
+    if inessential:
+        want = (False, {"inessential": inessential})
+    else:
+        want = (True, {"tangents": {i: ts[0] for i, ts in tangents.items()}})
+    assert blocking.is_minimal(b) == want
+    assert want[0] == (name != "baer_pg3_16")
 
 
 def test_point_exponent_line(line_49):
@@ -278,6 +335,26 @@ def test_structural_analyze_reads_line_exponent_once(monkeypatch):
     monkeypatch.setattr(blocking, "exponent_from_lines", counting)
     rep = blocking.analyze(b)
     assert rep.strategy == "structural" and len(calls) == 1
+    assert rep.witnesses["minimality_method"] == "randomized-witness"
+
+
+def test_structural_analyze_searches_witnesses_only_when_blocking(
+        baer_49, monkeypatch):
+    calls = []
+    real = blocking.randomized_tangent_witnesses
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(blocking, "randomized_tangent_witnesses", counting)
+    monkeypatch.setattr(blocking, "_COVER_LIMIT", 0)
+    rep = blocking.analyze(baer_49)
+    assert rep.strategy == "structural" and not rep.is_minimal
+    assert rep.witnesses["minimality_method"] == "randomized-witness"
+    assert calls == []
+    rep = blocking.analyze(baer_49, assume_blocking=True)
+    assert rep.is_blocking and rep.is_minimal and len(calls) == 1
     assert rep.witnesses["minimality_method"] == "randomized-witness"
 
 

@@ -83,9 +83,13 @@ def test_pg_2_5_catalog_and_counters():
 
 def test_mask_leaf_test_agrees_with_is_minimal(pg_2_4, pg_2_4_catalog):
     g = pg_2_4
-    masks = _hyperplane_masks(g)
+    masks, misses = _hyperplane_masks(g)
     lines = [points_of(g.hyperplane_subspace(g.coords_of(d)))
              for d in range(g.num_hyperplanes)]
+    assert masks == [sum(1 << int(i) for i in line.indices)
+                     for line in lines]
+    assert misses == [sum(1 << d for d, line in enumerate(lines)
+                          if x not in line) for x in range(g.num_points)]
     baer = [subgeometry(g, 1)] + [b for b in pg_2_4_catalog.catalog
                                   if b.card == 7][::40]
     assert len(lines) == 21 and len(baer) == 10

@@ -112,12 +112,22 @@ def test_check_sublines_flags_random_set(baer_49):
     assert out["violations"] == [] or len(out["violations"]) <= out["checked"]
 
 
-def test_is_subplane(baer_49):
+def test_is_subplane(baer_49, planar_baer_3d):
     assert structure.is_subplane(baer_49, 7)
+    assert structure.is_subplane(planar_baer_3d, 7)
     g = baer_49.geometry
     off = next(i for i in range(g.num_points) if i not in baer_49)
     bad = baer_49.remove(int(baer_49.indices[0])).add(off)
     assert not structure.is_subplane(bad, 7)
+    with pytest.raises(structure.WrongSize):
+        structure.is_subplane(baer_49.add(off), 7)
+    g3 = planar_baer_3d.geometry
+    # a point off the carrier plane x3 = 0
+    off3 = next(i for i in range(g3.num_points) if g3.coords_of(i)[3])
+    with pytest.raises(structure.NotPlanar):
+        structure.is_subplane(
+            planar_baer_3d.remove(int(planar_baer_3d.indices[0])).add(off3),
+            7)
 
 
 def test_plane_census_planar_baer(planar_baer_3d):
