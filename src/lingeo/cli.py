@@ -6,7 +6,9 @@ contain no timing or machine-dependent data, so identical inputs and
 seeds produce byte-identical reports regardless of ``--threads``.
 
 Exit codes: 0 success / all checks pass; 1 at least one FAIL;
-2 validation or parse error; 3 search guard tripped without --force.
+2 validation or parse error; 3 resource limit: the search guard tripped
+without --force, or a field above the 2^16 limit of the field tables
+(which no flag overrides).
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ import time
 
 import numpy as np
 
-from . import blocking, structure
+from . import __version__, blocking, structure
 from .census import line_census
 from .constructions import full_line, subgeometry
 from .fileio import (ParseError, parse_codes, point_set_to_text,
                      read_point_set, read_reduced_subspace, read_vectors,
                      write_point_set)
-from .gf import FieldError, make_field
+from .gf import FieldError, FieldTooLarge, make_field
 from .pg import GeometryError, build_geometry
 from .reduction import ReductionError, SpreadContext
 from .search import GuardExceeded, SearchConfig, enumerate_minimal, verify_catalog
@@ -36,12 +38,7 @@ EXIT_GUARD = 3
 
 
 def _versions():
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        own = version("lingeo")
-    except PackageNotFoundError:
-        own = "unknown"
-    return {"lingeo": own, "numpy": np.__version__,
+    return {"lingeo": __version__, "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3])}
 
 
@@ -339,7 +336,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except GuardExceeded as exc:
+    except (GuardExceeded, FieldTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ParseError, FieldError, GeometryError, ReductionError,

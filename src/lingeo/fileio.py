@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import make_field
+from .gf import FieldTooLarge, make_field
 from .pg import Geometry, PointSet, Subspace, build_geometry
 
 
@@ -90,6 +90,8 @@ def parse_point_set(text: str) -> PointSet:
                 raise ParseError(f"line {ln}: bad header: {exc}") from exc
             try:
                 fs = make_field(p, t, modulus)
+            except FieldTooLarge:
+                raise
             except Exception as exc:
                 raise ParseError(f"line {ln}: bad field: {exc}") from exc
             header = build_geometry(n, fs)

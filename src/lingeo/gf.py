@@ -5,11 +5,10 @@ of a polynomial of degree < t (least significant digit = constant term).
 A FieldSpec owns the modulus and all lookup tables; it is immutable after
 construction, so instances can be shared freely between threads.
 
-For q = p^t <= 2^16 one discrete log / antilog pair is precomputed: the
-scalar operations read it as lists, the vectorized ones as one zero-safe
-numpy pair (below).  Fields above 2^16 fall back to polynomial
-arithmetic (and have no vectorized path); fields with p^t > 2^31 are out
-of scope.
+Every field holds one discrete log / antilog pair: the scalar operations
+read it as lists, the vectorized ones as one zero-safe numpy pair
+(below).  The tables bound the order: a field with q = p^t > 2^16 raises
+``FieldTooLarge`` before any modulus search.
 
 The vectorized product works in the log domain without a zero mask: a
 private log table sends 0 to the sentinel Z = 2(q-1), and the antilog
@@ -49,6 +48,10 @@ class NonDivisorDegreeError(FieldError):
     pass
 
 
+class FieldTooLarge(FieldError):
+    """q = p^t above the 2^16 limit of the log/antilog tables."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -75,15 +78,6 @@ def _poly_trim(c):
     return tuple(c[:i])
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a, m, p):
     # m monic
     a = list(a)
@@ -103,13 +97,6 @@ def _code_to_poly(code: int, p: int):
         code, r = divmod(code, p)
         digits.append(r)
     return tuple(digits)
-
-
-def _poly_to_code(poly, p: int) -> int:
-    code = 0
-    for c in reversed(poly):
-        code = code * p + c
-    return code
 
 
 def poly_is_irreducible(coeffs, p: int) -> bool:
@@ -153,6 +140,9 @@ class FieldSpec:
             raise NonPrimeError(f"{p} is not prime")
         if t < 1:
             raise FieldError("extension degree must be >= 1")
+        if p ** t > _TABLE_LIMIT:
+            raise FieldTooLarge(f"GF({p}^{t}) has {p ** t} elements; the "
+                                f"field tables stop at {_TABLE_LIMIT}")
         if modulus == "auto":
             modulus = _auto_modulus(p, t)
         modulus = tuple(int(c) % p for c in modulus)
@@ -191,39 +181,51 @@ class FieldSpec:
 
     # -- tables ------------------------------------------------------------
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        if self.t == 1:
-            return a * b % self.p
-        prod = _poly_mul(_code_to_poly(a, self.p), _code_to_poly(b, self.p), self.p)
-        return _poly_to_code(_poly_mod(prod, self.modulus, self.p), self.p)
-
     def _init_tables(self):
-        p, q = self.p, self.q
-        if q > _TABLE_LIMIT:
-            self._log = None
-            self._exp = None
-            self._log0 = None
-            self._exp0 = None
-            self.zero_log = None
-            self._spread = None
-            return
-        # find a generator of the multiplicative group by walking powers
-        exp = None
+        """Log/antilog tables from the base-p digits of all codes.
+
+        Multiplication by a fixed element r is GF(p)-linear on digit
+        vectors: digit j of c*r is the sum over k of c_k times digit j of
+        r*x^k, mod p.  So the multiply-by-r map of every code is t^2
+        multiply-adds of digit columns, given the digits of r, rx, ...,
+        rx^(t-1), and the powers of x come from the multiply-by-x map,
+        read off the modulus.  Candidates g = 2, 3, ... are walked by list
+        lookups until one has order q - 1.
+        """
+        p, t, q = self.p, self.t, self.q
+        codes = np.arange(q, dtype=np.int64)
+        # t columns of q digits, not one (q, t) block: freeing a block that
+        # large (393 KB at 2^12) raises glibc's dynamic mmap threshold for
+        # the rest of the process, which moved the census kernels' peak RSS
+        digits = [codes // p ** k % p for k in range(t)]
+
+        def times(rows):
+            """Codes of c*r for every code c; rows[k] = digits of r*x^k."""
+            out = np.zeros(q, dtype=np.int64)
+            for j in range(t):
+                out += sum(rows[k][j] * digits[k] for k in range(t)
+                           if rows[k][j]) % p * p ** j
+            return out.tolist()
+
+        # x * x^k is x^(k+1) for k < t-1, and x^t = -(m_0 + ... + m_(t-1) x^(t-1))
+        times_x = times([[int(j == k + 1) for j in range(t)]
+                         for k in range(t - 1)]
+                        + [[-m % p for m in self.modulus[:t]]])
+        exp = [1]  # q == 2: the group is {1}
         for g in range(2, q):
+            basis = [g]
+            for _ in range(t - 1):
+                basis.append(times_x[basis[-1]])
+            times_g = times([[c // p ** j % p for j in range(t)]
+                             for c in basis])
             seq = [1]
-            x = 1
-            for _ in range(q - 2):
-                x = self._mul_poly(x, g)
-                if x == 1:
-                    break
+            x = g
+            while x != 1:
                 seq.append(x)
-            else:
-                x = self._mul_poly(x, g)
-                if x == 1:
-                    exp = seq
-                    break
-        if exp is None:  # q == 2
-            exp = [1]
+                x = times_g[x]
+            if len(seq) == q - 1:
+                exp = seq
+                break
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -236,39 +238,29 @@ class FieldSpec:
         self._log0 = np.array([self.zero_log] + log[1:], dtype=np.int64)
         self._exp0 = np.array(exp + exp + [0] * (self.zero_log + 1),
                               dtype=np.int64)
-        self._init_add_tables()
+        self._init_add_tables(codes, digits)
 
-    def _init_add_tables(self):
+    def _init_add_tables(self, codes, digits):
         """Spread/unspread tables: vectorized add as one lookup-add-lookup.
 
         Each base-p digit is moved into its own base-2p slot, so adding
         two spread codes never carries between digits; an unspread table
         over the (2p)^t sum space maps back with the per-digit mod p.
+        ``digits`` holds the base-p digit columns of all ``codes``.
         """
         p, t = self.p, self.t
         self._spread = None
         if p == 2 or t == 1 or (2 * p) ** t > 1 << 24:
             return
-        codes = np.arange(self.q, dtype=np.int64)
-        spread = np.zeros(self.q, dtype=np.int64)
-        tmp = codes.copy()
-        for k in range(t):
-            spread += (tmp % p) * (2 * p) ** k
-            tmp //= p
-        sums = np.arange((2 * p) ** t, dtype=np.int64)
-        unspread = np.zeros(sums.size, dtype=np.int64)
-        tmp = sums.copy()
-        for k in range(t):
-            unspread += (tmp % (2 * p) % p) * p ** k
-            tmp //= 2 * p
-        neg = np.zeros(self.q, dtype=np.int64)
-        tmp = codes.copy()
-        for k in range(t):
-            neg += (p - tmp % p) % p * p ** k
-            tmp //= p
+        spread = sum(d * (2 * p) ** k for k, d in enumerate(digits))
+        # a sum digit in 0..2p-1 is lo + p*hi with lo < p and hi in {0, 1},
+        # so every sum code is spread(lo) + p*spread(hi) exactly once
+        hi = spread[np.logical_and.reduce([d <= 1 for d in digits])]
+        unspread = np.empty((2 * p) ** t, dtype=np.int64)
+        unspread[spread[:, None] + p * hi] = codes[:, None]
         self._spread = spread
         self._unspread = unspread
-        self._np_neg = neg
+        self._np_neg = sum(-d % p * p ** k for k, d in enumerate(digits))
         # zero-safe log sum -> spread(-product), and the spread-sum tables
         # back to spread codes and to logs; built on first use
         self._msneg = None
@@ -310,16 +302,12 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._mul_poly(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        if self._log is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self.pow_(a, self.q - 2)
+        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -332,26 +320,13 @@ class FieldSpec:
                 raise ZeroInverseError("0 has no negative powers")
             return 0
         k %= self.q - 1
-        if self._log is not None:
-            return self._exp[self._log[a] * k % (self.q - 1)]
-        out = 1
-        base = a
-        while k:
-            if k & 1:
-                out = self._mul_poly(out, base)
-            base = self._mul_poly(base, base)
-            k >>= 1
-        return out
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def frobenius(self, a: int, k: int) -> int:
         """a raised to the p^k."""
         return self.pow_(a, self.p ** (k % self.t))
 
     # -- vectorized arithmetic on int64 numpy arrays -------------------------
-
-    def _require_tables(self):
-        if self._log is None:
-            raise FieldError(f"vectorized ops need q <= {_TABLE_LIMIT}, got {self.q}")
 
     def vadd(self, a, b):
         p = self.p
@@ -397,7 +372,6 @@ class FieldSpec:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
-        self._require_tables()
         return self._exp0[self._log0[np.asarray(a)] + self._log0[np.asarray(b)]]
 
     def vlog0(self, a):
@@ -405,7 +379,6 @@ class FieldSpec:
         0..q-2 and 0 to the sentinel ``zero_log`` = 2(q-1), so sums of two
         of them feed ``vexp0`` and ``vmulsub_spread_log0`` with no zero
         mask."""
-        self._require_tables()
         return self._log0[np.asarray(a)]
 
     def vexp0(self, s):
@@ -428,7 +401,6 @@ class FieldSpec:
         return out
 
     def vinv(self, a):
-        self._require_tables()
         a = np.asarray(a)
         if np.any(a == 0):
             raise ZeroInverseError("0 has no multiplicative inverse")

@@ -351,11 +351,6 @@ class PointSet:
         return PointSet(self.geometry,
                         np.concatenate([self.indices, other.indices]))
 
-    def difference(self, other) -> "PointSet":
-        mask = ~np.isin(self.indices, np.asarray(list(other), dtype=np.int64)
-                        if not isinstance(other, PointSet) else other.indices)
-        return PointSet(self.geometry, self.indices[mask])
-
     def intersection(self, other: "PointSet") -> "PointSet":
         return PointSet(self.geometry,
                         self.indices[np.isin(self.indices, other.indices)])

@@ -22,7 +22,7 @@ point of the set on some hyperplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .blocking import analyze, hyperplane_incidence, is_blocking, is_minimal
@@ -68,6 +68,7 @@ class SearchResult:
     pruned: int = 0
     leaves: int = 0
     duplicates: int = 0
+    censuses: list = field(default_factory=list)  # LineCensus per entry
 
 
 def _hyperplane_masks(g: Geometry):
@@ -146,8 +147,10 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
                           leaves=leaves, duplicates=duplicates)
     for key in sorted(found):
         b = PointSet(g, list(key))
+        census = line_census(b)
         result.catalog.append(b)
-        result.reports.append(analyze(b))
+        result.censuses.append(census)
+        result.reports.append(analyze(b, census=census))
     return result
 
 
@@ -171,9 +174,9 @@ def verify_catalog(res: SearchResult) -> dict:
     """1-mod-p, exponent, and linearity verdicts for every catalog entry."""
     entries = []
     alarms = []
-    for b, rep in zip(res.catalog, res.reports):
+    for b, rep, census in zip(res.catalog, res.reports, res.censuses,
+                              strict=True):
         fs = b.geometry.fs
-        census = line_census(b)
         mod_ok = all(s == 0 or (s - 1) % fs.p == 0 for s in census.hist)
         if not mod_ok:
             alarms.append(sorted(int(i) for i in b.indices))

@@ -9,7 +9,8 @@ from lingeo.constructions import full_line, subgeometry, trace_linear_set
 
 @pytest.fixture(scope="session")
 def field():
-    """``make_field``, memoized for the session: GF(3^10) takes seconds."""
+    """``make_field``, memoized for the session: GF(3^10) takes most of a
+    second."""
     return functools.lru_cache(maxsize=None)(make_field)
 
 

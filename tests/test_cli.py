@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lingeo import blocking, census, cli, structure
+from lingeo import blocking, census, cli, search, structure
 from lingeo.cli import main
 from lingeo.fileio import (ParseError, parse_point_set, point_set_to_text,
                            read_point_set, write_point_set)
@@ -109,7 +109,7 @@ def _count_line_censuses(monkeypatch):
         calls.append(kwargs.get("collect_sizes", ()))
         return real(*args, **kwargs)
 
-    for mod in (census, cli, structure, blocking):
+    for mod in (census, cli, structure, blocking, search):
         monkeypatch.setattr(mod, "line_census", counting)
     return calls
 
@@ -206,6 +206,26 @@ def test_search_pg_1_3_line_has_exponent_t(tmp_path):
 def test_search_guard_exit_3(tmp_path):
     assert run(["search", "--p", "2", "--t", "4", "--n", "2",
                 "--out", str(tmp_path / "s")]) == 3
+
+
+def test_search_runs_one_line_census_per_entry(tmp_path, monkeypatch):
+    calls = _count_line_censuses(monkeypatch)
+    assert run(["search", "--p", "3", "--t", "1",
+                "--out", str(tmp_path / "s")]) == 0
+    # the 13 lines of PG(2, 3); verify_catalog reuses the search's censuses
+    assert len(calls) == 13
+
+
+def test_field_above_table_limit_exit_3(tmp_path, capsys):
+    # x^17 + x^3 + 1 is irreducible over GF(2)
+    pf = tmp_path / "big.txt"
+    pf.write_text("PG 2 2 17 " + ",".join(["1", "0", "0", "1"] + ["0"] * 13
+                                          + ["1"]) + "\n1 0 0\n")
+    for argv in (["build", "line", "--p", "2", "--t", "17"],
+                 ["verify", str(pf)],
+                 ["search", "--p", "2", "--t", "17"]):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert "field tables stop at 65536" in capsys.readouterr().err
 
 
 def test_project_cli(tmp_path, planar_baer_3d):

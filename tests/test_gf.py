@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lingeo.gf import (
     FieldSpec,
+    FieldTooLarge,
     NonDivisorDegreeError,
     NonPrimeError,
     ReducibleModulusError,
@@ -170,7 +171,9 @@ def test_vmatmul_matches_scalar(field, p, t, spread):
 def test_irreducibility_checker():
     assert poly_is_irreducible((1, 1, 1), 2)
     assert not poly_is_irreducible((1, 0, 1), 2)  # x^2+1 = (x+1)^2 over GF(2)
-    assert poly_is_irreducible((1, 0, 0, 0, 0, 1, 1), 2) is True or True
+    assert poly_is_irreducible((1, 0, 0, 0, 0, 1, 1), 2)  # x^6+x^5+1
+    # x^6+...+x+1 = (x^3+x+1)(x^3+x^2+1): reducible with no root
+    assert not poly_is_irreducible((1, 1, 1, 1, 1, 1, 1), 2)
 
 
 def test_json_roundtrip():
@@ -226,3 +229,75 @@ def test_spread_log_difference_matches_scalar(field):
     two = [fs.sub(v, fs.mul(int(y), int(z))) for v, y, z in zip(one, a2, b2)]
     assert np.array_equal(fs.vmulsub_spread_log0(sc, [s1, s2]),
                           [log0(v) for v in two])
+
+
+def _digits(code, fs):
+    return [code // fs.p ** k % fs.p for k in range(fs.t)]
+
+
+def _poly_mulmod(fs, a, b):
+    """a * b in GF(p)[x] / (modulus) on digit lists, by schoolbook
+    multiplication and long division: independent of the field tables."""
+    p, t, m = fs.p, fs.t, fs.modulus
+    da, db = _digits(a, fs), _digits(b, fs)
+    prod = [0] * (2 * t - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * t - 2, t - 1, -1):
+        c = prod[i]
+        for j in range(t + 1):
+            prod[i - t + j] = (prod[i - t + j] - c * m[j]) % p
+    return sum(d * p ** k for k, d in enumerate(prod[:t]))
+
+
+def _poly_pow(fs, a, k):
+    out = 1
+    while k:
+        if k & 1:
+            out = _poly_mulmod(fs, out, a)
+        a = _poly_mulmod(fs, a, a)
+        k >>= 1
+    return out
+
+
+def _prime_factors(n):
+    out, f = set(), 2
+    while f * f <= n:
+        while n % f == 0:
+            out.add(f)
+            n //= f
+        f += 1
+    return out | ({n} if n > 1 else set())
+
+
+# q = 2, one small field per vadd path (xor, prime modulo, spread table),
+# then GF(2^12) and the digit-loop field GF(3^10)
+@pytest.mark.parametrize("p,t", [(2, 1), (2, 4), (3, 1), (7, 2), (2, 12),
+                                 (3, 10)])
+def test_log_tables_are_powers_of_first_generator(field, p, t):
+    fs = field(p, t)
+    q, exp = fs.q, fs._exp
+    assert len(exp) == q - 1 and sorted(exp) == list(range(1, q))
+    assert all(fs._log[v] == k for k, v in enumerate(exp))
+    if q == 2:
+        return
+    g = exp[1]
+    # every step of the antilog table is one multiplication by g ...
+    step = 1 if q < 5000 else 7
+    for k in range(0, q - 2, step):
+        assert exp[k + 1] == _poly_mulmod(fs, exp[k], g)
+    assert _poly_mulmod(fs, exp[q - 2], g) == 1
+    # ... and g is the first code >= 2 of order q - 1
+    for c in range(2, g):
+        assert any(_poly_pow(fs, c, (q - 1) // r) == 1
+                   for r in _prime_factors(q - 1))
+
+
+def test_field_above_table_limit_is_refused():
+    with pytest.raises(FieldTooLarge):
+        make_field(2, 17)
+    # refused before the modulus is read: no irreducibility search
+    with pytest.raises(FieldTooLarge):
+        make_field(65537, 1, [0, 1])
+    assert make_field(2, 16).q == 1 << 16
