@@ -100,9 +100,12 @@ def _duals_through(fs, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
     of them.  The duals come unnormalized.
     """
     k, nf = coef.shape
+    # per point, not per row: a single point's columns are found once
+    piv = np.argmax(points != 0, axis=-1)
+    free = np.broadcast_to(free_columns(np.reshape(piv, (-1, 1)), nf + 1),
+                           (k, nf))
+    piv = np.broadcast_to(piv, (k,))
     pts = np.broadcast_to(points, (k, nf + 1))
-    piv = np.argmax(pts != 0, axis=1)
-    free = free_columns(piv[:, None], nf + 1)
     duals = np.zeros((k, nf + 1), dtype=np.int64)
     np.put_along_axis(duals, free, coef, axis=1)
     prods = fs.vmul(coef, np.take_along_axis(pts, free, axis=1))

@@ -148,10 +148,9 @@ def free_columns(piv: np.ndarray, d: int) -> np.ndarray:
 
 def kernel_operands(fs, coords: np.ndarray):
     """B's (m, d) coordinates prepared once for ``quotient_keys``: the
-    (d, m) codes, their zero-safe logs and their spread codes (None off
-    the spread-table path)."""
+    (d, m) codes and their zero-safe logs."""
     codes = np.ascontiguousarray(coords.T)
-    return codes, fs.vlog0(codes), fs.spread_codes(codes)
+    return codes, fs.vlog0(codes)
 
 
 def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
@@ -165,7 +164,8 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     a line (k = 2).  Only the d-k free columns of a basis carry
     information; there coordinate c of point j's image is
     coords[j, c] - sum_r alpha_r * basis[r, c], alpha_r = coords[j, pivot_r],
-    computed in the log domain from B's logs, taken once.  The image
+    whose products come as log sums from B's logs, taken once, and whose
+    zero-safe log ``fs.vmulsub_log0`` returns.  The image
     becomes d-k digits: each coordinate's log relative to the leading
     nonzero one (so every scalar multiple gets the same digits), or q-1
     for a zero coordinate, so the points of the subspace itself get all
@@ -180,7 +180,7 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     the point in column r) gives each row's columns up to its own the
     zero image, so they join the row's own group.
     """
-    codes, logs, spread = operands
+    codes, logs = operands
     nb, k, d = basis.shape
     q = fs.q
     z = fs.zero_log
@@ -202,7 +202,7 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     piv = np.argmax(basis != 0, axis=2)                  # (nb, k)
     free = free_columns(piv, d)
     lb = fs.vlog0(np.take_along_axis(basis, free[:, None, :], axis=2))
-    table = _digit_table(q)
+    table = _digit_table(fs)
     col = np.arange(mc)
     # a key of at most 31 bits sorts as int32, twice as fast
     dtype = np.int32 if w * per + jbits <= 31 else np.int64
@@ -216,13 +216,7 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
         lr = []
         for i in range(nd):
             sums = [la[r] + lb[r0:r1, r, i:i + 1] for r in range(k)]
-            if spread is not None:
-                x = fs.vmulsub_spread_log0(spread[free[r0:r1, i], j0:], sums)
-            else:
-                x = codes[free[r0:r1, i], j0:]
-                for s in sums:
-                    x = fs.vsub(x, fs.vexp0(s))
-                x = fs.vlog0(x)
+            x = fs.vmulsub_log0(codes[free[r0:r1, i], j0:], sums)
             if merge_lower:
                 x[:, :r1][low] = z
             lr.append(x)
@@ -231,8 +225,8 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
         lead = np.where(lr[-1] != z, lr[-1], 0)
         for x in lr[-2::-1]:
             np.copyto(lead, x, where=x != z)
-        # x - lead is in -(q-2)..q-2 for a nonzero coordinate and in
-        # q..2(q-1) for a zero one: one table maps both to the digit
+        # x - lead is in -(q-2)..q-2 for a nonzero coordinate and above
+        # q-2 for a zero one: one table maps both to the digit
         lead -= q - 2
         for kw, (a, b) in zip(words, spans):
             tile = kw[r0:r1]
@@ -246,10 +240,12 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     return words, self_words, jbits
 
 
-def _digit_table(q: int) -> np.ndarray:
+def _digit_table(fs) -> np.ndarray:
     """Digit of (log - lead log + q - 2) for a quotient coordinate: the
-    relative log mod q-1 when the coordinate is nonzero, q-1 when zero."""
-    x = np.arange(3 * q - 3, dtype=np.int64)
+    relative log mod q-1 when the coordinate is nonzero, q-1 when zero
+    (its zero-safe log, ``fs.zero_log``, puts it past 2q-4)."""
+    q = fs.q
+    x = np.arange(fs.zero_log + q - 1, dtype=np.int64)
     return np.where(x <= 2 * q - 4, (x - (q - 2)) % max(1, q - 1), q - 1)
 
 

@@ -11,12 +11,21 @@ read it as lists, the vectorized ones as one zero-safe numpy pair
 ``FieldTooLarge`` before any modulus search.
 
 The vectorized product works in the log domain without a zero mask: a
-private log table sends 0 to the sentinel Z = 2(q-1), and the antilog
+private log table sends 0 to the sentinel Z = 3(q-1), and the antilog
 table is zero-padded to 2Z+1 entries, so ``exp0[log0[a] + log0[b]]`` is
 the product for every pair, zeros included (a sum of two logs of nonzero
-codes stays below Z, a sum with a sentinel in it does not).  ``vlog0`` /
-``vexp0`` expose that pair, so a kernel that multiplies one operand by
-many others takes its log once.
+codes stays below 2q-3, a sum with a sentinel in it is at least Z).
+``vlog0`` / ``vexp0`` expose that pair, so a kernel that multiplies one
+operand by many others takes its log once.
+
+Vectorized addition has three paths: XOR for p = 2, addition mod p for
+t = 1, and Zech logarithms for odd extension fields, where x - y is read
+off log x and a log sum of y through two O(q) tables (``_init_zech``),
+so ``vmulsub_log0`` evaluates c - a1*b1 - ... with two gathers per
+product.  The sentinel is 3(q-1) rather than 2(q-1) so that the Zech
+table's index ranges for x = 0, for y = 0 and for two nonzero operands
+stay apart.  The scalar ``add`` / ``neg`` work digit by digit and are
+the reference the tests hold the vectorized paths to.
 """
 
 from __future__ import annotations
@@ -231,39 +240,53 @@ class FieldSpec:
             log[v] = i
         self._exp = exp
         self._log = log
-        # zero-safe pair: log 0 is the sentinel Z = 2(q-1), the antilogs
+        # zero-safe pair: log 0 is the sentinel Z = 3(q-1), the antilogs
         # are doubled so a sum of two logs needs no mod, and every sum
         # that holds a sentinel (Z..2Z) lands on the zero padding
-        self.zero_log = 2 * (q - 1)
-        self._log0 = np.array([self.zero_log] + log[1:], dtype=np.int64)
-        self._exp0 = np.array(exp + exp + [0] * (self.zero_log + 1),
+        z = self.zero_log = 3 * (q - 1)
+        self._log0 = np.array([z] + log[1:], dtype=np.int64)
+        self._exp0 = np.array(exp + exp + [0] * (2 * z + 1 - 2 * (q - 1)),
                               dtype=np.int64)
-        self._init_add_tables(codes, digits)
+        if p > 2 and t > 1:
+            self._init_zech()
 
-    def _init_add_tables(self, codes, digits):
-        """Spread/unspread tables: vectorized add as one lookup-add-lookup.
+    def _init_zech(self):
+        """Zech tables for subtraction on zero-safe logs (odd p, t > 1).
 
-        Each base-p digit is moved into its own base-2p slot, so adding
-        two spread codes never carries between digits; an unspread table
-        over the (2p)^t sum space maps back with the per-digit mod p.
-        ``digits`` holds the base-p digit columns of all ``codes``.
+        With lx = log0(x) and s a log sum of y (below 2q-3 for y != 0,
+        at least Z for y = 0), the log of x - y is
+        ``_reduce[lx + _zech[s - lx]]``; a negative s - lx reads
+        ``_zech`` from its end.  Its three ranges never meet because
+        Z = 3(q-1):
+        - x = 0, y != 0: s - lx in [-Z, -q-1]; the entry makes lx + entry
+          the log of -y, s + h with h = (q-1)/2, as -1 = g^h;
+        - both nonzero: d = s - lx in [-(q-2), 2q-4]; x - y = x(1 + g^(d+h)),
+          so the entry is log0(1 + g^(d+h)), Z on cancellation;
+        - y = 0: s - lx at least Z-q+2; the entry 0 leaves lx.
+        The other entries (both zero) are 0 as well.  Then lx + entry is
+        a log below Z, or at least Z for a zero result, and ``_reduce``
+        takes the first mod q-1 and sends the rest to Z.
         """
-        p, t = self.p, self.t
-        self._spread = None
-        if p == 2 or t == 1 or (2 * p) ** t > 1 << 24:
-            return
-        spread = sum(d * (2 * p) ** k for k, d in enumerate(digits))
-        # a sum digit in 0..2p-1 is lo + p*hi with lo < p and hi in {0, 1},
-        # so every sum code is spread(lo) + p*spread(hi) exactly once
-        hi = spread[np.logical_and.reduce([d <= 1 for d in digits])]
-        unspread = np.empty((2 * p) ** t, dtype=np.int64)
-        unspread[spread[:, None] + p * hi] = codes[:, None]
-        self._spread = spread
-        self._unspread = unspread
-        self._np_neg = sum(-d % p * p ** k for k, d in enumerate(digits))
-        # zero-safe log sum -> spread(-product), and the spread-sum tables
-        # back to spread codes and to logs; built on first use
-        self._msneg = None
+        p, q, z = self.p, self.q, self.zero_log
+        h = (q - 1) // 2
+        exp = np.array(self._exp, dtype=np.int64)
+        # adding 1 moves only the constant digit
+        one_plus = self._log0[exp - exp % p + (exp % p + 1) % p]
+        zech = np.zeros(3 * z + 1, dtype=np.int64)
+        d = np.arange(-(q - 2), 2 * q - 3)
+        zech[d] = one_plus[(d + h) % (q - 1)]
+        d = np.arange(-z, -q)
+        zech[d] = d + h
+        self._zech = zech
+        v = np.arange(2 * z + 1, dtype=np.int64)
+        self._reduce = np.where(v < z, v % (q - 1), z)
+
+    def _zech_sub_log0(self, lx, s):
+        """Zero-safe log of x - y from lx = log0(x) and a log sum s of y."""
+        # indexing, not take: take is slow on negative indices
+        v = self._zech[s - lx]
+        v += lx
+        return self._reduce.take(v)
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -334,18 +357,9 @@ class FieldSpec:
             return np.bitwise_xor(a, b)
         if self.t == 1:
             return (a + b) % p
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if self._spread is not None:
-            return self._unspread[self._spread[a] + self._spread[b]]
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.t):
-            out += (a % p + b % p) % p * mult
-            a = a // p
-            b = b // p
-            mult *= p
-        return out
+        # x + y = x - (-y), and log(-y) = log y + (q-1)/2
+        s = self._log0[np.asarray(b)] + (self.q - 1) // 2
+        return self._exp0[self._zech_sub_log0(self._log0[np.asarray(a)], s)]
 
     def vneg(self, a):
         p = self.p
@@ -353,32 +367,23 @@ class FieldSpec:
             return np.array(a, copy=True)
         if self.t == 1:
             return (-np.asarray(a)) % p
-        a = np.asarray(a)
-        if self._spread is not None:
-            return self._np_neg[a]
-        out = np.zeros(a.shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.t):
-            out += (-(a % p)) % p * mult
-            a = a // p
-            mult *= p
-        return out
+        return self._exp0[self._log0[np.asarray(a)] + (self.q - 1) // 2]
 
     def vsub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.t == 1:
             return (np.asarray(a) - np.asarray(b)) % self.p
-        return self.vadd(a, self.vneg(b))
+        return self._exp0[self._zech_sub_log0(self._log0[np.asarray(a)],
+                                              self._log0[np.asarray(b)])]
 
     def vmul(self, a, b):
         return self._exp0[self._log0[np.asarray(a)] + self._log0[np.asarray(b)]]
 
     def vlog0(self, a):
         """Zero-safe discrete logs: a nonzero code maps to its log in
-        0..q-2 and 0 to the sentinel ``zero_log`` = 2(q-1), so sums of two
-        of them feed ``vexp0`` and ``vmulsub_spread_log0`` with no zero
-        mask."""
+        0..q-2 and 0 to the sentinel ``zero_log`` = 3(q-1), so sums of two
+        of them feed ``vexp0`` and ``vmulsub_log0`` with no zero mask."""
         return self._log0[np.asarray(a)]
 
     def vexp0(self, s):
@@ -406,34 +411,23 @@ class FieldSpec:
             raise ZeroInverseError("0 has no multiplicative inverse")
         return self._exp0[self.q - 1 - self._log0[a]]
 
-    def spread_codes(self, a):
-        """Spread representation of codes, or None if unavailable.
+    def vmulsub_log0(self, c, sums):
+        """Zero-safe logs (``vlog0``) of c - a1*b1 - a2*b2 - ..., for codes
+        c and each product given by its ``vlog0`` sum in ``sums``.
 
-        Feed the result to vmulsub_spread_log0 to evaluate the log of
-        c - a*b with two table gathers per element instead of seven.
+        Odd extension fields stay in the log domain, two Zech gathers per
+        product; on the others the product codes are subtracted one by
+        one.
         """
-        if self._spread is None:
-            return None
-        return self._spread[np.asarray(a)]
-
-    def vmulsub_spread_log0(self, sc, sums):
-        """Zero-safe discrete logs (``vlog0``) of c - a1*b1 - a2*b2 - ...,
-        with c pre-spread (sc = spread_codes(c)) and each product given
-        by its ``vlog0`` sum in ``sums``.
-
-        Two gathers per product: log sum -> spread(-product), then the
-        spread sum -> spread code (between products) or -> log (after the
-        last one).
-        """
-        if self._msneg is None:
-            # spread(-exp0[l]) for every zero-safe log sum l
-            self._msneg = self._spread[self._np_neg[self._exp0]]
-            self._respread = self._spread[self._unspread]
-            self._unspread_log0 = self._log0[self._unspread]
-        acc = sc
-        for s in sums[:-1]:
-            acc = self._respread[acc + self._msneg[s]]
-        return self._unspread_log0[acc + self._msneg[sums[-1]]]
+        if self.p == 2 or self.t == 1:
+            x = np.asarray(c)
+            for s in sums:
+                x = self.vsub(x, self._exp0[s])
+            return self._log0[x]
+        lx = self._log0.take(c)
+        for s in sums:
+            lx = self._zech_sub_log0(lx, s)
+        return lx
 
     # -- subfields -----------------------------------------------------------
 

@@ -21,10 +21,6 @@ class ReductionError(Exception):
     pass
 
 
-class NotASubline(ReductionError):
-    pass
-
-
 class LiftInconsistent(ReductionError):
     pass
 
@@ -163,18 +159,15 @@ class SpreadContext:
 
     # -- subline lifting -------------------------------------------------------
 
-    def lift_subline(self, s: PointSet, p_index: int, x_coords,
-                     check_subline: bool = True) -> Subspace:
+    def lift_subline(self, s: PointSet, p_index: int, x_coords) -> Subspace:
         """The unique reduced line through x mapping onto the subline s.
 
         s must be a GF(q0)-subline of a big line, p_index one of its point
         indices, and x a reduced point of the spread element of that point.
+        A set that is not such a subline raises ``LiftInconsistent``: no
+        lifted line maps back onto it.
         """
-        from .structure import is_subline  # local import: module layering
-
         fs = self.big.fs
-        if check_subline and not is_subline(s, self.e):
-            raise NotASubline("point set is not a subline of matching order")
         if p_index not in s:
             raise ReductionError("anchor point is not a member of the subline")
         v = np.asarray(self.eps_inv(x_coords), dtype=np.int64)

@@ -646,7 +646,7 @@ def certify_linearity(b: PointSet, report,
             for members in through:
                 s = PointSet(g, members)
                 try:
-                    line = ctx.lift_subline(s, p_index, x, check_subline=False)
+                    line = ctx.lift_subline(s, p_index, x)
                 except LiftInconsistent:
                     skipped.append(tuple(int(i) for i in s.indices))
                     continue

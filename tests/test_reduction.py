@@ -114,5 +114,5 @@ def test_lift_subline_rejects_non_subline():
     p_index = int(s.indices[0])
     el = ctx.spread_element(g.coords_of(p_index))
     x = ctx.reduced.coords_of(int(el.point_set().indices[0]))
-    with pytest.raises(Exception):
+    with pytest.raises(LiftInconsistent):
         ctx.lift_subline(s, p_index, x)

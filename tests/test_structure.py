@@ -56,7 +56,7 @@ def test_batch_agrees_with_scalar(baer_49):
     assert verdicts.all()
 
 
-# char 2, the spread-add path, and an odd prime off the spread path
+# char 2, and two odd extension fields (Zech addition)
 @pytest.mark.parametrize("p,t,e", [(2, 6, 3), (7, 2, 1), (3, 10, 5)])
 def test_batch_sublines_match_scalar_on_mixed_rows(field, p, t, e):
     fs = field(p, t)
@@ -347,8 +347,8 @@ def test_certify_lifts_the_short_secants_through_its_anchor(request, name):
         if len(members) == rep.q0 + 1:
             try:
                 rows.extend(ctx.lift_subline(PointSet(g, members),
-                                             cert.anchor_index, cert.x_coords,
-                                             check_subline=False).basis)
+                                             cert.anchor_index,
+                                             cert.x_coords).basis)
             except LiftInconsistent:
                 skipped += 1
     assert len(cert.lifted_lines) == len(rows) // 2
