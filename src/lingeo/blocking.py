@@ -33,7 +33,7 @@ import numpy as np
 from .census import (LineCensus, block_rows, free_columns, kernel_operands,
                      line_census, quotient_keys, row_groups, tile_rows)
 from .pg import (Geometry, GeometryError, PointSet, Subspace, lex_points,
-                 normalize_rows, space_size, span)
+                 normalize_rows, space_size)
 
 _COVER_LIMIT = 50_000_000
 _WITNESS_TRIALS = 400
@@ -324,7 +324,7 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
         census = line_census(b)
     size = b.card
     small = size < 3 * (fs.q + 1) / 2
-    span_dim = span(g, [tuple(int(x) for x in c) for c in b.coords()]).dim
+    span_dim = b.span_dim()
     line_exponent = exponent_from_lines(b, census)
     e_lines = line_exponent[0]
     witnesses: dict = {}

@@ -27,10 +27,20 @@ once per kernel call, and the field work runs in cache-sized row tiles
 (``TILE_ELEMS``) inside each sorted block (``BLOCK_ELEMS``).  The scalar
 ``quotient_rows`` and ``pack_rows`` serve only ``structure.plane_census``,
 the plane kernel's test oracle.
+
+Blocks are independent, and the kernel's sorts, gathers and ufuncs release
+the GIL, so ``map_blocks`` runs them on a pool of ``threads`` worker
+threads (clamped to the CPUs and to the blocks; one worker is a plain
+loop).  ``split_blocks`` gives each of w workers blocks of
+``BLOCK_ELEMS // w`` elements, so the elements in flight do not grow, and
+the callers merge the results in block order, so every thread count gives
+the same census.  ``line_census`` and ``structure``'s subline and plane
+checks go through it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +84,8 @@ class LineCensus:
     point indices).  ``per_point_secants`` (and so
     ``per_point_tangents``) is None when the census was computed in pair
     mode and some secant size is not collected (the histogram itself is
-    always exact).
+    always exact).  ``threads`` is the worker count it was asked for,
+    which ``with_secants`` passes on.
     """
 
     point_set: PointSet
@@ -82,6 +93,7 @@ class LineCensus:
     per_point_secants: np.ndarray   # lines through P with >= 2 points of B
     per_point_by_size: dict         # size -> np.ndarray of counts per point
     secants: dict = field(default_factory=dict)  # size -> (S, size) positions
+    threads: int = field(default=1, compare=False)
     _collected: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)  # size -> census collecting it
 
@@ -118,12 +130,12 @@ class LineCensus:
             shadowed = any(k > size for k in self.hist)
             self._collected[size] = line_census(
                 self.point_set, collect_sizes=[size],
-                mode="full" if shadowed else "auto")
+                mode="full" if shadowed else "auto", threads=self.threads)
         return self._collected[size]
 
 
 _PAIR_MODE_THRESHOLD = 4096
-BLOCK_ELEMS = 1 << 21       # (row, column) elements per sorted kernel block
+BLOCK_ELEMS = 1 << 20       # (row, column) elements in flight, over all workers
 TILE_ELEMS = 1 << 15        # elements per cache-sized step inside a block
 _WORD_BITS = 63             # bits of a non-negative int64 sort key
 
@@ -136,6 +148,44 @@ def block_rows(width: int) -> int:
 def tile_rows(width: int) -> int:
     """Rows per cache-sized step whose rows are ``width`` long."""
     return max(1, TILE_ELEMS // max(1, width))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(threads: int, blocks: int, cpus: int | None = None) -> int:
+    """Worker threads for ``blocks`` blocks: ``threads`` clamped to the
+    CPUs (``cpus``, by default this process's) and to the blocks."""
+    if cpus is None:
+        cpus = _cpus()
+    return max(1, min(threads, cpus, blocks))
+
+
+def split_blocks(n: int, width: int, threads: int):
+    """(block starts, rows per block, workers) for ``n`` rows ``width``
+    long: the ``worker_count`` of full-size blocks, each then given
+    blocks of ``BLOCK_ELEMS // workers`` elements."""
+    workers = worker_count(threads, -(-n // block_rows(width)))
+    rows = block_rows(width * workers)
+    return range(0, n, rows), rows, workers
+
+
+def map_blocks(fn, starts, threads: int) -> list:
+    """``[fn(s) for s in starts]``, on ``worker_count(threads,
+    len(starts))`` threads: a plain loop for one, else a thread pool
+    (the kernels release the GIL).  Results come in block order."""
+    workers = worker_count(threads, len(starts))
+    if workers == 1:
+        return [fn(s) for s in starts]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, starts))
 
 
 def free_columns(piv: np.ndarray, d: int) -> np.ndarray:
@@ -289,7 +339,8 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
     return starts, counts, starts // mc, own, members
 
 
-def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus:
+def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
+                threads: int = 1) -> LineCensus:
     """Exact census of all lines meeting B, grouped around each point.
 
     ``collect_sizes`` lists intersection sizes whose secants should be
@@ -316,7 +367,9 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
     bits are grouped by ``np.lexsort`` instead, so every field up to
     2^16 and every dimension whose point indices fit int64 has an exact
     path.  A 16k-point set costs a few hundred vectorized passes rather
-    than 16k small ones.
+    than 16k small ones.  ``threads`` workers census blocks at once
+    (``split_blocks``, ``map_blocks``); their counts and secant rows are
+    merged in block order.
     """
     g = b.geometry
     fs = g.fs
@@ -328,23 +381,20 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
         return LineCensus(b, {1: lines_through_point},
                           np.zeros(1, dtype=np.int64), {},
                           {s: np.zeros((0, s), dtype=np.int64)
-                           for s in collect_sizes})
+                           for s in collect_sizes}, threads)
     if mode == "auto":
         mode = "pair" if m > _PAIR_MODE_THRESHOLD else "full"
     if mode not in ("full", "pair"):
         raise ValueError(f"unknown census mode: {mode!r}")
     operands = kernel_operands(fs, coords)
-    bs = block_rows(m)
     pair = mode == "pair"
-    # size -> chunks of (S, size) position rows; the longest size seen so
-    # far (longest) is collected too, and dropped when a longer line shows up
-    chunks: dict = {s: [] for s in collect_sizes}
-    longest = 0
-    hist: dict = {}
-    group_counts: dict = {}           # pair mode: group size -> #groups
-    n_sec = np.zeros(m, dtype=np.int64)
-    by_size: dict = {}
-    for i0 in range(0, m, bs):
+    block_starts, bs, workers = split_blocks(m, m, threads)
+
+    def census_block(i0):
+        """The groups around the points i0..i1-1: pair mode, group size ->
+        number of groups; full mode, line size -> lines per point of the
+        block.  Also the block's longest line and, by size, its secant
+        rows of that size and of the collected sizes."""
         i1 = min(i0 + bs, m)
         nb = i1 - i0
         j0 = i0 if pair else 0        # pair mode: only columns j >= i0
@@ -354,41 +404,56 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
                               cols=True, merge_lower=pair)
         starts, counts, gpos, own, cols = row_groups(*block, cols=True)
         real = ~own                              # drop each point's self-group
-        gpos_r = gpos[real]
-        counts_r = counts[real]
-        starts_r = starts[real]
+        gpos, counts, starts = gpos[real], counts[real], starts[real]
         if pair:
-            for v, c in zip(*np.unique(counts_r, return_counts=True)):
-                group_counts[int(v)] = group_counts.get(int(v), 0) + int(c)
+            sizes = dict(zip(*(a.tolist() for a in
+                               np.unique(counts, return_counts=True))))
         else:
-            n_sec[i0:i1] = np.bincount(gpos_r, minlength=nb)
-            sizes = counts_r + 1
-            # histogram contribution: each k-line is seen from k members
-            for v in np.unique(sizes).tolist():
-                sel = sizes == v
+            # each k-line is seen from its k members
+            sizes = {v: np.bincount(gpos[counts == v - 1], minlength=nb)
+                     for v in (np.unique(counts) + 1).tolist()}
+        k = int(counts.max()) + 1 if counts.size else 0
+        rows = {}
+        for s in collect_sizes | ({k} if k >= 3 else set()):
+            gsel = np.flatnonzero(counts == s - 1)
+            if gsel.size == 0:
+                continue
+            offs = starts[gsel][:, None] + np.arange(s - 1)[None, :]
+            mem = j0 + cols[offs]                # member positions
+            at = i0 + gpos[gsel]
+            if not pair:
+                # report each secant once, at its lowest member (in pair
+                # mode every member is above the group's own point)
+                keep = mem.min(axis=1) > at
+                mem, at = mem[keep], at[keep]
+            rows[s] = np.sort(np.concatenate([at[:, None], mem], axis=1),
+                              axis=1)
+        return sizes, k, rows
+
+    # size -> chunks of (S, size) position rows; the longest size seen so
+    # far (longest) is collected too, and dropped when a longer line shows up
+    chunks: dict = {s: [] for s in collect_sizes}
+    longest = 0
+    hist: dict = {}
+    group_counts: dict = {}           # pair mode: group size -> #groups
+    by_size: dict = {}
+    for i0, (sizes, k, rows) in zip(
+            block_starts, map_blocks(census_block, block_starts, workers)):
+        if pair:
+            for v, c in sizes.items():
+                group_counts[v] = group_counts.get(v, 0) + c
+        else:
+            for v, per in sizes.items():
                 arr = by_size.setdefault(v, np.zeros(m, dtype=np.int64))
-                arr[i0:i1] += np.bincount(gpos_r[sel], minlength=nb)
-                hist[v] = hist.get(v, 0) + int(sel.sum())
-        k = int(counts_r.max()) + 1 if counts_r.size else 0
+                arr[i0:i0 + per.size] = per
+                hist[v] = hist.get(v, 0) + int(per.sum())
         if k > longest:
             if longest not in collect_sizes:
                 chunks.pop(longest, None)
             longest = k
-        for s in collect_sizes | ({longest} if longest >= 3 else set()):
-            gsel = np.flatnonzero(counts_r == s - 1)
-            if gsel.size == 0:
-                continue
-            offs = starts_r[gsel][:, None] + np.arange(s - 1)[None, :]
-            mem = j0 + cols[offs]                # member positions
-            own = i0 + gpos_r[gsel]
-            if not pair:
-                # report each secant once, at its lowest member (in pair
-                # mode every member is above the group's own point)
-                keep = mem.min(axis=1) > own
-                mem, own = mem[keep], own[keep]
-            rows = np.concatenate([own[:, None], mem], axis=1)
-            rows.sort(axis=1)
-            chunks.setdefault(s, []).append(rows)
+        for s, part in rows.items():
+            if s in collect_sizes or s == longest:
+                chunks.setdefault(s, []).append(part)
     if pair:
         # N_k = c_{k-1} - c_k: each k-line yields one group of every size < k
         top = max(group_counts) if group_counts else 0
@@ -404,9 +469,11 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
             raise ValueError(
                 f"secants of sizes {sorted(shadow)} are shadowed by longer "
                 "secants; use mode='full' to collect them")
+        n_sec = np.zeros(m, dtype=np.int64)
     else:
         # each secant of size k was counted k times
         hist = {s: c // s for s, c in hist.items()}
+        n_sec = sum(by_size.values(), np.zeros(m, dtype=np.int64))
     # each point lies on lines_through_point lines: those not on a secant
     # are tangents
     hist[1] = m * lines_through_point - sum(k * c for k, c in hist.items())
@@ -424,4 +491,4 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto") -> LineCensus
         secants[s] = pos
     if pair and not all(s in secants for s in hist if s >= 2):
         n_sec = None        # some secant is not on record
-    return LineCensus(b, hist, n_sec, by_size, secants)
+    return LineCensus(b, hist, n_sec, by_size, secants, threads)

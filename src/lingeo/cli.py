@@ -5,6 +5,11 @@ seed, wall time, outcome) into the output directory.  Report files
 contain no timing or machine-dependent data, so identical inputs and
 seeds produce byte-identical reports regardless of ``--threads``.
 
+``--threads`` (at least 1) is the worker count of ``verify``'s block
+kernels: the line census, the subline batches and the plane blocks of
+the lemma suite (``census.map_blocks``, clamped to the CPUs and the
+blocks).  ``search`` and the other commands run on one thread.
+
 Exit codes: 0 success / all checks pass; 1 at least one FAIL;
 2 validation or parse error; 3 resource limit: the search guard tripped
 without --force, or a field above the 2^16 limit of the field tables
@@ -128,7 +133,7 @@ def cmd_verify(args):
             raise ParseError(f"unknown check '{c}'")
     b = read_point_set(args.input)
     fs = b.geometry.fs
-    census = line_census(b)
+    census = line_census(b, threads=args.threads)
     report = blocking.analyze(b, seed=args.seed,
                               with_point_exponents=(b.geometry.n == 2),
                               census=census)
@@ -152,14 +157,16 @@ def cmd_verify(args):
         if not e or fs.t % e != 0:
             add("sublines", "INFORMATIONAL", "no usable subfield exponent")
         else:
-            res = structure.check_sublines(b, e, census=census)
+            res = structure.check_sublines(b, e, census=census,
+                                           threads=args.threads)
             add("sublines",
                 "PASS" if not res["violations"] else "FAIL",
                 f"{res['checked']} short secants checked, "
                 f"{len(res['violations'])} violations")
     if "lemmas" in checks:
         lemma_entries = structure.run_lemma_suite(
-            b, report, census=census, plane_secant_cap=args.plane_secant_cap)
+            b, report, census=census, plane_secant_cap=args.plane_secant_cap,
+            threads=args.threads)
         for le in lemma_entries:
             add(f"lemma:{le['check']}", le["status"],
                 f"bound {le['bound']} measured {le['measured']}"
@@ -335,6 +342,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     args.argv = argv
     try:
+        if args.threads < 1:
+            raise ParseError("--threads must be >= 1")
         return args.func(args)
     except (GuardExceeded, FieldTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

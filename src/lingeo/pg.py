@@ -315,8 +315,9 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, geometry: Geometry, coords_list):
-        rows = np.array([geometry.normalize(c) for c in coords_list],
-                        dtype=np.int64)
+        """The points with the given nonzero coordinate rows, in any scale
+        (``index_of_rows`` normalizes them)."""
+        rows = np.asarray(coords_list, dtype=np.int64)
         return cls(geometry, geometry.index_of_rows(rows))
 
     @property
@@ -346,6 +347,23 @@ class PointSet:
         if self._coords is None:
             self._coords = self.geometry.coords_of_indices(self.indices)
         return self._coords
+
+    def span_dim(self) -> int:
+        """Projective dimension of the span of the set: its rank minus
+        one, by one vectorized elimination over the coordinate rows, a
+        ``vmul``/``vsub`` pass per column (``rref`` is for bases)."""
+        fs = self.geometry.fs
+        rows = self.coords()
+        rank = 0
+        for c in range(rows.shape[1]):
+            nz = np.flatnonzero(rows[:, c])
+            if nz.size == 0:
+                continue
+            pivot = fs.vmul(fs.vinv(rows[nz[0], c]), rows[nz[0]])
+            # clears column c, the pivot's own row included
+            rows = fs.vsub(rows, fs.vmul(rows[:, c:c + 1], pivot))
+            rank += 1
+        return rank - 1
 
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet(self.geometry,

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import (LineCensus, block_rows, kernel_operands, line_census,
-                     pack_rows, quotient_keys, quotient_rows, row_groups)
+from .census import (LineCensus, kernel_operands, line_census, map_blocks,
+                     pack_rows, quotient_keys, quotient_rows, row_groups,
+                     split_blocks)
 from .pg import PointSet, Subspace, span
 from .reduction import LiftInconsistent, SpreadContext
 
@@ -161,29 +162,43 @@ def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
     return np.all((ld0 != z) & (ld1 != z) & (cross % step == 0), axis=1)
 
 
-def _short_secants(b: PointSet, q0: int, census: LineCensus | None):
+def _short_secants(b: PointSet, q0: int, census: LineCensus | None,
+                   threads: int = 1):
     """``census`` with its (q0+1)-secants collected; without one, a single
     full-mode pass, the mode that can collect any size."""
     if census is None:
-        return line_census(b, collect_sizes=[q0 + 1], mode="full")
+        return line_census(b, collect_sizes=[q0 + 1], mode="full",
+                           threads=threads)
     return census.with_secants(q0 + 1)
 
 
-def check_sublines(b: PointSet, e: int, census: LineCensus | None = None) -> dict:
+# secants per subline batch, so million-secant instances never hold giant
+# temporaries.  On 2 workers, a 4,681-point set with 304,265 short secants
+# peaked at 206 MB with 200k-secant batches, 153 MB with 100k and 130 MB,
+# its census's peak, with 50k or 25k
+SUBLINE_CHUNK = 50_000
+
+
+def check_sublines(b: PointSet, e: int, census: LineCensus | None = None,
+                   threads: int = 1) -> dict:
     """Verify every (p^e+1)-secant of B is a subline; list violations.
 
     ``census`` is reused, its short secants collected at most once
-    (``census.with_secants``).
+    (``census.with_secants``).  Batches of ``SUBLINE_CHUNK`` secants run
+    on ``threads`` workers (``census.map_blocks``), violations listed in
+    secant order.
     """
     q0 = b.geometry.fs.p ** e
-    secants = _short_secants(b, q0, census).secants[q0 + 1]
-    # chunked so million-secant instances never hold giant temporaries
-    chunk = 200_000
-    violations = []
-    for lo in range(0, secants.shape[0], chunk):
-        part = secants[lo:lo + chunk]
-        bad = part[~sublines_pass_batch(b, part, e)]
-        violations.extend(tuple(row) for row in b.indices[bad].tolist())
+    secants = _short_secants(b, q0, census, threads).secants[q0 + 1]
+
+    def bad_rows(lo):
+        part = secants[lo:lo + SUBLINE_CHUNK]
+        return part[~sublines_pass_batch(b, part, e)]
+
+    bad = map_blocks(bad_rows, range(0, secants.shape[0], SUBLINE_CHUNK),
+                     threads)
+    violations = [tuple(row) for part in bad
+                  for row in b.indices[part].tolist()]
     return {"checked": int(secants.shape[0]), "violations": violations}
 
 
@@ -332,7 +347,8 @@ class PlaneData:
     sizes: list
 
 
-def plane_block_data(b: PointSet, secants, q0: int) -> PlaneData:
+def plane_block_data(b: PointSet, secants, q0: int,
+                     threads: int = 1) -> PlaneData:
     """``plane_census`` of every (q0+1)-secant in ``secants`` (an (S, q0+1)
     array of positions into ``b.indices``), as block kernels instead of
     one call per secant.
@@ -342,6 +358,7 @@ def plane_block_data(b: PointSet, secants, q0: int) -> PlaneData:
     sorted within its secant's row; a run of equal keys is one plane
     through the secant and its length is the plane's point count off the
     secant.  The secant's own points are the zero-image run, dropped.
+    Blocks run on ``threads`` workers (``census.map_blocks``).
     """
     g = b.geometry
     fs = g.fs
@@ -355,19 +372,25 @@ def plane_block_data(b: PointSet, secants, q0: int) -> PlaneData:
         basis, _, _ = _line_bases(fs, coords[sec[:, 0]], coords[sec[:, 1]])
         operands = kernel_operands(fs, coords)
         target = q0 * q0 + q0 + 1
-        bs = block_rows(b.card)
-        for s0 in range(0, ns, bs):
+        block_starts, bs, workers = split_blocks(ns, b.card, threads)
+
+        def plane_block(s0):
+            """Fill the block's rows of good and min_size; its plane sizes."""
             s1 = min(s0 + bs, ns)
             block = quotient_keys(fs, operands, basis[s0:s1])
             _, counts, row, own, _ = row_groups(*block)
             row, size = row[~own], counts[~own] + q0 + 1
             # off-line points make a plane non-collinear, so size decides
             good[s0:s1] = np.bincount(row[size == target], minlength=s1 - s0)
-            if row.size:
-                # runs come in row order: each row's first run opens its segment
-                first = np.flatnonzero(np.diff(row, prepend=-1))
-                min_size[s0 + row[first]] = np.minimum.reduceat(size, first)
-                sizes.update(np.unique(size).tolist())
+            if not row.size:
+                return []
+            # runs come in row order: each row's first run opens its segment
+            first = np.flatnonzero(np.diff(row, prepend=-1))
+            min_size[s0 + row[first]] = np.minimum.reduceat(size, first)
+            return np.unique(size).tolist()
+
+        for part in map_blocks(plane_block, block_starts, workers):
+            sizes.update(part)
     return PlaneData(good, min_size, sorted(sizes))
 
 
@@ -422,7 +445,8 @@ def _entry(check, bound, measured, status, note=""):
 
 
 def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
-                    plane_secant_cap: int | None = None) -> list:
+                    plane_secant_cap: int | None = None,
+                    threads: int = 1) -> list:
     """Run every quantitative check against B and its blocking report.
 
     ``report`` is a blocking_core BlockingReport.  Checks that need the
@@ -431,6 +455,7 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
     most once (``census.with_secants``).  ``plane_secant_cap`` bounds
     (deterministically, lowest secants first) how many secants get their
     one plane census, which feeds every plane check; None means all.
+    ``threads`` workers run the plane blocks (``plane_block_data``).
     """
     g = b.geometry
     fs = g.fs
@@ -448,7 +473,7 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
     if h is None:
         return [_entry("size", "-", b.card, "INFORMATIONAL",
                        "exponent does not divide the field degree")]
-    census = _short_secants(b, q0, census)
+    census = _short_secants(b, q0, census, threads)
 
     # size upper bound
     bound, info = bound_value("size", q0, h)
@@ -509,7 +534,7 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
         if plane_secant_cap is not None:
             secants = secants[:plane_secant_cap]
         bound, info = bound_value("good_planes", q0, h)
-        planes = plane_block_data(b, secants, q0)
+        planes = plane_block_data(b, secants, q0, threads)
         plane_sizes = set(planes.sizes)
         all_bad = planes.good == 0
         # latter case: all listed planes carry many points off the line

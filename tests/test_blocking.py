@@ -5,8 +5,8 @@ from lingeo import blocking
 from lingeo.census import line_census
 from lingeo.constructions import random_linear_blocking_set, subgeometry
 from lingeo.gf import make_field
-from lingeo.pg import (PointSet, build_geometry, lex_points, points_of,
-                       set_meet)
+from lingeo.pg import (PointSet, build_geometry, lex_points, line_through,
+                       points_of, set_meet, span)
 
 
 def brute_unblocked(b):
@@ -372,3 +372,17 @@ def test_report_json_deterministic(baer_49):
     import json
     d = json.loads(r1)
     assert d["size"] == 57
+
+
+def test_span_dim_matches_rref_span(corpus, rank5_pg3_81, rank5_pg3_16):
+    # the corpus spans planes, and a line of it spans a proper subspace;
+    # add the rank-5 sets of PG(3, q), a line of PG(3, 8) and one point
+    g = build_geometry(3, make_field(2, 3))
+    line = points_of(line_through(g, (1, 0, 0, 0), (0, 1, 1, 0)))
+    sets = [b for _name, b, _e in corpus]
+    sets += [rank5_pg3_81, rank5_pg3_16, line, PointSet(g, [5])]
+    for b in sets:
+        want = span(b.geometry, [tuple(int(x) for x in c)
+                                 for c in b.coords()]).dim
+        assert b.span_dim() == want
+    assert [b.span_dim() for b in sets] == [1, 2, 2, 2, 2, 3, 3, 3, 1, 0]

@@ -1,9 +1,12 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
-from lingeo.census import kernel_operands, line_census, quotient_keys
+from lingeo import census as census_module, structure
+from lingeo.census import (kernel_operands, line_census, quotient_keys,
+                           worker_count)
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, build_geometry, points_of, set_meet, space_size
 
@@ -288,3 +291,128 @@ def test_wide_field_census_matches_oracle(t, extra, sorted_word):
         got = line_census(b, mode=mode)
         assert got.hist == hist
         assert np.array_equal(got.secant_members(3), lines[3])
+
+
+def test_worker_count_clamps_to_cpus_and_blocks():
+    assert worker_count(1, 10, cpus=4) == 1
+    assert worker_count(3, 10, cpus=4) == 3
+    assert worker_count(64, 10, cpus=4) == 4
+    assert worker_count(64, 2, cpus=4) == 2
+    assert worker_count(8, 0, cpus=4) == 1
+    assert worker_count(8, 10, cpus=1) == 1
+
+
+class _BlockProbe:
+    """Wraps a block function and records the threads that call it.  With
+    ``meet``, the first two calls wait for each other, so two blocks must
+    run at the same time on two threads or the wait times out."""
+
+    def __init__(self, fn, meet):
+        self.fn = fn
+        self.threads = set()
+        self._meet = threading.Barrier(2 if meet else 1, timeout=10)
+        self._calls = itertools.count()
+
+    def __call__(self, *args, **kwargs):
+        self.threads.add(threading.get_ident())
+        if next(self._calls) < 2:
+            self._meet.wait()
+        return self.fn(*args, **kwargs)
+
+
+def _probed(monkeypatch, threads, module, name):
+    """Probe ``module.name`` for one run on ``threads`` workers."""
+    probe = _BlockProbe(getattr(module, name), meet=threads > 1)
+    monkeypatch.setattr(module, name, probe)
+    return probe
+
+
+def _blocks_of(monkeypatch, rows, width, blocks):
+    """Kernel blocks of about ``rows // blocks`` rows ``width`` long, at
+    one worker; more, and smaller, at several."""
+    monkeypatch.setattr(census_module, "BLOCK_ELEMS",
+                        width * -(-rows // blocks))
+
+
+# real concurrency: four CPUs granted, every input split into at least
+# four blocks, and the first two blocks of each threaded run meet on two
+# worker threads; the merged results must not depend on the thread count
+
+
+def test_census_identical_across_threads(monkeypatch, baer_49, trace_343,
+                                         field):
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
+    mixed = _mixed_set(build_geometry(3, field(7, 2)), seed=5)
+    for b, collect in ((baer_49, [8]), (trace_343, [8]), (mixed, [2, 3])):
+        _blocks_of(monkeypatch, b.card, b.card, 4)
+        for kwargs in ({"mode": "pair"},
+                       {"mode": "full", "collect_sizes": collect}):
+            runs = []
+            for threads in (1, 2, 3):
+                with monkeypatch.context() as mp:
+                    probe = _probed(mp, threads, census_module,
+                                    "quotient_keys")
+                    runs.append(line_census(b, threads=threads, **kwargs))
+                assert len(probe.threads) >= min(threads, 2)
+                assert runs[-1].threads == threads
+            for got in runs[1:]:
+                _assert_same_census(got, runs[0])
+    # trace_343 has lines of 1, 8 and 50 points, and a census keeps only
+    # its 50-secants unasked: with_secants(8) re-censuses on the same
+    # thread count
+    assert line_census(trace_343, threads=2).with_secants(8).threads == 2
+
+
+def _five_point_lines(g, lines, seed):
+    """Five points on each of ``lines`` random lines."""
+    fs = g.fs
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(lines):
+        u, v = g.coords_of_indices(rng.choice(g.num_points, 2, replace=False))
+        for a in rng.choice(fs.q, 5, replace=False):
+            rows.append(fs.vadd(u, fs.vmul(int(a), v)) if a else v)
+    return PointSet.from_coords(g, rows)
+
+
+def test_subline_violations_identical_across_threads(monkeypatch, baer_49,
+                                                     field):
+    # five points of a line of PG(2, 16) form a subline PG(1, 4) only by
+    # chance, so most of these 5-secants are violations, listed in order
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
+    lines = _five_point_lines(build_geometry(2, field(2, 4)), 8, seed=2)
+    for b, e, q0 in ((baer_49, 1, 7), (lines, 2, 4)):
+        secants = line_census(b, collect_sizes=[q0 + 1],
+                              mode="full").secants[q0 + 1]
+        assert len(secants) >= 10
+        monkeypatch.setattr(structure, "SUBLINE_CHUNK", len(secants) // 5)
+        runs = []
+        for threads in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                probe = _probed(mp, threads, structure,
+                                "sublines_pass_batch")
+                runs.append(structure.check_sublines(b, e, threads=threads))
+            assert len(probe.threads) >= min(threads, 2)
+        assert runs[0]["checked"] == len(secants)
+        assert runs[1:] == runs[:1] * 2
+    assert len(runs[0]["violations"]) > structure.SUBLINE_CHUNK
+
+
+def test_plane_blocks_identical_across_threads(monkeypatch, rank5_pg3_81):
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
+    b, q0 = rank5_pg3_81, 3
+    secants = line_census(b, collect_sizes=[q0 + 1],
+                          mode="full").secants[q0 + 1]
+    _blocks_of(monkeypatch, len(secants), b.card, 5)
+    runs = []
+    for threads in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            probe = _probed(mp, threads, structure, "quotient_keys")
+            runs.append(structure.plane_block_data(b, secants, q0,
+                                                   threads=threads))
+        assert len(probe.threads) >= min(threads, 2)
+    assert set(runs[0].sizes) == {13, 40}
+    for got in runs[1:]:
+        assert np.array_equal(got.good, runs[0].good)
+        assert np.array_equal(got.min_size, runs[0].min_size)
+        assert got.sizes == runs[0].sizes

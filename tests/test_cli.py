@@ -289,6 +289,17 @@ def test_reports_byte_identical_across_threads(tmp_path, baer_49):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, baer_49, capsys, threads):
+    pf = tmp_path / "b.txt"
+    write_point_set(pf, baer_49)
+    out = tmp_path / "v"
+    assert run(["verify", str(pf), "--threads", threads,
+                "--out", str(out)]) == 2
+    assert "error: --threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_carrier_dim_out_of_range_exit_2(tmp_path, capsys):
     assert run(["build", "baer-subplane", "--p", "2", "--t", "2", "--n", "2",
                 "--carrier-dim", "3", "--out", str(tmp_path / "x")]) == 2
