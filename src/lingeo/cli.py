@@ -8,7 +8,9 @@ seeds produce byte-identical reports regardless of ``--threads``.
 ``--threads`` (at least 1) is the worker count of ``verify``'s block
 kernels: the line census, the subline batches and the plane blocks of
 the lemma suite (``census.map_blocks``, clamped to the CPUs and the
-blocks).  ``search`` and the other commands run on one thread.
+blocks).  ``search`` accepts it and runs on one thread; ``build`` and
+``project`` have no such option.  ``--e`` and ``--plane-secant-cap``,
+when given, must be at least 1 as well.
 
 Exit codes: 0 success / all checks pass; 1 at least one FAIL;
 2 validation or parse error; 3 resource limit: the search guard tripped
@@ -274,7 +276,7 @@ def cmd_project(args):
 # ---------------------------------------------------------------------------
 
 
-def _common(sub, need_geometry=True, seeded=True):
+def _common(sub, need_geometry=True, seeded=True, threaded=True):
     if need_geometry:
         sub.add_argument("--p", type=int, required=True, help="characteristic")
         sub.add_argument("--t", type=int, required=True, help="field degree")
@@ -284,7 +286,8 @@ def _common(sub, need_geometry=True, seeded=True):
                          help="comma-separated modulus coefficients c0,..,ct")
     if seeded:
         sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+    if threaded:
+        sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out", required=True, help="output directory")
 
 
@@ -298,13 +301,13 @@ def build_parser():
     bsub = bp.add_subparsers(dest="what", required=True)
     for what in ("line", "baer-subplane"):
         w = bsub.add_parser(what)
-        _common(w)
+        _common(w, threaded=False)
         w.add_argument("--carrier-dim", type=int, default=None,
                        help="embed the subgeometry in a smaller subspace")
         w.set_defaults(func=cmd_build, what=what, source=None)
     lp = bsub.add_parser("linear-set")
     lp.add_argument("source", choices=["from-vectors", "from-subspace"])
-    _common(lp)
+    _common(lp, threaded=False)
     lp.add_argument("--e", type=int, help="subfield degree (divides t)")
     lp.add_argument("--vectors", help="vector file (one big vector per line)")
     lp.add_argument("--subspace", help="RED subspace file over GF(q0)")
@@ -328,7 +331,7 @@ def build_parser():
 
     pp = subs.add_parser("project", help="project a set from a point")
     pp.add_argument("input", help="point-set interchange file")
-    _common(pp, need_geometry=False)
+    _common(pp, need_geometry=False, threaded=False)
     pp.add_argument("--center", help="projection point codes c0,..,cn "
                     "(default: first tangent-only point)")
     pp.add_argument("--hyperplane", help="target hyperplane dual codes")
@@ -342,8 +345,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     args.argv = argv
     try:
-        if args.threads < 1:
-            raise ParseError("--threads must be >= 1")
+        for name in ("threads", "e", "plane_secant_cap"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise ParseError(f"--{name.replace('_', '-')} must be >= 1")
         return args.func(args)
     except (GuardExceeded, FieldTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

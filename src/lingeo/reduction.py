@@ -7,6 +7,8 @@ the big space then becomes an (h-1)-subspace of the reduced space; the
 family of all of them is the Desarguesian spread.  The reduced geometry
 is never enumerated globally: linear sets are computed by walking the
 points of the defining subspace and mapping each one back upstairs.
+Lifting sublines into the reduced space is the certifier's work
+(``structure.certify_linearity``), done in batches over these maps.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from .pg import Geometry, PointSet, Subspace, lex_points, rref
 
 
 class ReductionError(Exception):
-    pass
-
-
-class LiftInconsistent(ReductionError):
     pass
 
 
@@ -104,10 +102,6 @@ class SpreadContext:
         # each coordinate is sum_i embed(chunk_i) * delta^i
         return self.big.fs.vmatmul(self.embed_np[chunks], self.delta_pows)
 
-    def eps_inv(self, vec):
-        return tuple(int(c) for c in self.eps_inv_rows(
-            np.asarray(vec, dtype=np.int64)[None, :])[0])
-
     # -- spread --------------------------------------------------------------
 
     def spread_element(self, coords) -> Subspace:
@@ -116,11 +110,6 @@ class SpreadContext:
         u = np.asarray(self.big.normalize(coords), dtype=np.int64)
         rows = np.stack([fs.vmul(u, d) for d in self.delta_pows])
         return Subspace(self.reduced, self.eps_rows(rows))
-
-    def big_point_of_reduced(self, coords):
-        """The big point whose spread element contains the reduced point."""
-        v = self.eps_inv(coords)
-        return self.big.normalize(v)
 
     # -- linear sets ----------------------------------------------------------
 
@@ -156,57 +145,3 @@ class SpreadContext:
     def reduced_rank(self, vectors) -> int:
         rows = self.eps_rows(np.array([list(v) for v in vectors], dtype=np.int64))
         return len(rref(self.small_field, rows)[0])
-
-    # -- subline lifting -------------------------------------------------------
-
-    def lift_subline(self, s: PointSet, p_index: int, x_coords) -> Subspace:
-        """The unique reduced line through x mapping onto the subline s.
-
-        s must be a GF(q0)-subline of a big line, p_index one of its point
-        indices, and x a reduced point of the spread element of that point.
-        A set that is not such a subline raises ``LiftInconsistent``: no
-        lifted line maps back onto it.
-        """
-        fs = self.big.fs
-        if p_index not in s:
-            raise ReductionError("anchor point is not a member of the subline")
-        v = np.asarray(self.eps_inv(x_coords), dtype=np.int64)
-        pc = self.big.normalize([int(c) for c in v])
-        if self.big.index_of(pc) != int(p_index):
-            raise ReductionError("reduced point is not in the anchor's spread element")
-        others = [int(i) for i in s.indices if int(i) != int(p_index)]
-        w1 = np.asarray(self.big.coords_of(others[0]), dtype=np.int64)
-        w2 = np.asarray(self.big.coords_of(others[1]), dtype=np.int64)
-        a, b = _solve_two(fs, v, w1, w2)
-        if a == 0 or b == 0:
-            raise LiftInconsistent("anchor points are not in general position")
-        mcoef = fs.div(b, a)
-        w = fs.vmul(w1, mcoef)
-        line = Subspace(self.reduced, np.stack([self.eps_rows(v[None, :])[0],
-                                                self.eps_rows(w[None, :])[0]]))
-        if self.linear_set_from_subspace(line) != s:
-            raise LiftInconsistent("lifted line does not map back onto the subline")
-        return line
-
-
-def _solve_two(fs: FieldSpec, v, w1, w2):
-    """Coefficients (a, b) with w2 = a v + b w1, assuming they exist."""
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = fs.sub(fs.mul(int(v[i]), int(w1[j])),
-                         fs.mul(int(v[j]), int(w1[i])))
-            if det == 0:
-                continue
-            di = fs.inv(det)
-            a = fs.mul(di, fs.sub(fs.mul(int(w2[i]), int(w1[j])),
-                                  fs.mul(int(w2[j]), int(w1[i]))))
-            b = fs.mul(di, fs.sub(fs.mul(int(v[i]), int(w2[j])),
-                                  fs.mul(int(v[j]), int(w2[i]))))
-            # verify full consistency (the three points must be collinear)
-            for k in range(n):
-                lhs = fs.add(fs.mul(a, int(v[k])), fs.mul(b, int(w1[k])))
-                if lhs != int(w2[k]):
-                    raise LiftInconsistent("anchor points are not collinear")
-            return a, b
-    raise LiftInconsistent("degenerate line basis")

@@ -3,11 +3,13 @@
 Everything here is an executable check: subline/subplane recognition,
 the quantitative bounds on sizes and secant counts, the classification
 of planes through secants, and the constructive linearity certifier
-(lift all short secants through one anchor into the reduced space, span
+(lift the short secants through one anchor into the reduced space, span
 them, and verify the resulting subspace reproduces the set exactly).
 The checks read a census's short secants as rows of positions into B;
 the batch subline test is one cross-ratio test per member, with the
-scalar ``is_subline`` as its oracle.
+scalar ``is_subline`` as its oracle.  It is the one subline test: the
+certifier lifts the secants through its anchor that pass it, in one
+batch.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .census import (LineCensus, kernel_operands, line_census, map_blocks,
                      pack_rows, quotient_keys, quotient_rows, row_groups,
                      split_blocks)
 from .pg import PointSet, Subspace, span
-from .reduction import LiftInconsistent, SpreadContext
+from .reduction import SpreadContext
 
 
 class StructureError(Exception):
@@ -586,8 +588,8 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
 class LinearityCertificate:
     anchor_index: int
     x_coords: tuple
-    lifted_lines: list
-    skipped: list
+    lifted_lines: np.ndarray    # (L, 2, h(n+1)) reduced bases of lifted lines
+    skipped: np.ndarray         # (K, q0+1) point indices of non-sublines
     xi: Subspace | None
     xi_dim: int
     verified: bool
@@ -638,14 +640,20 @@ def certify_linearity(b: PointSet, report,
                       census: LineCensus | None = None) -> LinearityCertificate:
     """Rediscover B as a linear set B(xi) by lifting secant sublines.
 
-    Anchors (a point of B on a short secant, then a reduced point of its
-    spread element) are tried lowest-index-first, so runs are
-    reproducible bit for bit.  The secants lifted through an anchor are
-    the census's (q0+1)-secant rows that hold its position; ``census`` is
-    reused, its short secants collected at most once
-    (``census.with_secants``).
+    Anchors (a point P of B on a short secant, then a reduced point x of
+    its spread element) are tried lowest-index-first, so runs are
+    reproducible bit for bit.  The secants through P are the census's
+    (q0+1)-secant rows that hold its position; those that pass
+    ``sublines_pass_batch`` are lifted and the rest skipped, since only a
+    subline is the image of a reduced line.  With x = eps(v) and Q1, Q2
+    the next two members (coordinates w1, w2), the lifted line is
+    <eps(v), eps(mu w1)>, where w2 = a v + b w1 by Cramer's rule on the
+    line's two pivot columns and mu = b / a.  xi is the span of every
+    lifted line, and B = B(xi) is checked exactly.  ``census`` is reused,
+    its short secants collected at most once (``census.with_secants``).
     """
     g = b.geometry
+    fs = g.fs
     if not (report.is_blocking and report.is_minimal and report.is_small):
         raise NotSmallMinimal("certification needs a small minimal blocking set")
     if report.h is None:
@@ -654,37 +662,41 @@ def certify_linearity(b: PointSet, report,
     census = _short_secants(b, q0, census)
     secants = census.secants[q0 + 1]
     per_pt = census.per_point_by_size.get(q0 + 1)
-    labels = check_span_hypotheses(g.fs.p, q0, h, report.span_dim)
-    ctx = SpreadContext(g, e)
     if per_pt is None or not np.any(per_pt > 0):
         raise NoSecant(f"no ({q0 + 1})-secant exists")
-    anchors = np.flatnonzero(per_pt > 0)[:_MAX_ANCHORS].tolist()
-    last = None
-    for pos in anchors:
-        p_index = int(b.indices[pos])
-        through = b.indices[secants[np.any(secants == pos, axis=1)]]
-        spread_pts = ctx.spread_element(g.coords_of(p_index)).coords_array()
-        for xi_try in range(min(_MAX_X_PER_ANCHOR, spread_pts.shape[0])):
-            x = tuple(int(c) for c in spread_pts[xi_try])
-            lifted, skipped = [], []
-            rows = []
-            for members in through:
-                s = PointSet(g, members)
-                try:
-                    line = ctx.lift_subline(s, p_index, x)
-                except LiftInconsistent:
-                    skipped.append(tuple(int(i) for i in s.indices))
-                    continue
-                lifted.append(line)
-                rows.extend(line.basis)
-            if not lifted:
-                continue
-            xi = Subspace(ctx.reduced, rows)
+    labels = check_span_hypotheses(fs.p, q0, h, report.span_dim)
+    ctx = SpreadContext(g, e)
+    coords = b.coords()
+    # the certificate when no anchor has a subline to lift
+    last = LinearityCertificate(
+        -1, (), np.empty((0, 2, ctx.reduced.n + 1), dtype=np.int64),
+        np.empty((0, q0 + 1), dtype=np.int64), None, -1, False, labels)
+    for pos in np.flatnonzero(per_pt > 0)[:_MAX_ANCHORS].tolist():
+        through = secants[np.any(secants == pos, axis=1)]
+        ok = sublines_pass_batch(b, through, e)
+        if not ok.any():
+            continue
+        skipped = b.indices[through[~ok]]
+        passing = through[ok]
+        others = passing[passing != pos].reshape(-1, q0)
+        w1, w2 = coords[others[:, 0]], coords[others[:, 1]]
+        _, i, j = _line_bases(fs, np.broadcast_to(coords[pos], w1.shape), w1)
+        rows = np.arange(w1.shape[0])
+        w1i, w1j, w2i, w2j = w1[rows, i], w1[rows, j], w2[rows, i], w2[rows, j]
+        den = fs.vinv(fs.vsub(fs.vmul(w2i, w1j), fs.vmul(w2j, w1i)))
+        spread_pts = ctx.spread_element(coords[pos]).coords_array()
+        for x in spread_pts[:_MAX_X_PER_ANCHOR]:
+            v = ctx.eps_inv_rows(x[None, :])[0]
+            # w2 = a v + b w1 by Cramer's rule on columns i, j; mu = b / a
+            mu = fs.vmul(fs.vsub(fs.vmul(v[i], w2j), fs.vmul(v[j], w2i)), den)
+            ys = ctx.eps_rows(fs.vmul(mu[:, None], w1))
+            lifted = np.stack([np.broadcast_to(x, ys.shape), ys], axis=1)
+            xi = Subspace(ctx.reduced, np.vstack([x, ys]).tolist())
             verified = xi.dim == h and ctx.linear_set_from_subspace(xi) == b
-            cert = LinearityCertificate(p_index, x, lifted, skipped, xi,
-                                        xi.dim, verified, labels)
+            cert = LinearityCertificate(int(b.indices[pos]),
+                                        tuple(x.tolist()), lifted, skipped,
+                                        xi, xi.dim, verified, labels)
             if verified:
                 return cert
             last = cert
-    return last if last is not None else LinearityCertificate(
-        -1, (), [], [], None, -1, False, labels)
+    return last

@@ -182,6 +182,23 @@ def test_search_pg_2_5_report_bytes(tmp_path):
         "e46068b9178b597c8cd8759d95e5a3d31ce2dd31304f37cc787e916fcccf85de")
 
 
+@pytest.mark.parametrize("name,digest", [
+    ("baer_49",
+     "7959ea1ccd0c7862fd3d5d737260fb7dd34fe8d25540d733f9de560c4830e4aa"),
+    ("trace_343",
+     "6de016cbf585351241d828846fc6e7c8953920f1af4f83af14a221f2d15461e8"),
+    ("rank5_pg3_81",
+     "fd67e985ef86a030c7f33281507c9ce1966b3ae1d5486280a64003955acdb0ae")])
+def test_verify_certified_report_bytes(tmp_path, request, name, digest):
+    pf = tmp_path / "b.txt"
+    write_point_set(pf, request.getfixturevalue(name))
+    out = tmp_path / "v"
+    assert run(["verify", str(pf), "--out", str(out)]) == 0
+    data = (out / "verify_report.json").read_bytes()
+    assert json.loads(data)["certificate"]["verified"]
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_search_above_small_cap(tmp_path):
     # size 6 = 3(q+1)/2 is not small: those entries are recorded as such,
     # not certified
@@ -298,6 +315,40 @@ def test_threads_below_one_exit_2(tmp_path, baer_49, capsys, threads):
                 "--out", str(out)]) == 2
     assert "error: --threads must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--e", "0"), ("--e", "-1"),
+    ("--plane-secant-cap", "0"), ("--plane-secant-cap", "-3")])
+def test_verify_option_below_one_exit_2(tmp_path, baer_49, capsys, flag,
+                                        value):
+    pf = tmp_path / "b.txt"
+    write_point_set(pf, baer_49)
+    out = tmp_path / "v"
+    assert run(["verify", str(pf), flag, value, "--out", str(out)]) == 2
+    assert f"error: {flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("e", ["0", "-1"])
+def test_build_linear_set_e_below_one_exit_2(tmp_path, capsys, e):
+    vf = tmp_path / "U.txt"
+    vf.write_text("1 0 0\n0 1 0\n")
+    out = tmp_path / "ls"
+    assert run(["build", "linear-set", "from-vectors", "--p", "7", "--t", "2",
+                "--e", e, "--vectors", str(vf), "--out", str(out)]) == 2
+    assert "error: --e must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "line", "--p", "7", "--t", "2"],
+    ["project", "points.txt"]])
+def test_build_and_project_take_no_threads(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--threads", "1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_build_carrier_dim_out_of_range_exit_2(tmp_path, capsys):

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 
 from lingeo.gf import make_field
-from lingeo.pg import (Subspace, build_geometry, points_of, set_meet,
-                       space_size, span)
-from lingeo.reduction import LiftInconsistent, SpreadContext
+from lingeo.pg import Subspace, build_geometry, space_size
+from lingeo.reduction import SpreadContext
 
 
 def test_eps_roundtrip_random():
@@ -56,9 +54,8 @@ def test_big_point_of_reduced_is_inverse_of_spread():
     for i in rng.integers(0, g.num_points, size=20):
         coords = g.coords_of(int(i))
         el = ctx.spread_element(coords)
-        for idx in el.point_set().indices[:3]:
-            back = ctx.big_point_of_reduced(ctx.reduced.coords_of(int(idx)))
-            assert back == coords
+        back = ctx.eps_inv_rows(el.coords_array()[:3])
+        assert [g.normalize(v) for v in back.tolist()] == [coords] * 3
 
 
 def test_linear_set_from_vectors_matches_subspace():
@@ -88,31 +85,3 @@ def test_linear_set_rank_size_bound():
 def test_trace_linear_set_size(trace_343):
     # rank-4 linear set of a trace construction in PG(2, 343): 393 points
     assert trace_343.card == 393
-
-
-def test_lift_subline_roundtrip():
-    g = build_geometry(1, make_field(7, 2))
-    ctx = SpreadContext(g, 1)
-    # the canonical subline {(1:c) : c in GF(7)} plus (0:1)
-    rows = [(0, 1)] + [(1, ctx.embed_np[c]) for c in range(7)]
-    from lingeo.pg import PointSet
-    s = PointSet.from_coords(g, [g.normalize(r) for r in rows])
-    assert s.card == 8
-    p_index = int(s.indices[0])
-    el = ctx.spread_element(g.coords_of(p_index))
-    for x_idx in el.point_set().indices[:3]:
-        line = ctx.lift_subline(s, p_index, ctx.reduced.coords_of(int(x_idx)))
-        assert line.dim == 1
-        assert ctx.linear_set_from_subspace(line) == s
-
-
-def test_lift_subline_rejects_non_subline():
-    g = build_geometry(1, make_field(7, 2))
-    ctx = SpreadContext(g, 1)
-    from lingeo.pg import PointSet
-    s = PointSet(g, np.arange(8))
-    p_index = int(s.indices[0])
-    el = ctx.spread_element(g.coords_of(p_index))
-    x = ctx.reduced.coords_of(int(el.point_set().indices[0]))
-    with pytest.raises(LiftInconsistent):
-        ctx.lift_subline(s, p_index, x)

@@ -8,7 +8,7 @@ from lingeo import blocking, structure
 from lingeo.census import line_census
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, Subspace, build_geometry, lex_points
-from lingeo.reduction import LiftInconsistent, SpreadContext
+from lingeo.reduction import SpreadContext
 
 
 def test_bound_values_exact():
@@ -327,12 +327,28 @@ def test_span_hypotheses_test_p_not_q0():
     assert not structure.check_span_hypotheses(11, 11, 4, 2)["inside"]
 
 
-@pytest.mark.parametrize("name", ["baer_49", "trace_343"])
-def test_certify_lifts_the_short_secants_through_its_anchor(request, name):
+@pytest.fixture(scope="module")
+def subline_and_non_subline_49(pg2_49):
+    """Two 8-secants of PG(2, 49) through (1:0:0), the lowest point: the
+    subline {(1:c:0) : c in GF(7)} + (0:1:0), and {(1:0:c) : c = 0..7} on
+    y = 0, not a subline, as x (code 7) is off the subline GF(7) + oo
+    through 0, 1, 2.  Its next four points lie on the second secant only,
+    so the first anchor's certificate is the last one made."""
+    return PointSet(pg2_49, list(range(8)) + [49 * c for c in range(1, 7)]
+                    + [pg2_49.index_of((0, 1, 0))])
+
+
+@pytest.mark.parametrize("name,report_of,skipped", [
+    pytest.param("baer_49", None, 0, id="baer_49"),
+    pytest.param("trace_343", None, 0, id="trace_343"),
+    pytest.param("subline_and_non_subline_49", "baer_49", 1,
+                 id="subline_and_non_subline_49")])
+def test_certify_lifts_the_short_secants_through_its_anchor(
+        request, name, report_of, skipped):
     b = request.getfixturevalue(name)
-    rep = blocking.analyze(b)
+    rep = blocking.analyze(request.getfixturevalue(report_of or name))
     cert = structure.certify_linearity(b, rep)
-    assert cert.verified
+    assert cert.verified == (skipped == 0)
     # the (q0+1)-secants through the anchor, from a scalar grouping
     g = b.geometry
     anchor = g.coords_of(cert.anchor_index)
@@ -341,19 +357,26 @@ def test_certify_lifts_the_short_secants_through_its_anchor(request, name):
         if i != cert.anchor_index:
             lines.setdefault(g.line_through(anchor, c).basis,
                              [cert.anchor_index]).append(i)
+    # brute force: the reduced line <x, y>, y in Q1's spread element,
+    # that maps onto the secant; a secant with none is skipped
     ctx = SpreadContext(g, rep.exponent_e)
-    rows, skipped = [], 0
+    lifted, n_skipped = set(), 0
     for members in lines.values():
-        if len(members) == rep.q0 + 1:
-            try:
-                rows.extend(ctx.lift_subline(PointSet(g, members),
-                                             cert.anchor_index,
-                                             cert.x_coords).basis)
-            except LiftInconsistent:
-                skipped += 1
-    assert len(cert.lifted_lines) == len(rows) // 2
-    assert len(cert.skipped) == skipped
-    assert cert.xi.basis == Subspace(ctx.reduced, rows).basis
+        if len(members) != rep.q0 + 1:
+            continue
+        s = PointSet(g, members)
+        q1 = g.coords_of(min(members[1:]))
+        found = [line for y in ctx.spread_element(q1).coords_array().tolist()
+                 for line in [Subspace(ctx.reduced, [cert.x_coords, y])]
+                 if ctx.linear_set_from_subspace(line) == s]
+        assert len(found) <= 1
+        lifted.update(found)
+        n_skipped += not found
+    assert n_skipped == len(cert.skipped) == skipped
+    assert lifted == {Subspace(ctx.reduced, line.tolist())
+                      for line in cert.lifted_lines}
+    assert cert.xi.basis == Subspace(
+        ctx.reduced, [r for line in lifted for r in line.basis]).basis
 
 
 def test_certify_trace(trace_343):
