@@ -1,16 +1,18 @@
 """Command-line interface: build, verify, search, project.
 
-Every run writes exactly one ``manifest.json`` (command echo, versions,
-seed, wall time, outcome) into the output directory.  Report files
-contain no timing or machine-dependent data, so identical inputs and
-seeds produce byte-identical reports regardless of ``--threads``.
+Every run writes exactly one ``manifest.json`` (command echo, parsed
+options, versions, wall time, outcome) into the output directory.  Report
+files contain no timing or machine-dependent data, so identical inputs
+produce byte-identical reports regardless of ``--threads``.
 
 ``--threads`` (at least 1) is the worker count of ``verify``'s block
 kernels: the line census, the subline batches and the plane blocks of
 the lemma suite (``census.map_blocks``, clamped to the CPUs and the
 blocks).  ``search`` accepts it and runs on one thread; ``build`` and
-``project`` have no such option.  ``--e`` and ``--plane-secant-cap``,
-when given, must be at least 1 as well.
+``project`` have no such option.  ``build linear-set --e`` and
+``verify --plane-secant-cap``, when given, must be at least 1 as well.
+``verify`` reads the subfield exponent e of its subline check off the
+blocking report, as the certifier does.
 
 Exit codes: 0 success / all checks pass; 1 at least one FAIL;
 2 validation or parse error; 3 resource limit: the search guard tripped
@@ -55,7 +57,6 @@ def _write_manifest(out, args, started, outcome):
         "config": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("func", "argv") and v is not None},
         "versions": _versions(),
-        "seed": getattr(args, "seed", 0),
         "wall_time_s": round(time.monotonic() - started, 3),
         "outcome": outcome,
     }
@@ -106,7 +107,7 @@ def cmd_build(args):
             pi = read_reduced_subspace(args.subspace, ctx.reduced)
             b = ctx.linear_set_from_subspace(pi)
         label = f"linear-set-{args.source}"
-    report = blocking.analyze(b, seed=args.seed)
+    report = blocking.analyze(b)
     write_point_set(out / "points.txt", b, comments=[label])
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "field.json").write_text(fs.to_json() + "\n")
@@ -136,8 +137,7 @@ def cmd_verify(args):
     b = read_point_set(args.input)
     fs = b.geometry.fs
     census = line_census(b, threads=args.threads)
-    report = blocking.analyze(b, seed=args.seed,
-                              with_point_exponents=(b.geometry.n == 2),
+    report = blocking.analyze(b, with_point_exponents=(b.geometry.n == 2),
                               census=census)
     entries = []
 
@@ -150,12 +150,12 @@ def cmd_verify(args):
     add("minimal", "PASS" if report.is_minimal else "FAIL",
         "every point lies on a tangent hyperplane" if report.is_minimal
         else str(report.witnesses))
-    e = args.e if args.e else report.exponent_e
     if "1modp" in checks:
         bad = [s for s in census.hist if (s - 1) % fs.p != 0]
         add("1modp", "PASS" if not bad else "FAIL",
             f"line sizes {sorted(census.hist)}")
     if "sublines" in checks:
+        e = report.exponent_e
         if not e or fs.t % e != 0:
             add("sublines", "INFORMATIONAL", "no usable subfield exponent")
         else:
@@ -258,9 +258,9 @@ def cmd_project(args):
         h = g.hyperplane_subspace((0,) * g.n + (1,))
         if h.contains_coords(qc):
             h = g.hyperplane_subspace((1,) + (0,) * g.n)
-    before = blocking.analyze(b, seed=args.seed)
+    before = blocking.analyze(b)
     img, small = blocking.project(b, qc, h)
-    after = blocking.analyze(img, seed=args.seed)
+    after = blocking.analyze(img)
     write_point_set(out / "image.txt", img,
                     comments=[f"projection from {list(qc)}"])
     (out / "report_before.json").write_text(before.to_json() + "\n")
@@ -276,7 +276,7 @@ def cmd_project(args):
 # ---------------------------------------------------------------------------
 
 
-def _common(sub, need_geometry=True, seeded=True, threaded=True):
+def _common(sub, need_geometry=True, threaded=True):
     if need_geometry:
         sub.add_argument("--p", type=int, required=True, help="characteristic")
         sub.add_argument("--t", type=int, required=True, help="field degree")
@@ -284,8 +284,6 @@ def _common(sub, need_geometry=True, seeded=True, threaded=True):
                          help="projective dimension (default 2)")
         sub.add_argument("--modulus",
                          help="comma-separated modulus coefficients c0,..,ct")
-    if seeded:
-        sub.add_argument("--seed", type=int, default=0)
     if threaded:
         sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out", required=True, help="output directory")
@@ -316,14 +314,13 @@ def build_parser():
     vp = subs.add_parser("verify", help="run checks against a point-set file")
     vp.add_argument("input", help="point-set interchange file")
     _common(vp, need_geometry=False)
-    vp.add_argument("--e", type=int, help="subfield degree (divides t)")
     vp.add_argument("--checks", help="comma list of "
                     "1modp,sublines,lemmas,certify (default all)")
     vp.add_argument("--plane-secant-cap", type=int, default=None)
     vp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("search", help="enumerate small minimal blocking sets")
-    _common(sp, seeded=False)
+    _common(sp)
     sp.add_argument("--max-size", type=int, default=None)
     sp.add_argument("--force", action="store_true",
                     help="override the geometry-size guard")

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldSpec
-from .pg import (Geometry, GeometryError, PointSet, lex_points, points_of,
-                 space_size)
+from .pg import Geometry, GeometryError, PointSet, points_of, space_size
 from .reduction import SpreadContext
 
 
@@ -23,16 +22,13 @@ def subgeometry(g: Geometry, e: int, carrier_dim: int | None = None) -> PointSet
     spanned by the first m+1 coordinates (e.g. a planar Baer subplane of
     a 3-space).  e = t/2 gives Baer subgeometries.
     """
-    sub = g.fs.subfield(e)
     m = g.n if carrier_dim is None else carrier_dim
     if not 1 <= m <= g.n:
         raise GeometryError(
             f"carrier dimension {m} is outside 1..{g.n} for PG({g.n}, {g.fs.q})")
-    # the points of PG(m, p^e), embedded, padded with zero coordinates
-    pts = lex_points(m, sub.q0)
-    rows = np.zeros((pts.shape[0], g.n + 1), dtype=np.int64)
-    rows[:, :m + 1] = np.asarray(sub.embed_table, dtype=np.int64)[pts]
-    return PointSet(g, g.index_of_rows(rows))
+    # B(U) for U the GF(p^e)-span of the first m+1 unit vectors
+    return SpreadContext(g, e).linear_set_from_vectors(
+        np.eye(m + 1, g.n + 1, dtype=np.int64))
 
 
 def _trace(fs: FieldSpec, x: int, e: int) -> int:

@@ -2,11 +2,14 @@
 
 A SpreadContext fixes a GF(q0)-basis {1, d, ..., d^(h-1)} of GF(q0^h),
 where d is the class of x in the modulus representation, and the induced
-linear bijection between V(n+1, q0^h) and V(h(n+1), q0).  Each point of
-the big space then becomes an (h-1)-subspace of the reduced space; the
-family of all of them is the Desarguesian spread.  The reduced geometry
-is never enumerated globally: linear sets are computed by walking the
-points of the defining subspace and mapping each one back upstairs.
+linear bijection between V(n+1, q0^h) and V(h(n+1), q0): eps^-1 is
+defined by field arithmetic and the expansion table eps is its inverse.
+Each point of the big space then becomes an (h-1)-subspace of the
+reduced space; the family of all of them is the Desarguesian spread.
+The reduced geometry is never enumerated globally.  A linear set B(U) has
+one enumeration, ``linear_set_from_subspace``: eps^-1 of the basis of
+eps(U), combined over the points of PG(dim U, q0) up in the big space.
+Vectors and the canonical subgeometries go through it.
 Lifting sublines into the reduced space is the certifier's work
 (``structure.certify_linearity``), done in batches over these maps.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldError, FieldSpec
+from .gf import FieldError
 from .pg import Geometry, PointSet, Subspace, lex_points, rref
 
 
@@ -44,48 +47,23 @@ class SpreadContext:
         self._build_maps()
 
     def _build_maps(self):
-        """Per-code expansion table: big code -> h small-field codes."""
+        """The coordinate maps of the basis {1, d, ..., d^(h-1)}.
+
+        eps^-1 sends h small codes to sum_i embed(c_i) * d^i; the expansion
+        table eps, big code -> h small codes, is its inverse permutation,
+        read off by mapping all q tuples of small codes up at once.
+        """
         fs = self.big.fs
-        fs0 = self.small_field
-        p, t, e, h = fs.p, fs.t, self.e, self.h
-        delta = p if t > 1 else 1  # class of x (t = 1 never occurs with h > 1)
-        root = self.sub.root if e > 1 else 1
-        # F_p basis {root^j * delta^i}; column (i*e + j) = digits of that product
-        cols = []
-        for i in range(h):
-            di = fs.pow_(delta, i) if t > 1 else 1
-            for j in range(e):
-                v = fs.mul(di, fs.pow_(root, j) if e > 1 else 1)
-                digits = []
-                for _ in range(t):
-                    v, r = divmod(v, p)
-                    digits.append(r)
-                cols.append(digits)
-        # invert the digit matrix over GF(p): [M | I] reduces to [I | M^-1]
-        # exactly when M is invertible
-        aug = [[cols[c][r] for c in range(t)] + [int(r == c) for c in range(t)]
-               for r in range(t)]
-        red, pivots = rref(FieldSpec(p, 1), aug)
-        if pivots != list(range(t)):
-            raise ReductionError("basis matrix is singular")
-        minv = [row[t:] for row in red]
-        # expansion of every big code into h small codes, vectorized
-        codes = np.arange(fs.q, dtype=np.int64)
-        digs = np.empty((fs.q, t), dtype=np.int64)
-        tmp = codes.copy()
-        for r in range(t):
-            digs[:, r] = tmp % p
-            tmp //= p
-        minv_np = np.array(minv, dtype=np.int64)
-        coeff = digs @ minv_np.T % p  # (q, t), entry (i*e+j)
-        small = np.zeros((fs.q, h), dtype=np.int64)
-        for i in range(h):
-            for j in range(e - 1, -1, -1):
-                small[:, i] = small[:, i] * p + coeff[:, i * e + j]
-        self.expand_table = small
-        # inverse: h small codes -> big code, needs embed and delta powers
+        delta = fs.p if fs.t > 1 else 1  # class of x (t = 1 never occurs with h > 1)
         self.embed_np = np.array(self.sub.embed_table, dtype=np.int64)
-        self.delta_pows = [fs.pow_(delta, i) if t > 1 else 1 for i in range(h)]
+        self.delta_pows = [fs.pow_(delta, i) for i in range(self.h)]
+        codes = np.arange(fs.q, dtype=np.int64)
+        small = codes[:, None] // self.q0 ** np.arange(self.h) % self.q0
+        big = fs.vmatmul(self.embed_np[small], self.delta_pows)
+        if np.unique(big).size != fs.q:
+            raise ReductionError("basis matrix is singular")
+        self.expand_table = np.empty_like(small)
+        self.expand_table[big] = small
 
     # -- coordinate maps -----------------------------------------------------
 
@@ -114,33 +92,27 @@ class SpreadContext:
     # -- linear sets ----------------------------------------------------------
 
     def linear_set_from_vectors(self, vectors) -> PointSet:
-        """B(U) for the GF(q0)-span U of the given big vectors.
-
-        Enumerated directly in the big space: all GF(q0)-combinations of a
-        maximal GF(q0)-independent subset of the generators.
-        """
-        fs = self.big.fs
+        """B(U) for the GF(q0)-span U of the given big vectors."""
         gens = [tuple(int(c) for c in v) for v in vectors
                 if any(int(c) for c in v)]
         if not gens:
             raise ZeroOnly("need at least one nonzero vector")
-        reduced_rows, _ = rref(self.small_field,
-                               self.eps_rows(np.array(gens, dtype=np.int64)))
-        basis = self.eps_inv_rows(np.array(reduced_rows, dtype=np.int64))
-        # one combination per point of PG(r-1, q0): the projective
-        # coefficient vectors, embedded in the big field
-        lam = self.embed_np[lex_points(basis.shape[0] - 1, self.q0)]
-        idx = self.big.index_of_rows(fs.vmatmul(lam, basis))
-        return PointSet(self.big, idx)
+        return self.linear_set_from_subspace(
+            Subspace(self.reduced, self.eps_rows(np.array(gens, dtype=np.int64))))
 
     def linear_set_from_subspace(self, pi: Subspace) -> PointSet:
-        """B(pi): big points whose spread element meets the reduced subspace."""
+        """B(pi): big points whose spread element meets the reduced subspace.
+
+        eps^-1 is GF(q0)-linear, eps^-1(sum l_i r_i) = sum embed(l_i) *
+        eps^-1(r_i), so the points of pi map up as the combinations of
+        eps^-1 of its basis, one per point of PG(dim pi, q0).
+        """
         if pi.geometry != self.reduced:
             raise ReductionError("subspace does not live in the reduced geometry")
-        pts = pi.coords_array()
-        big_rows = self.eps_inv_rows(pts)
-        idx = self.big.index_of_rows(big_rows)
-        return PointSet(self.big, np.unique(idx))
+        basis = self.eps_inv_rows(np.array(pi.basis, dtype=np.int64))
+        lam = self.embed_np[lex_points(pi.dim, self.q0)]
+        idx = self.big.index_of_rows(self.big.fs.vmatmul(lam, basis))
+        return PointSet(self.big, idx)
 
     def reduced_rank(self, vectors) -> int:
         rows = self.eps_rows(np.array([list(v) for v in vectors], dtype=np.int64))

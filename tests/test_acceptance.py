@@ -7,9 +7,7 @@ shared with later ones through session fixtures, so each reported time
 covers the real verification work done for that criterion.
 """
 
-import json
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest

@@ -43,7 +43,7 @@ def test_build_line(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["is_blocking"] and rep["is_minimal"]
     man = json.loads((out / "manifest.json").read_text())
-    assert "wall_time_s" in man and man["seed"] == 0
+    assert "wall_time_s" in man and "seed" not in man
     assert man["command"] == " ".join(argv)
 
 
@@ -318,7 +318,6 @@ def test_threads_below_one_exit_2(tmp_path, baer_49, capsys, threads):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--e", "0"), ("--e", "-1"),
     ("--plane-secant-cap", "0"), ("--plane-secant-cap", "-3")])
 def test_verify_option_below_one_exit_2(tmp_path, baer_49, capsys, flag,
                                         value):
@@ -328,6 +327,19 @@ def test_verify_option_below_one_exit_2(tmp_path, baer_49, capsys, flag,
     assert run(["verify", str(pf), flag, value, "--out", str(out)]) == 2
     assert f"error: {flag} must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "points.txt", "--e", "1"],
+    ["verify", "points.txt", "--seed", "0"],
+    ["build", "line", "--p", "7", "--t", "2", "--seed", "0"],
+    ["project", "points.txt", "--seed", "0"]])
+def test_verify_e_and_seed_are_not_options(tmp_path, argv):
+    """verify reads e off its blocking report, and no command is seeded."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("e", ["0", "-1"])

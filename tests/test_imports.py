@@ -1,11 +1,12 @@
-"""Every name a ``lingeo`` module imports is used in that module."""
+"""Every name a ``lingeo`` module or a test module imports is used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lingeo"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lingeo"
 
 
 def unused_imports(source: str) -> list:
@@ -30,7 +31,8 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
