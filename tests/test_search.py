@@ -43,8 +43,33 @@ def test_pg_2_3_matches_brute_force():
     assert catalog_keys(res) == brute_force_minimal(g, cfg.max_size)
     assert all(r.is_blocking and r.is_minimal and r.size <= 5
                for r in res.reports)
+    assert len(res.catalog) == 13
     # the counts the removed disjoint-hyperplane bound also produced
-    assert (res.nodes, res.pruned) == (1301, 768)
+    assert (res.nodes, res.pruned, res.leaves, res.duplicates) == (
+        1301, 768, 208, 102)
+
+
+@pytest.mark.parametrize("n, p, max_size, counters, entries", [
+    # the cap is the line size: a point's children are all at the cap
+    (2, 2, 3, (40, 18, 9, 2), 7),
+    # pruned is 0: every child at the cap is a leaf
+    (3, 2, 7, (10690, 0, 9163, 7252), 203),
+])
+def test_cap_level_counters(n, p, max_size, counters, entries):
+    g = build_geometry(n, make_field(p, 1))
+    res = enumerate_minimal(SearchConfig(g, max_size=max_size))
+    assert len(res.catalog) == entries
+    assert (res.nodes, res.pruned, res.leaves, res.duplicates) == counters
+
+
+def test_pg_3_2_matches_brute_force():
+    # hyperplanes are planes: a cap-level child must lie on several
+    g = build_geometry(3, make_field(2, 1))
+    res = enumerate_minimal(SearchConfig(g, max_size=4))
+    assert catalog_keys(res) == brute_force_minimal(g, 4)
+    assert len(res.catalog) == 35
+    assert (res.nodes, res.pruned, res.leaves, res.duplicates) == (
+        2458, 1176, 931, 544)
 
 
 def test_pg_2_4_lines_only_at_max_5(pg_2_4):
@@ -56,8 +81,9 @@ def test_pg_2_4_lines_only_at_max_5(pg_2_4):
 def test_pg_2_4_full_catalog(pg_2_4, pg_2_4_catalog):
     assert SearchConfig(pg_2_4).max_size == 7
     res = pg_2_4_catalog
-    # pins the DFS order and bound: catalog_index.json records both counts
-    assert (res.nodes, res.pruned) == (94406, 67494)
+    # pins the DFS order and bound: catalog_index.json records the counts
+    assert (res.nodes, res.pruned, res.leaves, res.duplicates) == (
+        94406, 67494, 8031, 5547)
     sizes = sorted(r.size for r in res.reports)
     assert len(res.catalog) == 381
     assert sizes.count(5) == 21 and sizes.count(7) == 360
