@@ -16,8 +16,9 @@ blocking report, as the certifier does.
 
 Exit codes: 0 success / all checks pass; 1 at least one FAIL;
 2 validation or parse error; 3 resource limit: the search guard tripped
-without --force, or a field above the 2^16 limit of the field tables
-(which no flag overrides).
+without --force, a field above the 2^16 limit of the field tables, or a
+space with more than 2^63 - 1 points, past the int64 point indices
+(no flag overrides either limit).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .fileio import (ParseError, parse_codes, point_set_to_text,
                      read_point_set, read_reduced_subspace, read_vectors,
                      write_point_set)
 from .gf import FieldError, FieldTooLarge, make_field
-from .pg import GeometryError, build_geometry
+from .pg import GeometryError, GeometryTooLarge, build_geometry
 from .reduction import ReductionError, SpreadContext
 from .search import GuardExceeded, SearchConfig, enumerate_minimal, verify_catalog
 
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise ParseError(f"--{name.replace('_', '-')} must be >= 1")
         return args.func(args)
-    except (GuardExceeded, FieldTooLarge) as exc:
+    except (GuardExceeded, FieldTooLarge, GeometryTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ParseError, FieldError, GeometryError, ReductionError,

@@ -8,7 +8,8 @@ construction, so instances can be shared freely between threads.
 Every field holds one discrete log / antilog pair: the scalar operations
 read it as lists, the vectorized ones as one zero-safe numpy pair
 (below).  The tables bound the order: a field with q = p^t > 2^16 raises
-``FieldTooLarge`` before any modulus search.
+``FieldTooLarge`` before the primality test or any modulus search, and
+a degree t > 16 is refused without forming p^t.
 
 The vectorized product works in the log domain without a zero mask: a
 private log table sends 0 to the sentinel Z = 3(q-1), and the antilog
@@ -26,6 +27,11 @@ product.  The sentinel is 3(q-1) rather than 2(q-1) so that the Zech
 table's index ranges for x = 0, for y = 0 and for two nonzero operands
 stay apart.  The scalar ``add`` / ``neg`` work digit by digit and are
 the reference the tests hold the vectorized paths to.
+
+A subfield GF(p^e) is found and embedded on the same vectorized
+arithmetic: its modulus is evaluated at every code at once for the
+lowest root, and its embedding table is one ``vmatmul`` of the base-p
+digit rows of its codes with the root's powers.
 """
 
 from __future__ import annotations
@@ -145,13 +151,17 @@ class FieldSpec:
     """GF(p^t) with a fixed irreducible modulus; all operations are pure."""
 
     def __init__(self, p: int, t: int, modulus="auto"):
+        # ahead of the primality test, whose trial division takes minutes
+        # on a large prime p; p >= 2, so t >= 17 is over the limit with
+        # no need to form p ** t
+        if p > 1 and (p > _TABLE_LIMIT or t >= _TABLE_LIMIT.bit_length()
+                      or p ** t > _TABLE_LIMIT):
+            raise FieldTooLarge(f"GF({p}^{t}) is too large: the field "
+                                f"tables stop at {_TABLE_LIMIT}")
         if not is_prime(p):
             raise NonPrimeError(f"{p} is not prime")
         if t < 1:
             raise FieldError("extension degree must be >= 1")
-        if p ** t > _TABLE_LIMIT:
-            raise FieldTooLarge(f"GF({p}^{t}) has {p ** t} elements; the "
-                                f"field tables stop at {_TABLE_LIMIT}")
         if modulus == "auto":
             modulus = _auto_modulus(p, t)
         modulus = tuple(int(c) % p for c in modulus)
@@ -443,8 +453,8 @@ class SubfieldHandle:
     """The subfield GF(p^e) inside GF(p^t), with its own standalone spec.
 
     ``embed`` maps codes of the standalone GF(p^e) into the big field by
-    evaluating at a root of the small modulus; membership of a big code is
-    the Frobenius fixed-point test x^(p^e) == x.
+    evaluating at a root of the small modulus; its image, the Frobenius
+    fixed points x^(p^e) == x, is ``member_mask``.
     """
 
     def __init__(self, big: FieldSpec, e: int):
@@ -452,41 +462,29 @@ class SubfieldHandle:
         self.e = e
         self.q0 = big.p ** e
         self.field = big if e == big.t else FieldSpec(big.p, e)
-        root = self._find_root()
-        self.root = root
-        emb = []
-        for code in range(self.q0):
-            digits = _code_to_poly(code, big.p)
-            acc, pw = 0, 1
-            for d in digits:
-                acc = big.add(acc, big.mul(d % big.p, pw))
-                pw = big.mul(pw, root)
-            emb.append(acc)
-        self.embed_table = tuple(emb)
-        member = np.zeros(big.q, dtype=bool)
-        member[list(emb)] = True
-        self.member_mask = member
+        self.root = self._find_root()
+        # code c = sum c_k p^k of GF(p^e) is sum c_k x^k; it embeds as
+        # sum c_k root^k, its base-p digit row times the root's powers
+        digits = np.arange(self.q0)[:, None] // big.p ** np.arange(e) % big.p
+        emb = big.vmatmul(digits, [big.pow_(self.root, k) for k in range(e)])
+        self.embed_table = tuple(emb.tolist())
+        self.member_mask = np.zeros(big.q, dtype=bool)
+        self.member_mask[emb] = True
 
     def _find_root(self) -> int:
+        """The lowest code of the big field where the small modulus
+        vanishes.  The modulus is irreducible of degree e, and e divides
+        t, so its roots lie in GF(p^e) and each one generates it."""
         big = self.big
         if self.e == big.t:
             return big.p if big.t > 1 else 0  # class of x (or irrelevant for t=1)
         if self.e == 1:
             return 1
-        mod = self.field.modulus
-        for z in range(big.q):
-            acc, pw = 0, 1
-            for c in mod:
-                acc = big.add(acc, big.mul(c, pw))
-                pw = big.mul(pw, z)
-            if acc == 0 and self._order_check(z):
-                return z
-        raise FieldError("no root of subfield modulus found")
-
-    def _order_check(self, z: int) -> bool:
-        # the root must generate a degree-e subfield: z^(p^e) == z and z not in
-        # any smaller one is implied by being a root of an irreducible of degree e
-        return self.big.frobenius(z, self.e) == z
+        z = np.arange(big.q, dtype=np.int64)
+        value = np.zeros(big.q, dtype=np.int64)
+        for c in reversed(self.field.modulus):
+            value = big.vadd(big.vmul(value, z), c)
+        return int(np.flatnonzero(value == 0)[0])
 
     def embed(self, a: int) -> int:
         return self.embed_table[a]

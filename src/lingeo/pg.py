@@ -7,6 +7,15 @@ closed-form, so a Geometry never materializes its point table.  The
 points of a subspace are enumerated as the ``lex_points`` parameter rows
 times its basis, in one field matrix product.  Subspaces are stored as
 reduced echelon bases, making equality a plain tuple comparison.
+
+Each operation has one implementation, on rows: ``normalize_rows``,
+``index_of_rows``, ``coords_of_indices`` and ``Subspace.contains_rows``
+(a row lies in s when row - row[pivots] @ basis is zero).  The one-point
+``normalize``, ``index_of``, ``coords_of`` and ``contains_coords`` read
+them on a single row and hand back Python ints.  Two eliminations stay
+apart on purpose: ``rref`` is scalar, as the bases it reduces have a few
+short rows, where list arithmetic beats numpy's per-call cost, and
+``PointSet.span_dim`` eliminates a whole point set in column passes.
 """
 
 from __future__ import annotations
@@ -22,6 +31,13 @@ class GeometryError(Exception):
 
 class EqualPoints(GeometryError):
     pass
+
+
+class GeometryTooLarge(GeometryError):
+    """A space whose point indices do not fit in int64."""
+
+
+_INDEX_LIMIT = np.iinfo(np.int64).max
 
 
 def space_size(q: int, k: int) -> int:
@@ -78,10 +94,9 @@ def rref(fs: FieldSpec, rows):
     return [tuple(out[i]) for i in order], [pivots[i] for i in order]
 
 
-def right_nullspace(fs: FieldSpec, rows, ncols=None):
+def right_nullspace(fs: FieldSpec, rows):
     """Basis (RREF) of {v : rows @ v = 0}."""
-    if ncols is None:
-        ncols = len(rows[0])
+    ncols = len(rows[0])
     red, pivots = rref(fs, rows)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
@@ -123,14 +138,17 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, basis={self.basis})"
 
-    def contains_coords(self, coords) -> bool:
+    def contains_rows(self, rows) -> np.ndarray:
+        """Mask of the coordinate rows that lie in s.  The basis is
+        reduced, so a vector of s is its pivot entries times the basis,
+        and a row lies in s when row - row[pivots] @ basis is zero."""
         fs = self.geometry.fs
-        v = list(coords)
-        for r, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                v = [fs.sub(v[j], fs.mul(c, r[j])) for j in range(len(v))]
-        return not any(v)
+        rows = np.asarray(rows, dtype=np.int64)
+        span = fs.vmatmul(rows[:, list(self.pivots)], self.basis)
+        return ~fs.vsub(rows, span).any(axis=1)
+
+    def contains_coords(self, coords) -> bool:
+        return bool(self.contains_rows([coords])[0])
 
     def num_points(self) -> int:
         return space_size(self.geometry.fs.q, self.dim)
@@ -154,7 +172,7 @@ def normalize_rows(fs: FieldSpec, rows: np.ndarray) -> np.ndarray:
     lead_col = np.argmax(nz, axis=1)
     lead = np.take_along_axis(rows, lead_col[:, None], axis=1)[:, 0]
     if np.any(lead == 0):
-        raise GeometryError("zero vector cannot be normalized")
+        raise GeometryError("zero vector is not a projective point")
     return fs.vmul(fs.vinv(lead)[:, None], rows)
 
 
@@ -164,6 +182,12 @@ class Geometry:
     def __init__(self, n: int, fs: FieldSpec):
         if n < 1:
             raise GeometryError("projective dimension must be >= 1")
+        # PG(n, q) has more than 2^n points, so n >= 63 is refused before
+        # q^(n+1) is formed; PG(62, 2), with 2^63 - 1 points, fits
+        if n >= 63 or space_size(fs.q, n) > _INDEX_LIMIT:
+            raise GeometryTooLarge(f"PG({n}, {fs.q}) has more than "
+                                   "2^63 - 1 points, the limit of the "
+                                   "int64 point indices")
         self.n = n
         self.fs = fs
         self.num_points = space_size(fs.q, n)
@@ -192,42 +216,16 @@ class Geometry:
     # -- point <-> index bijection ------------------------------------------
 
     def normalize(self, coords):
-        fs = self.fs
-        coords = list(coords)
-        lead = next((c for c in coords if c), None)
-        if lead is None:
-            raise GeometryError("zero vector is not a projective point")
-        if lead != 1:
-            il = fs.inv(lead)
-            coords = [fs.mul(il, c) for c in coords]
-        return tuple(coords)
+        return tuple(normalize_rows(self.fs, [coords])[0].tolist())
 
     def index_of(self, coords) -> int:
-        coords = self.normalize(coords)
-        piv = next(i for i, c in enumerate(coords) if c)
-        rank = 0
-        for c in coords[piv + 1:]:
-            rank = rank * self.fs.q + c
-        return self._pivot_offsets[piv] + rank
+        return int(self.index_of_rows([coords])[0])
 
     def coords_of(self, index: int):
-        q = self.fs.q
-        n = self.n
-        for piv in range(n + 1):
-            block = q ** (n - piv)
-            off = self._pivot_offsets[piv]
-            if index < off + block:
-                rank = index - off
-                rest = []
-                for _ in range(n - piv):
-                    rank, r = divmod(rank, q)
-                    rest.append(r)
-                rest.reverse()
-                return tuple([0] * piv + [1] + rest)
-        raise GeometryError(f"point index {index} out of range")
+        return tuple(self.coords_of_indices([index])[0].tolist())
 
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized index_of for an array of (already nonzero) rows."""
+        """Point indices of nonzero coordinate rows, in any scale."""
         fs = self.fs
         rows = normalize_rows(fs, rows)
         nz = rows != 0
@@ -241,7 +239,7 @@ class Geometry:
         return idx + rank
 
     def coords_of_indices(self, idx) -> np.ndarray:
-        """Vectorized coords_of for an array of point indices."""
+        """Normalized coordinate rows of an array of point indices."""
         idx = np.asarray(idx, dtype=np.int64)
         q = self.fs.q
         n = self.n
@@ -413,36 +411,18 @@ def points_of(s: Subspace) -> PointSet:
 def intersect(a: Subspace, b: Subspace):
     """Intersection subspace, or None when disjoint."""
     fs = a.geometry.fs
-    stacked = [list(r) for r in a.basis] + [list(fs.neg(c) for c in r)
-                                            for r in b.basis]
-    # left-nullspace of the stacked matrix: transpose, take right nullspace
-    ncols = len(a.basis[0])
-    ra = len(a.basis)
-    transposed = [[row[j] for row in stacked] for j in range(ncols)]
-    combos = right_nullspace(fs, transposed, ncols=len(stacked))
+    # z = (za, zb) in the left nullspace of A stacked on B has
+    # za @ A = -(zb @ B), in both spans; the bases are independent, so
+    # za @ A is never zero, and these vectors span the meet
+    combos = right_nullspace(fs, list(zip(*a.basis, *b.basis)))
     if not combos:
         return None
-    rows = []
-    for z in combos:
-        v = [0] * ncols
-        for coef, arow in zip(z[:ra], a.basis):
-            if coef:
-                for j in range(ncols):
-                    v[j] = fs.add(v[j], fs.mul(coef, arow[j]))
-        if any(v):
-            rows.append(tuple(v))
-    if not rows:
-        return None
-    return Subspace(a.geometry, rows)
+    za = np.asarray(combos, dtype=np.int64)[:, :len(a.basis)]
+    return Subspace(a.geometry, fs.vmatmul(za, a.basis).tolist())
 
 
 def set_meet(b: PointSet, s: Subspace) -> PointSet:
     """B intersected with the points of s."""
-    g = b.geometry
     if b.geometry != s.geometry:
         raise GeometryError("point set and subspace live in different geometries")
-    if s.num_points() <= b.card:
-        return b.intersection(s.point_set())
-    keep = [i for i, c in zip(b.indices, b.coords())
-            if s.contains_coords([int(x) for x in c])]
-    return PointSet(g, np.asarray(keep, dtype=np.int64))
+    return PointSet(b.geometry, b.indices[s.contains_rows(b.coords())])

@@ -238,11 +238,30 @@ def test_field_above_table_limit_exit_3(tmp_path, capsys):
     pf = tmp_path / "big.txt"
     pf.write_text("PG 2 2 17 " + ",".join(["1", "0", "0", "1"] + ["0"] * 13
                                           + ["1"]) + "\n1 0 0\n")
+    # a degree whose p^t has more than 4300 digits, and a prime whose
+    # trial division takes minutes, are refused at once
+    huge = tmp_path / "huge.txt"
+    huge.write_text("PG 2 2 20000 1,1\n1 0 0\n")
     for argv in (["build", "line", "--p", "2", "--t", "17"],
                  ["verify", str(pf)],
-                 ["search", "--p", "2", "--t", "17"]):
+                 ["search", "--p", "2", "--t", "17"],
+                 ["build", "line", "--p", "2", "--t", "20000"],
+                 ["verify", str(huge)],
+                 ["build", "line", "--p", "1000000000000000003", "--t", "1"]):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 3
         assert "field tables stop at 65536" in capsys.readouterr().err
+
+
+def test_geometry_above_index_limit_exit_3(tmp_path, capsys):
+    # PG(70, 2) has 2^71 - 1 points; its indices would overflow int64
+    pf = tmp_path / "big.txt"
+    pf.write_text("PG 70 2 1 0,1\n" + " ".join(["1"] + ["0"] * 70) + "\n")
+    for argv in (["build", "line", "--p", "2", "--t", "1", "--n", "70"],
+                 ["verify", str(pf)]):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: PG(70, 2) has more than 2^63 - 1 points, the "
+                       "limit of the int64 point indices\n")
 
 
 def test_project_cli(tmp_path, planar_baer_3d):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from lingeo.gf import (
     NonPrimeError,
     ReducibleModulusError,
     ZeroInverseError,
+    is_prime,
     make_field,
     poly_is_irreducible,
 )
@@ -96,6 +99,34 @@ def test_subfield_counts():
             assert fs16.mul(a, b) in sub
     with pytest.raises(NonDivisorDegreeError):
         fs16.subfield(3)
+
+
+def _subfield_fields():
+    for p in range(2, 1 << 12):
+        t = 1
+        while is_prime(p) and p ** t <= 1 << 12:
+            yield p, t
+            t += 1
+    yield 2, 16
+    yield 3, 10
+
+
+def test_subfield_roots_and_embeddings_are_pinned(field):
+    """Every subfield of every GF(q), q <= 2^12, then of GF(2^16) and
+    GF(3^10): 670 handles in 606 fields.  The digest was taken from the
+    scalar root search and embedding loop that the vectorized ones
+    replaced."""
+    h = hashlib.sha256()
+    for p, t in _subfield_fields():
+        # GF(3^10) is the session's; the other fields are not kept
+        fs = field(p, t) if (p, t) == (3, 10) else make_field(p, t)
+        for e in range(1, t + 1):
+            if t % e == 0:
+                sub = fs.subfield(e)
+                h.update(repr((p, t, e, sub.root,
+                               list(sub.embed_table))).encode())
+    assert h.hexdigest() == ("4a361d2cd9c15ce8721022920bebc851"
+                             "4e5011a15ddedcb316285087cdf22662")
 
 
 def test_subfield_membership_is_frobenius_fixed():
@@ -312,4 +343,12 @@ def test_field_above_table_limit_is_refused():
     # refused before the modulus is read: no irreducibility search
     with pytest.raises(FieldTooLarge):
         make_field(65537, 1, [0, 1])
+    # refused before the primality test (trial division of this prime
+    # takes minutes) and without forming 2^20000
+    with pytest.raises(FieldTooLarge):
+        make_field(2 ** 61 - 1, 1)
+    with pytest.raises(FieldTooLarge, match="field tables stop at 65536"):
+        make_field(2, 20000)
+    with pytest.raises(NonPrimeError):
+        make_field(1, 20000)
     assert make_field(2, 16).q == 1 << 16

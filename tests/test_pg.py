@@ -5,12 +5,15 @@ from lingeo.gf import make_field
 from lingeo.pg import (
     EqualPoints,
     Geometry,
+    GeometryError,
+    GeometryTooLarge,
     PointSet,
     Subspace,
     build_geometry,
     intersect,
     lex_points,
     line_through,
+    normalize_rows,
     points_of,
     set_meet,
     space_size,
@@ -53,6 +56,47 @@ def test_index_of_rows_matches_scalar(pg2_49):
     scale = rng.integers(1, fs.q, 200)
     scaled = fs.vmul(scale[:, None], rows)
     assert np.array_equal(pg2_49.index_of_rows(scaled), idx)
+
+
+# char 2, a prime field in 3-space, and an odd extension field (Zech)
+@pytest.mark.parametrize("n,p,t", [(2, 2, 2), (3, 3, 1), (2, 3, 2)])
+def test_point_reads_match_row_kernels(n, p, t):
+    g = build_geometry(n, make_field(p, t))
+    fs = g.fs
+    idx = np.arange(g.num_points)
+    rows = g.coords_of_indices(idx)
+    scaled = fs.vmul((idx % (fs.q - 1) + 1)[:, None], rows)
+    assert np.array_equal(normalize_rows(fs, scaled), rows)
+    assert np.array_equal(g.index_of_rows(scaled), idx)
+    for i, row, srow in zip(idx.tolist(), rows.tolist(), scaled.tolist()):
+        # Python ints, not numpy scalars: project prints these tuples
+        for got in (g.coords_of(i), g.normalize(srow)):
+            assert got == tuple(row)
+            assert all(type(c) is int for c in got)
+        got = g.index_of(srow)
+        assert got == i and type(got) is int
+
+
+def test_point_reads_refuse_bad_input(pg2_4):
+    for bad in (-1, pg2_4.num_points):
+        with pytest.raises(GeometryError, match=f"point index {bad} out of"):
+            pg2_4.coords_of(bad)
+    for read in (pg2_4.normalize, pg2_4.index_of):
+        with pytest.raises(GeometryError,
+                           match="zero vector is not a projective point"):
+            read((0, 0, 0))
+
+
+def test_point_indices_stop_at_int64():
+    # PG(62, 2) has 2^63 - 1 points, the largest index space that fits
+    fs = make_field(2, 1)
+    g = build_geometry(62, fs)
+    assert g.num_points == 2 ** 63 - 1
+    for i in (0, 2 ** 62 - 1, 2 ** 62, g.num_points - 1):
+        assert g.index_of(g.coords_of(i)) == i
+    for n, f in ((63, fs), (70, fs), (10 ** 9, fs), (16, make_field(2, 4))):
+        with pytest.raises(GeometryTooLarge, match="2\\^63 - 1 points"):
+            build_geometry(n, f)
 
 
 def test_lex_points_in_index_order():
@@ -170,3 +214,51 @@ def test_baer_subplane_meets(pg2_49):
     for h in pg2_49.hyperplanes():
         counts.add(set_meet(b, h).card)
     assert counts == {1, 8}
+
+
+def _random_subspace(g, rng, dim):
+    while True:
+        picks = rng.choice(g.num_points, dim + 1, replace=False)
+        s = Subspace(g, g.coords_of_indices(picks).tolist())
+        if s.dim == dim:
+            return s
+
+
+# char 2, a prime field and an odd extension field, in planes and 3-space
+@pytest.mark.parametrize("n,p,t", [(2, 2, 2), (3, 3, 1), (2, 3, 2),
+                                   (3, 2, 2)])
+def test_set_meet_equals_point_set_intersection(n, p, t):
+    g = build_geometry(n, make_field(p, t))
+    rng = np.random.default_rng(10 * n + p + t)
+    for dim in range(n + 1):
+        for _ in range(4):
+            s = _random_subspace(g, rng, dim)
+            pts = s.point_set()
+            # sets smaller and larger than s, holding some of its points
+            for size in (max(1, pts.card // 2), 2 * pts.card + 3):
+                size = min(size, g.num_points)
+                inside = rng.choice(pts.indices, min(size, pts.card) // 2,
+                                    replace=False)
+                b = PointSet(g, np.concatenate([
+                    inside, rng.choice(g.num_points, size - inside.size,
+                                       replace=False)]))
+                assert set_meet(b, s) == b.intersection(pts)
+
+
+@pytest.mark.parametrize("n,p,t", [(3, 3, 1), (3, 2, 2), (2, 3, 2),
+                                   (4, 2, 1)])
+def test_intersect_equals_point_set_meet(n, p, t):
+    g = build_geometry(n, make_field(p, t))
+    rng = np.random.default_rng(10 * n + p + t)
+    seen = set()
+    for _ in range(60):
+        a, b = (_random_subspace(g, rng, int(rng.integers(0, n)))
+                for _ in range(2))
+        both = a.point_set().intersection(b.point_set())
+        meet = intersect(a, b)
+        if both.card == 0:
+            assert meet is None
+        else:
+            assert meet.point_set() == both
+        seen.add(both.card == 0)
+    assert seen == {True, False}
