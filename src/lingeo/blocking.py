@@ -91,28 +91,31 @@ class BlockingReport:
 
 
 def _duals_through(fs, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Hyperplane duals through normalized points, one per row of ``coef``.
+    """Hyperplane duals through normalized points, one per coefficient row.
 
     The duals through a point P with pivot column ``piv`` (P[piv] = 1)
     have the closed-form basis e_f - P_f e_piv, f != piv: coefficients c
     give the dual with c_f at each f and -sum_f c_f P_f at ``piv``.
-    ``points`` holds one point per coefficient row, or one point for all
-    of them.  The duals come unnormalized.
+    ``coef`` (..., n) and ``points`` (..., n+1) broadcast over their
+    leading axes: one point per coefficient row, one point for all rows,
+    or a block of points (nb, 1, n+1) against shared rows (k, n), which
+    gives (nb, k, n+1).  Each point's columns are found once, however
+    many rows share it.  The duals come unnormalized.
     """
-    k, nf = coef.shape
-    # per point, not per row: a single point's columns are found once
+    nf = coef.shape[-1]
     piv = np.argmax(points != 0, axis=-1)
-    free = np.broadcast_to(free_columns(np.reshape(piv, (-1, 1)), nf + 1),
-                           (k, nf))
-    piv = np.broadcast_to(piv, (k,))
-    pts = np.broadcast_to(points, (k, nf + 1))
-    duals = np.zeros((k, nf + 1), dtype=np.int64)
-    np.put_along_axis(duals, free, coef, axis=1)
-    prods = fs.vmul(coef, np.take_along_axis(pts, free, axis=1))
-    at_piv = prods[:, 0]
+    free = free_columns(piv.reshape(-1, 1), nf + 1).reshape(piv.shape + (nf,))
+    prods = fs.vmul(coef, np.take_along_axis(points, free, axis=-1))
+    at_piv = prods[..., 0]
     for f in range(1, nf):
-        at_piv = fs.vadd(at_piv, prods[:, f])
-    duals[np.arange(k), piv] = fs.vneg(at_piv)
+        at_piv = fs.vadd(at_piv, prods[..., f])
+    neg = fs.vneg(at_piv)
+    duals = np.empty(neg.shape + (nf + 1,), dtype=np.int64)
+    for j in range(nf + 1):
+        # column j holds c_j left of the pivot and c_(j-1) right of it
+        c = np.where(j < piv, coef[..., min(j, nf - 1)],
+                     coef[..., max(j - 1, 0)])
+        duals[..., j] = np.where(j == piv, neg, c)
     return duals
 
 
@@ -120,11 +123,16 @@ def hyperplane_incidence(g: Geometry, coords: np.ndarray) -> np.ndarray:
     """(m, k) indices of the k hyperplanes through each of m normalized
     points ``coords``: row i lists the duals through point i once each,
     the points of PG(n-1, q) as coefficients on their closed-form basis
-    (``_duals_through``)."""
+    (``_duals_through``).  Blocks of points (``block_rows`` of their k
+    duals) take one ``_duals_through`` and one ``index_of_rows`` each."""
     coef = lex_points(g.n - 1, g.fs.q)
-    out = np.empty((len(coords), coef.shape[0]), dtype=np.int64)
-    for i, c in enumerate(coords):
-        out[i] = g.index_of_rows(_duals_through(g.fs, coef, c))
+    k, d = coef.shape[0], g.n + 1
+    out = np.empty((len(coords), k), dtype=np.int64)
+    step = block_rows(k * d)
+    for i0 in range(0, len(coords), step):
+        duals = _duals_through(g.fs, coef, coords[i0:i0 + step, None, :])
+        out[i0:i0 + step] = g.index_of_rows(
+            duals.reshape(-1, d)).reshape(-1, k)
     return out
 
 

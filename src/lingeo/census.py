@@ -11,8 +11,10 @@ then puts each line through each P in one run.  This keeps censuses of
 16k-point sets in multi-billion-point ambient spaces tractable.  Every
 census also keeps the secants of its longest line size, which for the
 linear sets the checks are about are the short (q0+1)-secants, so one
-pass serves every check.  Secants are kept as rows of positions into B,
-the form in which every check reads them.  This is the only grouping
+pass serves every check.  Secants are kept as int32 rows of positions
+into B, the form in which every check reads them, each secant held once:
+a block sorts its own rows, and the blocks' rows are copied into one
+array in block order.  This is the only grouping
 routine in production: point exponents read its per-point counts, the
 certifier its secant rows, and the tangent-only point search runs on
 its kernel.  Hyperplane questions (blocking, minimality, the exponent)
@@ -35,7 +37,7 @@ loop).  ``split_blocks`` gives each of w workers blocks of
 ``BLOCK_ELEMS // w`` elements, so the elements in flight do not grow, and
 the callers merge the results in block order, so every thread count gives
 the same census.  ``line_census`` and ``structure``'s subline and plane
-checks go through it.
+checks go through it, so ``BLOCK_ELEMS`` is the one memory budget.
 """
 
 from __future__ import annotations
@@ -79,13 +81,14 @@ class LineCensus:
     """Histogram of |L ∩ B| over lines meeting B, plus per-point counts.
 
     ``secants`` holds the asked-for sizes and, when it is at least 3, the
-    longest line size, as rows of positions into ``point_set.indices``
-    (the form every check reads them in; ``secant_members`` gives the
-    point indices).  ``per_point_secants`` (and so
-    ``per_point_tangents``) is None when the census was computed in pair
-    mode and some secant size is not collected (the histogram itself is
-    always exact).  ``threads`` is the worker count it was asked for,
-    which ``with_secants`` passes on.
+    longest line size, as int32 rows of positions into
+    ``point_set.indices`` (the form every check reads them in;
+    ``secant_members`` gives the point indices), one sorted row per
+    secant, the rows ordered by their two lowest members.
+    ``per_point_secants`` (and so ``per_point_tangents``) is None when
+    the census was computed in pair mode and some secant size is not
+    collected (the histogram itself is always exact).  ``threads`` is
+    the worker count it was asked for, which ``with_secants`` passes on.
     """
 
     point_set: PointSet
@@ -115,7 +118,7 @@ class LineCensus:
 
     def secant_members(self, size: int) -> np.ndarray:
         """(S, size) array of member indices, one sorted row per secant."""
-        rows = self.secants.get(size, np.zeros((0, size), dtype=np.int64))
+        rows = self.secants.get(size, np.zeros((0, size), dtype=np.int32))
         return self.point_set.indices[rows]
 
     def with_secants(self, size: int) -> "LineCensus":
@@ -304,8 +307,8 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
 
     Returns (starts, counts, pos, own, members): the start of each run
     in the row-major sorted order, its length, its row, whether it is
-    the row's zero-image group, and, when ``cols``, the column of every
-    sorted element (else None).  One word, with its ``jbits`` column
+    the row's zero-image group, and, when ``cols``, the int32 column of
+    every sorted element (else None).  One word, with its ``jbits`` column
     bits when ``cols``, is sorted row by row; otherwise the block is
     sorted by ``np.lexsort`` with the row as the primary key.
     """
@@ -318,7 +321,10 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
         words[0].sort(axis=1)
         flat = words[0].ravel()
         if jbits:
-            members = flat & ((1 << jbits) - 1)
+            # column bits straight into int32, without an int64 temporary
+            members = np.empty(size, dtype=np.int32)
+            np.bitwise_and(flat, (1 << jbits) - 1, out=members,
+                           casting="unsafe")
             flat >>= jbits
         brk[1:] |= flat[1:] != flat[:-1]
         starts = np.flatnonzero(brk)
@@ -334,7 +340,7 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
         for sw, self_word in zip(ordered, self_words):
             own &= sw[starts] == self_word
         if cols:
-            members = order % mc
+            members = (order % mc).astype(np.int32)
     counts = np.diff(np.append(starts, size))
     return starts, counts, starts // mc, own, members
 
@@ -344,10 +350,10 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     """Exact census of all lines meeting B, grouped around each point.
 
     ``collect_sizes`` lists intersection sizes whose secants should be
-    returned as explicit (S, size) arrays of positions in B (each secant
-    reported once, one sorted row each).  The secants of the longest line
-    size are always collected when that size is at least 3.  Two
-    strategies:
+    returned as explicit (S, size) int32 arrays of positions in B (each
+    secant reported once, one sorted row each).  The secants of the
+    longest line size are always collected when that size is at least 3.
+    Two strategies:
 
     * ``"full"``: every point is grouped against all other points, so
       per-point tangent/secant counts come out directly.
@@ -363,7 +369,11 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     blocks: the keys of a block (one per point pair, with the member's
     column in the low bits, see ``quotient_keys``) are sorted row by row,
     and each run of equal keys is one line through that row's point
-    (``row_groups``).  Keys too wide for one int64 with their column
+    (``row_groups``).  A secant is cut at its lowest member, so each
+    block's secant rows start in its own points: the block sorts them
+    by their two lowest members, and the merge copies the blocks' rows
+    in block order into one int32 array, letting go of each block's
+    rows once copied.  Keys too wide for one int64 with their column
     bits are grouped by ``np.lexsort`` instead, so every field up to
     2^16 and every dimension whose point indices fit int64 has an exact
     path.  A 16k-point set costs a few hundred vectorized passes rather
@@ -380,7 +390,7 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     if m == 1:
         return LineCensus(b, {1: lines_through_point},
                           np.zeros(1, dtype=np.int64), {},
-                          {s: np.zeros((0, s), dtype=np.int64)
+                          {s: np.zeros((0, s), dtype=np.int32)
                            for s in collect_sizes}, threads)
     if mode == "auto":
         mode = "pair" if m > _PAIR_MODE_THRESHOLD else "full"
@@ -400,9 +410,10 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
         j0 = i0 if pair else 0        # pair mode: only columns j >= i0
         # pair mode merges columns j <= i into each point's self-group, so
         # only j > i members are counted
-        block = quotient_keys(fs, operands, coords[i0:i1, None, :], j0,
-                              cols=True, merge_lower=pair)
-        starts, counts, gpos, own, cols = row_groups(*block, cols=True)
+        # the keys are let go once grouped: only their columns are kept
+        starts, counts, gpos, own, cols = row_groups(
+            *quotient_keys(fs, operands, coords[i0:i1, None, :], j0,
+                           cols=True, merge_lower=pair), cols=True)
         real = ~own                              # drop each point's self-group
         gpos, counts, starts = gpos[real], counts[real], starts[real]
         if pair:
@@ -418,16 +429,21 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
             gsel = np.flatnonzero(counts == s - 1)
             if gsel.size == 0:
                 continue
-            offs = starts[gsel][:, None] + np.arange(s - 1)[None, :]
-            mem = j0 + cols[offs]                # member positions
-            at = i0 + gpos[gsel]
+            # a block's element offsets and B's positions fit int32
+            offs = (starts[gsel].astype(np.int32)[:, None]
+                    + np.arange(s - 1, dtype=np.int32))
+            part = np.empty((gsel.size, s), dtype=np.int32)
+            part[:, 0] = i0 + gpos[gsel]
+            part[:, 1:] = cols[offs]             # member positions
+            part[:, 1:] += j0
             if not pair:
                 # report each secant once, at its lowest member (in pair
                 # mode every member is above the group's own point)
-                keep = mem.min(axis=1) > at
-                mem, at = mem[keep], at[keep]
-            rows[s] = np.sort(np.concatenate([at[:, None], mem], axis=1),
-                              axis=1)
+                part = part[part[:, 1:].min(axis=1) > part[:, 0]]
+            part.sort(axis=1)
+            # each row's lowest member lies in this block, and two points
+            # span one line, so the two lowest members order the rows
+            rows[s] = part[np.lexsort((part[:, min(1, s - 1)], part[:, 0]))]
         return sizes, k, rows
 
     # size -> chunks of (S, size) position rows; the longest size seen so
@@ -481,12 +497,19 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
         del hist[1]
     secants = {}
     for s, parts in chunks.items():
-        pos = (np.concatenate(parts, axis=0) if parts
-               else np.zeros((0, s), dtype=np.int64))
-        # two points span one line, so the two lowest members order the rows
-        pos = pos[np.argsort(pos[:, 0] * m + pos[:, min(1, s - 1)])]
+        # blocks hold ascending ranges of lowest members, so block order is
+        # row order: fill one array and let go of each part once copied
+        pos = np.empty((sum(len(part) for part in parts), s), dtype=np.int32)
+        at = 0
         if pair:
-            by_size[s] = np.bincount(pos.ravel(), minlength=m)
+            by_size[s] = np.zeros(m, dtype=np.int64)
+        for i, part in enumerate(parts):
+            pos[at:at + len(part)] = part
+            at += len(part)
+            if pair:
+                by_size[s] += np.bincount(part.ravel(), minlength=m)
+            parts[i] = None
+        if pair:
             n_sec += by_size[s]
         secants[s] = pos
     if pair and not all(s in secants for s in hist if s >= 2):

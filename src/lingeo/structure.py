@@ -146,7 +146,7 @@ def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
     log d_1k - log d_0k - log d_12 + log d_02 divisible by (q-1)/(q0-1).
     """
     fs = b.geometry.fs
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     coords = b.coords()
     _, piv0, piv1 = _line_bases(fs, coords[rows[:, 0]], coords[rows[:, 1]])
     la = fs.vlog0(coords[rows, piv0[:, None]])
@@ -174,31 +174,27 @@ def _short_secants(b: PointSet, q0: int, census: LineCensus | None,
     return census.with_secants(q0 + 1)
 
 
-# secants per subline batch, so million-secant instances never hold giant
-# temporaries.  On 2 workers, a 4,681-point set with 304,265 short secants
-# peaked at 206 MB with 200k-secant batches, 153 MB with 100k and 130 MB,
-# its census's peak, with 50k or 25k
-SUBLINE_CHUNK = 50_000
-
-
 def check_sublines(b: PointSet, e: int, census: LineCensus | None = None,
                    threads: int = 1) -> dict:
     """Verify every (p^e+1)-secant of B is a subline; list violations.
 
     ``census`` is reused, its short secants collected at most once
-    (``census.with_secants``).  Batches of ``SUBLINE_CHUNK`` secants run
-    on ``threads`` workers (``census.map_blocks``), violations listed in
-    secant order.
+    (``census.with_secants``).  The secants run in batches on ``threads``
+    workers, sized under the census's block budget (``split_blocks``,
+    ``map_blocks``), violations listed in secant order.
     """
     q0 = b.geometry.fs.p ** e
     secants = _short_secants(b, q0, census, threads).secants[q0 + 1]
+    # a batch's temporaries (la, lb, the log d rows and the arithmetic on
+    # them) come to under 8 int64 per secant member
+    starts, bs, workers = split_blocks(secants.shape[0], 8 * (q0 + 1),
+                                       threads)
 
     def bad_rows(lo):
-        part = secants[lo:lo + SUBLINE_CHUNK]
+        part = secants[lo:lo + bs]
         return part[~sublines_pass_batch(b, part, e)]
 
-    bad = map_blocks(bad_rows, range(0, secants.shape[0], SUBLINE_CHUNK),
-                     threads)
+    bad = map_blocks(bad_rows, starts, workers)
     violations = [tuple(row) for part in bad
                   for row in b.indices[part].tolist()]
     return {"checked": int(secants.shape[0]), "violations": violations}
@@ -364,7 +360,7 @@ def plane_block_data(b: PointSet, secants, q0: int,
     """
     g = b.geometry
     fs = g.fs
-    sec = np.asarray(secants, dtype=np.int64).reshape(-1, q0 + 1)
+    sec = np.asarray(secants).reshape(-1, q0 + 1)
     ns = sec.shape[0]
     good = np.zeros(ns, dtype=np.int64)
     min_size = np.zeros(ns, dtype=np.int64)

@@ -76,6 +76,31 @@ def test_hyperplane_incidence_matches_brute_force():
                                    if x in on[d]]
 
 
+def per_point_incidence(g, coords):
+    """Oracle for ``hyperplane_incidence``: one ``_duals_through`` call
+    per point."""
+    coef = lex_points(g.n - 1, g.fs.q)
+    out = np.empty((len(coords), coef.shape[0]), dtype=np.int64)
+    for i, c in enumerate(coords):
+        out[i] = g.index_of_rows(blocking._duals_through(g.fs, coef, c))
+    return out
+
+
+# blocks of 6 points leave a short last block on each geometry
+@pytest.mark.parametrize("block", ["default", "six_points"])
+@pytest.mark.parametrize("n,p,t", [(2, 5, 1), (3, 3, 1), (2, 3, 2)])
+def test_hyperplane_incidence_matches_per_point(monkeypatch, block, n, p, t):
+    g = build_geometry(n, make_field(p, t))
+    coords = lex_points(n, g.fs.q)
+    k = len(lex_points(n - 1, g.fs.q))
+    if block == "six_points":
+        monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 6 * k * (n + 1))
+        assert g.num_points % 6
+    got = blocking.hyperplane_incidence(g, coords)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, per_point_incidence(g, coords))
+
+
 def _scalar_tangents(b):
     """Per member index, its tangent hyperplanes in increasing order, from
     a scalar evaluation of every hyperplane form on every point of B."""

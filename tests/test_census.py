@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lingeo import census as census_module, structure
 from lingeo.census import (kernel_operands, line_census, quotient_keys,
                            worker_count)
+from lingeo.constructions import random_linear_blocking_set
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, build_geometry, points_of, set_meet, space_size
 
@@ -177,16 +179,21 @@ def test_census_kernel_matches_oracles(field, monkeypatch, n, p, t):
             assert np.array_equal(explicit.secant_members(s), rows)
 
 
-def test_longer_line_in_a_later_block_replaces_collected_secants(
-        field, monkeypatch):
-    # blocks of 4 points: the first block holds points of two 3-secants
-    # only, the 5-point line comes later
+def _late_line_set(field):
+    """Two 3-secants through the points of lowest index, then a 5-point
+    line: in blocks of 4 points, the first block holds points of the
+    3-secants only, and the longest line shows up later."""
     g = build_geometry(4, field(2, 12))
     unit = np.eye(5, dtype=np.int64)
     rows = [unit[0] + c * unit[4] for c in range(3)]
     rows += [unit[0] + unit[3] + c * unit[4] for c in range(3)]
     rows += [unit[1] + c * unit[2] for c in range(4)] + [unit[2]]
-    b = PointSet.from_coords(g, rows)
+    return PointSet.from_coords(g, rows)
+
+
+def test_longer_line_in_a_later_block_replaces_collected_secants(
+        field, monkeypatch):
+    b = _late_line_set(field)
     monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 4 * b.card)
     lines = scalar_lines(b)
     assert max(lines) == 5 and len(lines[3]) == 2
@@ -194,6 +201,38 @@ def test_longer_line_in_a_later_block_replaces_collected_secants(
         census = line_census(b, mode=mode)
         assert list(census.secants) == [5]
         assert np.array_equal(census.secant_members(5), lines[5])
+
+
+@pytest.mark.parametrize("mode", ["full", "pair"])
+def test_secant_rows_are_int32_in_oracle_order(monkeypatch, field, baer_49,
+                                               mode):
+    # blocks of 2 points at one worker, of 1 at more: every block sorts its
+    # own rows and the merge keeps block order, so the rows must be the
+    # oracle's sorted rows for every thread count.  Many of baer_49's
+    # 8-secants share their lowest member, and _late_line_set's longest
+    # line first shows up in a later block, whose rows replace the
+    # 3-secants collected before it.
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
+    mixed = _mixed_set(build_geometry(3, field(7, 2)), seed=5)
+    for b in (baer_49, _late_line_set(field), mixed):
+        monkeypatch.setattr(census_module, "BLOCK_ELEMS", 2 * b.card)
+        lines = scalar_lines(b)
+        want = {s: np.searchsorted(b.indices, rows)
+                for s, rows in lines.items()}
+        longest = max(lines)
+        # pair mode can collect no size a longer line shadows
+        sizes = sorted(lines) if mode == "full" else [longest]
+        for threads in (1, 2, 3):
+            for asked in (sizes, []):
+                census = line_census(b, collect_sizes=asked, mode=mode,
+                                     threads=threads)
+                assert sorted(census.secants) == (asked or [longest])
+                for s, rows in census.secants.items():
+                    assert rows.dtype == np.int32
+                    assert np.array_equal(rows, want[s])
+                    assert np.array_equal(
+                        census.per_point_by_size[s],
+                        np.bincount(want[s].ravel(), minlength=b.card))
 
 
 def test_longest_secants_collected_as_if_asked(baer_49, trace_343, line_49):
@@ -385,7 +424,8 @@ def test_subline_violations_identical_across_threads(monkeypatch, baer_49,
         secants = line_census(b, collect_sizes=[q0 + 1],
                               mode="full").secants[q0 + 1]
         assert len(secants) >= 10
-        monkeypatch.setattr(structure, "SUBLINE_CHUNK", len(secants) // 5)
+        # subline batches are 8 elements per secant member
+        _blocks_of(monkeypatch, len(secants), 8 * (q0 + 1), 5)
         runs = []
         for threads in (1, 2, 3):
             with monkeypatch.context() as mp:
@@ -395,7 +435,8 @@ def test_subline_violations_identical_across_threads(monkeypatch, baer_49,
             assert len(probe.threads) >= min(threads, 2)
         assert runs[0]["checked"] == len(secants)
         assert runs[1:] == runs[:1] * 2
-    assert len(runs[0]["violations"]) > structure.SUBLINE_CHUNK
+    # the violations span several batches
+    assert len(runs[0]["violations"]) > len(secants) // 5
 
 
 def test_plane_blocks_identical_across_threads(monkeypatch, rank5_pg3_81):
@@ -416,3 +457,51 @@ def test_plane_blocks_identical_across_threads(monkeypatch, rank5_pg3_81):
         assert np.array_equal(got.good, runs[0].good)
         assert np.array_equal(got.min_size, runs[0].min_size)
         assert got.sizes == runs[0].sizes
+
+
+@pytest.fixture(scope="module")
+def rank5_pg3_4096():
+    """Rank-5 GF(8)-linear set of PG(3, 2^12) and its census: 4,681
+    points on 304,265 9-secants, the shape of the verify-space benchmark
+    input."""
+    g = build_geometry(3, make_field(2, 12))
+    b = random_linear_blocking_set(g, 3, 5, seed=0)[0]
+    return b, line_census(b)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_census_peak_is_its_secants_plus_a_block(rank5_pg3_4096):
+    # one thread, so the peak is deterministic.  A block of BLOCK_ELEMS
+    # elements holds an int64 key and an int32 column per element and,
+    # while its secant rows are cut, int32 offsets, rows and their sorted
+    # copy: under 24 bytes per element.  Before it, the parts of the
+    # earlier blocks are held; the merge then copies them into one int32
+    # array, so at its start it holds the secants twice.
+    b, _ = rank5_pg3_4096
+    out = []
+    peak = _traced_peak(lambda: out.append(line_census(b, mode="pair")))
+    secants = out[0].secants[9]
+    assert secants.shape == (304265, 9) and secants.dtype == np.int32
+    block_bytes = 24 * census_module.BLOCK_ELEMS
+    assert peak <= secants.nbytes + max(secants.nbytes, block_bytes)
+
+
+def test_subline_batches_do_not_grow_with_threads(monkeypatch,
+                                                  rank5_pg3_4096):
+    # each of w workers takes batches of 1/w the one-thread size, so the
+    # memory in flight stays that of one thread's batch
+    monkeypatch.setattr(census_module, "_cpus", lambda: 2)
+    b, census = rank5_pg3_4096
+    structure.check_sublines(b, 3, census, threads=2)    # pool set-up
+    peaks = {threads: _traced_peak(lambda: structure.check_sublines(
+        b, 3, census, threads=threads)) for threads in (1, 2)}
+    assert peaks[2] <= 1.1 * peaks[1]
