@@ -1,5 +1,13 @@
 """Blocking sets and linear sets in finite projective spaces."""
 
+import os
+
+# lingeo's arithmetic is integer table lookups and never calls BLAS, but
+# numpy's OpenBLAS starts one pool thread per CPU when it loads, and those
+# threads cost CPU time.  One thread unless the user chose otherwise; this
+# must run before the first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .gf import FieldSpec, make_field

@@ -23,12 +23,14 @@ the hyperplanes are the lines and both give the same numbers.
 
 The same kernel (``quotient_keys`` and ``row_groups``) quotients by any
 block of subspaces given by reduced bases of k rows: points (k = 1) for
-the line census, secant lines (k = 2) for the plane census of
-``structure.plane_block_data``.  The logs of B's coordinates are taken
-once per kernel call, and the field work runs in cache-sized row tiles
-(``TILE_ELEMS``) inside each sorted block (``BLOCK_ELEMS``).  The scalar
-``quotient_rows`` and ``pack_rows`` serve only ``structure.plane_census``,
-the plane kernel's test oracle.
+the line census, quotienting all of B, and secant lines (k = 2) for the
+plane census of ``structure.plane_block_data``, quotienting per secant
+only one member of each line through its anchor (``take``), not B.  The
+logs of B's coordinates are taken once per kernel call, and the field
+work runs in cache-sized row tiles (``TILE_ELEMS``) inside each sorted
+block (``BLOCK_ELEMS``).  The scalar ``quotient_rows`` and ``pack_rows``
+serve only ``structure.plane_census``, the plane kernel's test oracle,
+which quotients all of B by one secant.
 
 Blocks are independent, and the kernel's sorts, gathers and ufuncs release
 the GIL, so ``map_blocks`` runs them on a pool of ``threads`` worker
@@ -98,7 +100,7 @@ class LineCensus:
     secants: dict = field(default_factory=dict)  # size -> (S, size) positions
     threads: int = field(default=1, compare=False)
     _collected: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)  # size -> census collecting it
+                             compare=False)  # sizes -> census collecting them
 
     @property
     def per_point_tangents(self):
@@ -121,20 +123,22 @@ class LineCensus:
         rows = self.secants.get(size, np.zeros((0, size), dtype=np.int32))
         return self.point_set.indices[rows]
 
-    def with_secants(self, size: int) -> "LineCensus":
-        """This census if it holds the size-``size`` secants (always so
-        for its longest lines), else a census of the same set collecting
-        them: one pass, cached for later calls, in full mode when longer
-        lines would shadow them in pair mode.
+    def with_secants(self, *sizes: int) -> "LineCensus":
+        """This census if it holds the secants of every size in ``sizes``
+        (always so for its longest lines), else a census of the same set
+        collecting them all: one pass, cached for later calls (any cached
+        census that holds them serves), in full mode when longer lines
+        would shadow one of them in pair mode.
         """
-        if size in self.secants:
-            return self
-        if size not in self._collected:
-            shadowed = any(k > size for k in self.hist)
-            self._collected[size] = line_census(
-                self.point_set, collect_sizes=[size],
-                mode="full" if shadowed else "auto", threads=self.threads)
-        return self._collected[size]
+        want = frozenset(sizes)
+        for c in (self, *self._collected.values()):
+            if want <= c.secants.keys():
+                return c
+        shadowed = any(k > min(want) for k in self.hist)
+        self._collected[want] = line_census(
+            self.point_set, collect_sizes=sorted(want),
+            mode="full" if shadowed else "auto", threads=self.threads)
+        return self._collected[want]
 
 
 _PAIR_MODE_THRESHOLD = 4096
@@ -171,11 +175,13 @@ def worker_count(threads: int, blocks: int, cpus: int | None = None) -> int:
 
 def split_blocks(n: int, width: int, threads: int):
     """(block starts, rows per block, workers) for ``n`` rows ``width``
-    long: the ``worker_count`` of full-size blocks, each then given
-    blocks of ``BLOCK_ELEMS // workers`` elements."""
-    workers = worker_count(threads, -(-n // block_rows(width)))
-    rows = block_rows(width * workers)
-    return range(0, n, rows), rows, workers
+    long: the fewest equal blocks of at most ``BLOCK_ELEMS // w``
+    elements, w = ``worker_count(threads, n)``, on w workers or one per
+    block if fewer, so work beyond one such block is split."""
+    workers = worker_count(threads, n)
+    blocks = max(1, -(-n // block_rows(width * workers)))
+    rows = max(1, -(-n // blocks))
+    return range(0, n, rows), rows, worker_count(workers, blocks)
 
 
 def map_blocks(fn, starts, threads: int) -> list:
@@ -207,9 +213,12 @@ def kernel_operands(fs, coords: np.ndarray):
 
 
 def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
-                  cols: bool = False, merge_lower: bool = False):
+                  cols: bool = False, merge_lower: bool = False,
+                  take: np.ndarray | None = None):
     """Sort keys of the canonical quotient images of the points j >= j0
-    of B by each subspace of a block.
+    of B by each subspace of a block, or, with ``take`` (nb, mc), of the
+    points at row r's positions ``take[r]`` by row r's subspace (``j0``
+    and ``merge_lower`` then do not apply).
 
     ``operands`` is ``kernel_operands`` of B; ``basis`` is (nb, k, d), one
     reduced basis per row (row r of it is 1 at its own pivot column and
@@ -238,7 +247,7 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     q = fs.q
     z = fs.zero_log
     w = _pack_width(q)
-    mc = codes.shape[1] - j0
+    mc = codes.shape[1] - j0 if take is None else take.shape[1]
     nd = d - k
     jbits = int(mc - 1).bit_length() if cols else 0
     if w * nd + jbits > _WORD_BITS:
@@ -263,13 +272,22 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     step = tile_rows(mc)
     for r0 in range(0, nb, step):
         r1 = min(r0 + step, nb)
-        la = [logs[piv[r0:r1, r], j0:] for r in range(k)]
+
+        def tile_of(a, c):
+            """Coordinate c[r] of row r's points, from the (d, m) operand
+            a, for the tile's rows: (r1-r0, mc)."""
+            if take is None:
+                return a[c, j0:]
+            # one flat gather: twice as fast as indexing by two arrays
+            return np.take(a.ravel(), c[:, None] * a.shape[1] + take[r0:r1])
+
+        la = [tile_of(logs, piv[r0:r1, r]) for r in range(k)]
         if merge_lower:
             low = col[None, :r1] <= np.arange(r0, r1)[:, None]
         lr = []
         for i in range(nd):
             sums = [la[r] + lb[r0:r1, r, i:i + 1] for r in range(k)]
-            x = fs.vmulsub_log0(codes[free[r0:r1, i], j0:], sums)
+            x = fs.vmulsub_log0(tile_of(codes, free[r0:r1, i]), sums)
             if merge_lower:
                 x[:, :r1][low] = z
             lr.append(x)
@@ -417,8 +435,9 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
         real = ~own                              # drop each point's self-group
         gpos, counts, starts = gpos[real], counts[real], starts[real]
         if pair:
-            sizes = dict(zip(*(a.tolist() for a in
-                               np.unique(counts, return_counts=True))))
+            per = np.bincount(counts)
+            v = np.flatnonzero(per)
+            sizes = dict(zip(v.tolist(), per[v].tolist()))
         else:
             # each k-line is seen from its k members
             sizes = {v: np.bincount(gpos[counts == v - 1], minlength=nb)

@@ -9,7 +9,8 @@ The checks read a census's short secants as rows of positions into B;
 the batch subline test is one cross-ratio test per member, with the
 scalar ``is_subline`` as its oracle.  It is the one subline test: the
 certifier lifts the secants through its anchor that pass it, in one
-batch.
+batch.  The block plane census reads each secant from the lines through
+its lowest member, with the scalar ``plane_census`` as its oracle.
 """
 
 from __future__ import annotations
@@ -116,19 +117,26 @@ def is_subline(s: PointSet, e: int) -> bool:
     return True
 
 
-def _line_bases(fs, u, v):
-    """Reduced bases of the lines through normalized point pairs u, v
-    (rows): (S, 2, n+1) rows with 1 at their own pivot and 0 at the
-    other's, plus the two pivot columns."""
+def _line_pivots(fs, u, v):
+    """The two pivot columns of the reduced bases of the lines through
+    normalized point pairs u, v (rows), and v less its multiple of u,
+    whose leading column is the second pivot."""
     piv0 = np.argmax(u != 0, axis=1)
     alpha = np.take_along_axis(v, piv0[:, None], axis=1)
     r1 = fs.vsub(v, fs.vmul(alpha, u))
-    piv1 = np.argmax(r1 != 0, axis=1)
+    return piv0, np.argmax(r1 != 0, axis=1), r1
+
+
+def _line_bases(fs, u, v):
+    """Reduced bases of the lines through normalized point pairs u, v
+    (rows): (S, 2, n+1) rows with 1 at their own pivot (``_line_pivots``)
+    and 0 at the other's."""
+    _, piv1, r1 = _line_pivots(fs, u, v)
     lead = np.take_along_axis(r1, piv1[:, None], axis=1)
     r1 = fs.vmul(fs.vinv(lead), r1)
     c = np.take_along_axis(u, piv1[:, None], axis=1)
     r0 = fs.vsub(u, fs.vmul(c, r1))
-    return np.stack([r0, r1], axis=1), piv0, piv1
+    return np.stack([r0, r1], axis=1)
 
 
 def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
@@ -148,7 +156,7 @@ def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
     fs = b.geometry.fs
     rows = np.asarray(rows)
     coords = b.coords()
-    _, piv0, piv1 = _line_bases(fs, coords[rows[:, 0]], coords[rows[:, 1]])
+    piv0, piv1, _ = _line_pivots(fs, coords[rows[:, 0]], coords[rows[:, 1]])
     la = fs.vlog0(coords[rows, piv0[:, None]])
     lb = fs.vlog0(coords[rows, piv1[:, None]])
 
@@ -345,21 +353,60 @@ class PlaneData:
     sizes: list
 
 
-def plane_block_data(b: PointSet, secants, q0: int,
+def _anchor_lines(census: LineCensus, anchors: np.ndarray):
+    """The lines through each anchor that meet B in 2 or more points.
+
+    ``anchors`` are ascending positions into B.  Returns (reps, weights),
+    two (A, r) int32 arrays, r the most such lines through one anchor:
+    row a holds one member other than ``anchors[a]`` of each line through
+    it and that line's size less one, padded with the anchor itself at
+    weight 0.  The lines come from ``census.with_secants`` of every line
+    size of at least 2, so a census that holds them all makes no pass.
+    Its rows are ordered by their lowest member, so only those that start
+    at or below the last anchor are scanned, one column at a time.
+    """
+    sizes = [s for s in census.hist if s >= 2]
+    lines = census.with_secants(*sizes)
+    slot = np.full(census.point_set.card, -1, dtype=np.int32)
+    slot[anchors] = np.arange(anchors.size)
+    reps = np.repeat(anchors.astype(np.int32)[:, None],
+                     lines.per_point_secants[anchors].max(), axis=1)
+    weights = np.zeros(reps.shape, dtype=np.int32)
+    fill = np.zeros(anchors.size, dtype=np.int64)   # columns taken per anchor
+    for s in sizes:
+        rows = lines.secants[s]
+        rows = rows[:np.searchsorted(rows[:, 0], anchors[-1], side="right")]
+        for j in range(s):
+            at = slot[rows[:, j]]
+            hit = np.flatnonzero(at >= 0)
+            hit = hit[np.argsort(at[hit])]
+            a = at[hit]
+            # the hits at one anchor take its next free columns, in turn
+            col = fill[a] + np.arange(a.size) - np.searchsorted(a, a)
+            reps[a, col] = rows[hit, 1 if j == 0 else 0]
+            weights[a, col] = s - 1
+            fill += np.bincount(a, minlength=anchors.size)
+    return reps, weights
+
+
+def plane_block_data(census: LineCensus, secants, q0: int,
                      threads: int = 1) -> PlaneData:
     """``plane_census`` of every (q0+1)-secant in ``secants`` (an (S, q0+1)
-    array of positions into ``b.indices``), as block kernels instead of
-    one call per secant.
+    array of positions into the census's point set B), as block kernels.
 
-    B is quotiented by a block of secant lines at once
-    (``quotient_keys`` with two-row bases), each (secant, point) key
-    sorted within its secant's row; a run of equal keys is one plane
-    through the secant and its length is the plane's point count off the
-    secant.  The secant's own points are the zero-image run, dropped.
-    Blocks run on ``threads`` workers (``census.map_blocks``).
+    Secant L is read from its first (lowest) member P: every point of B
+    off L lies on one line M != L through P that meets B twice or more,
+    so |plane ∩ B| = |L| + the sum of |M| - 1 over the M in the plane.
+    One member of each such M (``_anchor_lines``) is quotiented by L
+    (``quotient_keys`` with two-row bases and ``take``) and sorted within
+    L's row; a run of equal keys is one plane and weighs the sum of its
+    lines' |M| - 1 (the keys carry their columns only when these
+    differ).  L's own member and the padding make the dropped zero-image
+    run.  A secant costs the lines through its anchor, not |B|.  Blocks
+    of secants run on ``threads`` workers (``census.map_blocks``).
     """
-    g = b.geometry
-    fs = g.fs
+    b = census.point_set
+    fs = b.geometry.fs
     sec = np.asarray(secants).reshape(-1, q0 + 1)
     ns = sec.shape[0]
     good = np.zeros(ns, dtype=np.int64)
@@ -367,17 +414,34 @@ def plane_block_data(b: PointSet, secants, q0: int,
     sizes: set = set()
     if ns:
         coords = b.coords()
-        basis, _, _ = _line_bases(fs, coords[sec[:, 0]], coords[sec[:, 1]])
+        anchors, aid = np.unique(sec[:, 0], return_inverse=True)
+        reps, weights = _anchor_lines(census, anchors)
         operands = kernel_operands(fs, coords)
         target = q0 * q0 + q0 + 1
-        block_starts, bs, workers = split_blocks(ns, b.card, threads)
+        width = reps.shape[1]
+        # with one line size through every anchor, as in a scattered linear
+        # set, a run weighs its length times that size less one, and its
+        # keys need no column bits
+        unit = int(weights.max())
+        cols = bool(np.any((weights != 0) & (weights != unit)))
+        block_starts, bs, workers = split_blocks(ns, width, threads)
 
         def plane_block(s0):
             """Fill the block's rows of good and min_size; its plane sizes."""
             s1 = min(s0 + bs, ns)
-            block = quotient_keys(fs, operands, basis[s0:s1])
-            _, counts, row, own, _ = row_groups(*block)
-            row, size = row[~own], counts[~own] + q0 + 1
+            a = aid[s0:s1]
+            basis = _line_bases(fs, coords[sec[s0:s1, 0]],
+                                coords[sec[s0:s1, 1]])
+            starts, counts, row, own, members = row_groups(
+                *quotient_keys(fs, operands, basis, cols=cols, take=reps[a]),
+                cols=cols)
+            if cols:
+                w = np.take_along_axis(weights[a],
+                                       members.reshape(s1 - s0, width), axis=1)
+                off = np.add.reduceat(w.ravel(), starts)
+            else:
+                off = counts * unit
+            row, size = row[~own], off[~own] + q0 + 1
             # off-line points make a plane non-collinear, so size decides
             good[s0:s1] = np.bincount(row[size == target], minlength=s1 - s0)
             if not row.size:
@@ -453,7 +517,9 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
     most once (``census.with_secants``).  ``plane_secant_cap`` bounds
     (deterministically, lowest secants first) how many secants get their
     one plane census, which feeds every plane check; None means all.
-    ``threads`` workers run the plane blocks (``plane_block_data``).
+    ``threads`` workers run the plane blocks (``plane_block_data``),
+    which read each secant from the lines through its lowest member, not
+    from all of B.
     """
     g = b.geometry
     fs = g.fs
@@ -521,7 +587,8 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
             entries.append(_entry("double_exponent_secants", bound, "-",
                                   "INFORMATIONAL", "no point has exponent 2e"))
 
-    # plane checks: one block plane census over the secants.  A plane has
+    # plane checks: one block plane census over the secants, from the
+    # lines through each secant's lowest member.  A plane has
     # the same |B ∩ plane| from every secant in it, and the size checks
     # need only min, max and the gap, so distinct sizes suffice.
     if g.n == 2:
@@ -532,7 +599,7 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
         if plane_secant_cap is not None:
             secants = secants[:plane_secant_cap]
         bound, info = bound_value("good_planes", q0, h)
-        planes = plane_block_data(b, secants, q0, threads)
+        planes = plane_block_data(census, secants, q0, threads)
         plane_sizes = set(planes.sizes)
         all_bad = planes.good == 0
         # latter case: all listed planes carry many points off the line
@@ -676,7 +743,8 @@ def certify_linearity(b: PointSet, report,
         passing = through[ok]
         others = passing[passing != pos].reshape(-1, q0)
         w1, w2 = coords[others[:, 0]], coords[others[:, 1]]
-        _, i, j = _line_bases(fs, np.broadcast_to(coords[pos], w1.shape), w1)
+        i, j, _ = _line_pivots(fs, np.broadcast_to(coords[pos], w1.shape),
+                               w1)
         rows = np.arange(w1.shape[0])
         w1i, w1j, w2i, w2j = w1[rows, i], w1[rows, j], w2[rows, i], w2[rows, j]
         den = fs.vinv(fs.vsub(fs.vmul(w2i, w1j), fs.vmul(w2j, w1i)))

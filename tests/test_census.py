@@ -442,14 +442,17 @@ def test_subline_violations_identical_across_threads(monkeypatch, baer_49,
 def test_plane_blocks_identical_across_threads(monkeypatch, rank5_pg3_81):
     monkeypatch.setattr(census_module, "_cpus", lambda: 4)
     b, q0 = rank5_pg3_81, 3
-    secants = line_census(b, collect_sizes=[q0 + 1],
-                          mode="full").secants[q0 + 1]
-    _blocks_of(monkeypatch, len(secants), b.card, 5)
+    census = line_census(b, collect_sizes=[q0 + 1], mode="full")
+    secants = census.secants[q0 + 1]
+    # a plane kernel row holds one member of each of the 40 4-secants
+    # through its anchor
+    assert set(census.hist) == {1, 4} and set(census.per_point_secants) == {40}
+    _blocks_of(monkeypatch, len(secants), 40, 5)
     runs = []
     for threads in (1, 2, 3):
         with monkeypatch.context() as mp:
             probe = _probed(mp, threads, structure, "quotient_keys")
-            runs.append(structure.plane_block_data(b, secants, q0,
+            runs.append(structure.plane_block_data(census, secants, q0,
                                                    threads=threads))
         assert len(probe.threads) >= min(threads, 2)
     assert set(runs[0].sizes) == {13, 40}

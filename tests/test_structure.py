@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lingeo import blocking, structure
+from lingeo import census as census_module
 from lingeo.census import line_census
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, Subspace, build_geometry, lex_points
@@ -181,27 +182,56 @@ def all_bad_3d(planar_baer_3d):
     return rest.union(PointSet.from_coords(g, [(0, 0, 0, 1), (0, 1, 3, 1)]))
 
 
-def _secants(b, q0):
-    return line_census(b, collect_sizes=[q0 + 1], mode="full").secants[q0 + 1]
+@pytest.fixture(scope="module")
+def trace_3d(trace_343):
+    """``trace_343`` in the plane x3 = 0 of PG(3, 343): lines of 1, 8 and
+    50 points, and one plane, of 393 points, through each 8-secant."""
+    g = build_geometry(3, trace_343.geometry.fs)
+    coords = trace_343.coords()
+    return PointSet.from_coords(
+        g, np.hstack([coords, np.zeros((len(coords), 1), dtype=np.int64)]))
+
+
+@pytest.fixture(scope="module")
+def trace_3d_off(trace_3d):
+    """``trace_3d`` and one point off its plane: lines of 1, 2, 8 and 50
+    points, and planes of 393 and 9 points through each 8-secant."""
+    return trace_3d.add(trace_3d.geometry.index_of((0, 0, 0, 1)))
+
+
+def _census(b, q0):
+    return line_census(b, collect_sizes=[q0 + 1], mode="full")
+
+
+def _anchor_width(census, secants):
+    """The most lines of 2 or more points through one anchor: the width of
+    a plane kernel row."""
+    return int(census.per_point_secants[np.unique(secants[:, 0])].max())
 
 
 @pytest.mark.parametrize("name,q0", [("planar_baer_3d", 7),
                                      ("rank5_pg3_81", 3),
                                      ("rank5_pg3_16", 2),
-                                     ("all_bad_3d", 7)])
+                                     ("all_bad_3d", 7),
+                                     ("trace_3d", 7),
+                                     ("trace_3d_off", 7)])
 @pytest.mark.parametrize("words", ["one", "lexsort"])
 def test_plane_block_data_matches_scalar(request, monkeypatch, name, q0,
                                          words):
+    # every secant of each set, mixed line sizes in all_bad_3d (2, 3, 7, 8)
+    # and the trace sets (8 and 50, and 2 with the point off the plane)
     b = request.getfixturevalue(name)
-    secants = _secants(b, q0)
+    census = _census(b, q0)
+    secants = census.secants[q0 + 1]
     assert len(secants) > 40
     # 40 secants per block and 3 per tile: several of each
-    monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 40 * b.card)
-    monkeypatch.setattr("lingeo.census.TILE_ELEMS", 3 * b.card)
+    width = _anchor_width(census, secants)
+    monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 40 * width)
+    monkeypatch.setattr("lingeo.census.TILE_ELEMS", 3 * width)
     if words == "lexsort":
         monkeypatch.setattr("lingeo.census._WORD_BITS",
                             int(b.geometry.fs.q - 1).bit_length())
-    got = structure.plane_block_data(b, secants, q0)
+    got = structure.plane_block_data(census, secants, q0)
     sizes = set()
     for i, sec in enumerate(b.indices[secants]):
         pc = structure.plane_census(b, sec, q0)
@@ -210,6 +240,30 @@ def test_plane_block_data_matches_scalar(request, monkeypatch, name, q0,
                                       default=0)
         sizes.update(size for _k, size, _g in pc.planes)
     assert got.sizes == sorted(sizes)
+
+
+def test_plane_lines_take_at_most_one_census_pass(monkeypatch, rank5_pg3_81,
+                                                   trace_3d_off):
+    passes = []
+    census_pass = census_module.line_census
+
+    def counted(*args, **kwargs):
+        passes.append(kwargs)
+        return census_pass(*args, **kwargs)
+
+    monkeypatch.setattr(census_module, "line_census", counted)
+    # every line of rank5_pg3_81 that meets it twice is a 4-secant, which
+    # its census holds: no pass
+    census = line_census(rank5_pg3_81)
+    structure.plane_block_data(census, census.secants[4][:50], 3)
+    assert passes == []
+    # trace_3d_off also has lines of 2 and 50 points: one full-mode pass
+    # collects every size, once
+    census = _census(trace_3d_off, 7)
+    for _ in range(2):
+        structure.plane_block_data(census, census.secants[8][:50], 7)
+    assert [(k["collect_sizes"], k["mode"]) for k in passes] == [([2, 8, 50],
+                                                                  "full")]
 
 
 def _scalar_plane_entries(b, report, census, cap):
