@@ -1,4 +1,11 @@
-"""Blocking sets and linear sets in finite projective spaces."""
+"""Blocking sets and linear sets in finite projective spaces.
+
+Importing lingeo sets the environment variable ``OPENBLAS_NUM_THREADS``
+to 1, unless it is already set, for this process and the processes it
+starts: when lingeo loads numpy first, numpy's BLAS (``np.linalg``,
+``np.dot``) runs on one thread.  Set the variable before the import to
+keep more threads.
+"""
 
 import os
 

@@ -356,37 +356,69 @@ class PlaneData:
 def _anchor_lines(census: LineCensus, anchors: np.ndarray):
     """The lines through each anchor that meet B in 2 or more points.
 
-    ``anchors`` are ascending positions into B.  Returns (reps, weights),
-    two (A, r) int32 arrays, r the most such lines through one anchor:
-    row a holds one member other than ``anchors[a]`` of each line through
-    it and that line's size less one, padded with the anchor itself at
-    weight 0.  The lines come from ``census.with_secants`` of every line
-    size of at least 2, so a census that holds them all makes no pass.
-    Its rows are ordered by their lowest member, so only those that start
-    at or below the last anchor are scanned, one column at a time.
+    ``anchors`` are ascending positions into B.  Returns (width, lines_of):
+    the most such lines through one anchor, and a function taking anchor
+    slots ``a`` (indices into ``anchors``) to two (len(a), width) int32
+    arrays: row i holds one member other than ``anchors[a[i]]`` of each
+    line through it and that line's size less one, padded with the anchor
+    itself at weight 0.
+
+    The lines of 3 or more points come from ``census.with_secants`` of
+    their sizes, so a census that holds them all makes no pass.  Its rows
+    are ordered by their lowest member, so only those that start at or
+    below the last anchor are scanned, one column at a time, and each
+    anchor keeps the numbers of its rows.  The 2-secants, up to |B|^2 / 2
+    of them, are not collected: an anchor's 2-secant members are the
+    points of B that its longer lines miss, found when its row is built.
     """
-    sizes = [s for s in census.hist if s >= 2]
+    b = census.point_set
+    sizes = [s for s in census.hist if s >= 3]
     lines = census.with_secants(*sizes)
-    slot = np.full(census.point_set.card, -1, dtype=np.int32)
+    slot = np.full(b.card, -1, dtype=np.int32)
     slot[anchors] = np.arange(anchors.size)
-    reps = np.repeat(anchors.astype(np.int32)[:, None],
-                     lines.per_point_secants[anchors].max(), axis=1)
-    weights = np.zeros(reps.shape, dtype=np.int32)
-    fill = np.zeros(anchors.size, dtype=np.int64)   # columns taken per anchor
+    through = []    # (size, row numbers by anchor, each anchor's offsets)
+    count = np.zeros(anchors.size, dtype=np.int64)
+    spare = np.full(anchors.size, b.card - 1, dtype=np.int64)
     for s in sizes:
         rows = lines.secants[s]
         rows = rows[:np.searchsorted(rows[:, 0], anchors[-1], side="right")]
+        at, num = [], []
         for j in range(s):
-            at = slot[rows[:, j]]
-            hit = np.flatnonzero(at >= 0)
-            hit = hit[np.argsort(at[hit])]
-            a = at[hit]
-            # the hits at one anchor take its next free columns, in turn
-            col = fill[a] + np.arange(a.size) - np.searchsorted(a, a)
-            reps[a, col] = rows[hit, 1 if j == 0 else 0]
-            weights[a, col] = s - 1
-            fill += np.bincount(a, minlength=anchors.size)
-    return reps, weights
+            a = slot[rows[:, j]]
+            hit = np.flatnonzero(a >= 0)
+            at.append(a[hit])
+            num.append(hit.astype(np.int32))
+        at = np.concatenate(at)
+        n = np.bincount(at, minlength=anchors.size)
+        through.append((s, np.concatenate(num)[np.argsort(at)],
+                        np.concatenate([[0], np.cumsum(n)])))
+        count += n
+        spare -= (s - 1) * n
+    # an anchor's points off its longer lines lie on one 2-secant each
+    width = int((count + spare).max())
+
+    def lines_of(a):
+        reps = np.repeat(anchors[a].astype(np.int32)[:, None], width, axis=1)
+        weights = np.zeros(reps.shape, dtype=np.int32)
+        for i, k in enumerate(a):
+            p, c = anchors[k], 0
+            missed = np.ones(b.card, dtype=bool) if spare[k] else None
+            for s, num, start in through:
+                m = lines.secants[s][num[start[k]:start[k + 1]]]
+                reps[i, c:c + len(m)] = np.where(m[:, 0] == p, m[:, 1],
+                                                 m[:, 0])
+                weights[i, c:c + len(m)] = s - 1
+                c += len(m)
+                if missed is not None:
+                    missed[m] = False
+            if missed is not None:
+                missed[p] = False
+                x = np.flatnonzero(missed)
+                reps[i, c:c + x.size] = x
+                weights[i, c:c + x.size] = 1
+        return reps, weights
+
+    return width, lines_of
 
 
 def plane_block_data(census: LineCensus, secants, q0: int,
@@ -399,11 +431,11 @@ def plane_block_data(census: LineCensus, secants, q0: int,
     so |plane ∩ B| = |L| + the sum of |M| - 1 over the M in the plane.
     One member of each such M (``_anchor_lines``) is quotiented by L
     (``quotient_keys`` with two-row bases and ``take``) and sorted within
-    L's row; a run of equal keys is one plane and weighs the sum of its
-    lines' |M| - 1 (the keys carry their columns only when these
-    differ).  L's own member and the padding make the dropped zero-image
-    run.  A secant costs the lines through its anchor, not |B|.  Blocks
-    of secants run on ``threads`` workers (``census.map_blocks``).
+    L's row, with its column; a run of equal keys is one plane and weighs
+    the sum of its lines' |M| - 1.  L's own member and the padding make
+    the dropped zero-image run.  A secant costs the lines through its
+    anchor, not |B|.  Blocks of secants run on ``threads`` workers
+    (``census.map_blocks``), each building the rows of its own anchors.
     """
     b = census.point_set
     fs = b.geometry.fs
@@ -415,32 +447,24 @@ def plane_block_data(census: LineCensus, secants, q0: int,
     if ns:
         coords = b.coords()
         anchors, aid = np.unique(sec[:, 0], return_inverse=True)
-        reps, weights = _anchor_lines(census, anchors)
+        width, lines_of = _anchor_lines(census, anchors)
         operands = kernel_operands(fs, coords)
         target = q0 * q0 + q0 + 1
-        width = reps.shape[1]
-        # with one line size through every anchor, as in a scattered linear
-        # set, a run weighs its length times that size less one, and its
-        # keys need no column bits
-        unit = int(weights.max())
-        cols = bool(np.any((weights != 0) & (weights != unit)))
         block_starts, bs, workers = split_blocks(ns, width, threads)
 
         def plane_block(s0):
             """Fill the block's rows of good and min_size; its plane sizes."""
             s1 = min(s0 + bs, ns)
-            a = aid[s0:s1]
+            a, at = np.unique(aid[s0:s1], return_inverse=True)
+            reps, weights = lines_of(a)
             basis = _line_bases(fs, coords[sec[s0:s1, 0]],
                                 coords[sec[s0:s1, 1]])
-            starts, counts, row, own, members = row_groups(
-                *quotient_keys(fs, operands, basis, cols=cols, take=reps[a]),
-                cols=cols)
-            if cols:
-                w = np.take_along_axis(weights[a],
-                                       members.reshape(s1 - s0, width), axis=1)
-                off = np.add.reduceat(w.ravel(), starts)
-            else:
-                off = counts * unit
+            starts, _counts, row, own, members = row_groups(
+                *quotient_keys(fs, operands, basis, cols=True,
+                               take=reps[at]), cols=True)
+            # each member's weight, in one flat gather
+            w = np.take(weights, np.repeat(at * width, width) + members)
+            off = np.add.reduceat(w, starts)
             row, size = row[~own], off[~own] + q0 + 1
             # off-line points make a plane non-collinear, so size decides
             good[s0:s1] = np.bincount(row[size == target], minlength=s1 - s0)

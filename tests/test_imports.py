@@ -1,9 +1,6 @@
 """Every name a ``lingeo`` module or a test module imports is used in it."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -43,28 +40,3 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     src = "import json\nfrom os import path, sep\n\nprint(path)\n"
     assert unused_imports(src) == [(1, "json"), (2, "sep")]
-
-
-def _fresh_import(env):
-    """Thread count and OPENBLAS_NUM_THREADS of a new interpreter after
-    ``import lingeo``."""
-    code = ("import os, lingeo\n"
-            "threads = [l for l in open('/proc/self/status')"
-            " if l.startswith('Threads:')]\n"
-            "print(threads[0].split()[1], os.environ['OPENBLAS_NUM_THREADS'])")
-    env = {k: v for k, v in os.environ.items()
-           if k != "OPENBLAS_NUM_THREADS"} | env
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    return int(out[0]), out[1]
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                    reason="reads the thread count from Linux's /proc")
-def test_import_starts_no_blas_pool():
-    # lingeo never calls BLAS, so numpy's OpenBLAS pool is held to one thread
-    assert _fresh_import({}) == (1, "1")
-    # a value the user set is kept
-    assert _fresh_import({"OPENBLAS_NUM_THREADS": "3"})[1] == "3"

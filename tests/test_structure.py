@@ -199,6 +199,19 @@ def trace_3d_off(trace_3d):
     return trace_3d.add(trace_3d.geometry.index_of((0, 0, 0, 1)))
 
 
+@pytest.fixture(scope="module")
+def rank5_pg3_81_off(rank5_pg3_81):
+    """``rank5_pg3_81`` and its six lowest points off it: lines of 2, 4, 5
+    and 6 points, 722 of them 2-secants, so an anchor's row mixes its
+    4-secants with 2-secant members."""
+    g = rank5_pg3_81.geometry
+    off = [i for i in range(g.num_points) if i not in rank5_pg3_81][:6]
+    b = rank5_pg3_81
+    for i in off:
+        b = b.add(i)
+    return b
+
+
 def _census(b, q0):
     return line_census(b, collect_sizes=[q0 + 1], mode="full")
 
@@ -214,12 +227,14 @@ def _anchor_width(census, secants):
                                      ("rank5_pg3_16", 2),
                                      ("all_bad_3d", 7),
                                      ("trace_3d", 7),
-                                     ("trace_3d_off", 7)])
+                                     ("trace_3d_off", 7),
+                                     ("rank5_pg3_81_off", 3)])
 @pytest.mark.parametrize("words", ["one", "lexsort"])
 def test_plane_block_data_matches_scalar(request, monkeypatch, name, q0,
                                          words):
-    # every secant of each set, mixed line sizes in all_bad_3d (2, 3, 7, 8)
-    # and the trace sets (8 and 50, and 2 with the point off the plane)
+    # every secant of each set, mixed line sizes in all_bad_3d (2, 3, 7, 8),
+    # the trace sets (8 and 50, and 2 with the point off the plane) and
+    # rank5_pg3_81_off (2, 4, 5 and 6)
     b = request.getfixturevalue(name)
     census = _census(b, q0)
     secants = census.secants[q0 + 1]
@@ -257,12 +272,15 @@ def test_plane_lines_take_at_most_one_census_pass(monkeypatch, rank5_pg3_81,
     census = line_census(rank5_pg3_81)
     structure.plane_block_data(census, census.secants[4][:50], 3)
     assert passes == []
-    # trace_3d_off also has lines of 2 and 50 points: one full-mode pass
-    # collects every size, once
-    census = _census(trace_3d_off, 7)
+    # trace_3d_off also has lines of 2 and 50 points: from a census that
+    # holds only its 50-secants, one full-mode pass collects the sizes of 3
+    # or more, once; the 2-secants are never collected
+    secants = _census(trace_3d_off, 7).secants[8][:50]
+    census = line_census(trace_3d_off, mode="full")
+    assert set(census.hist) == {1, 2, 8, 50} and set(census.secants) == {50}
     for _ in range(2):
-        structure.plane_block_data(census, census.secants[8][:50], 7)
-    assert [(k["collect_sizes"], k["mode"]) for k in passes] == [([2, 8, 50],
+        structure.plane_block_data(census, secants, 7)
+    assert [(k["collect_sizes"], k["mode"]) for k in passes] == [([8, 50],
                                                                   "full")]
 
 
