@@ -1,25 +1,29 @@
 """Vectorized incidence censuses driven by per-point quotient grouping.
 
-The workhorse trick: for a fixed point P of a set B, two other points
-Q, Q' lie on the same line through P iff their images in the quotient
-space PG(V / <P>) coincide.  ``line_census`` takes a block of points P at
-a time, computes the quotient images of B around each of them with numpy
+The workhorse trick: for a fixed point P of a set B, two other points Q,
+Q' lie on the same line through P iff their images in the quotient space
+PG(V / <P>) coincide.  ``line_census`` takes a block of points P at a
+time, computes the quotient images of B around each of them with numpy
 field arithmetic, one free coordinate at a time on 2-D arrays, and packs
 each image into one canonical int64 key (discrete logs relative to the
-leading nonzero coordinate).  One sort of each row of the block's keys
-then puts each line through each P in one run.  This keeps censuses of
-16k-point sets in multi-billion-point ambient spaces tractable.  Every
-census also keeps the secants of its longest line size, which for the
-linear sets the checks are about are the short (q0+1)-secants, so one
-pass serves every check.  Secants are kept as int32 rows of positions
-into B, the form in which every check reads them, each secant held once:
-a block sorts its own rows, and the blocks' rows are copied into one
-array in block order.  This is the only grouping
-routine in production: point exponents read its per-point counts, the
-certifier its secant rows, and the tangent-only point search runs on
-its kernel.  Hyperplane questions (blocking, minimality, the exponent)
-read ``blocking.hyperplane_incidence`` instead, in the plane too, where
-the hyperplanes are the lines and both give the same numbers.
+first free coordinate, or to the leading nonzero one when that is zero).
+The points of B are normalized and sorted by leading column, so Q's
+coefficient on P, its entry at P's pivot, is 0 or 1 for every Q from P's
+leading column on: those products are integer ones, and only the points
+before them pay a field product.  One sort of each row of the block's
+keys then puts each line through each P in one run.  This keeps censuses
+of 16k-point sets in multi-billion-point ambient spaces tractable.
+Every census also keeps the secants of its longest line size, which for
+the linear sets the checks are about are the short (q0+1)-secants, so
+one pass serves every check.  Secants are kept as int32 rows of
+positions into B, the form in which every check reads them, each secant
+held once: a block sorts its own rows, and the blocks' rows are copied
+into one array in block order.  This is the only grouping routine in
+production: point exponents read its per-point counts, the certifier its
+secant rows, and the tangent-only point search runs on its kernel.
+Hyperplane questions (blocking, minimality, the exponent) read
+``blocking.hyperplane_incidence`` instead, in the plane too, where the
+hyperplanes are the lines and both give the same numbers.
 
 The same kernel (``quotient_keys`` and ``row_groups``) quotients by any
 block of subspaces given by reduced bases of k rows: points (k = 1) for
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pg import Geometry, PointSet, normalize_rows, space_size
+from .pg import Geometry, PointSet, distinct, normalize_rows, space_size
 
 
 def _pack_width(q: int) -> int:
@@ -207,9 +211,10 @@ def free_columns(piv: np.ndarray, d: int) -> np.ndarray:
 
 def kernel_operands(fs, coords: np.ndarray):
     """B's (m, d) coordinates prepared once for ``quotient_keys``: the
-    (d, m) codes and their zero-safe logs."""
+    (d, m) codes, their zero-safe logs and each point's leading column
+    (ascending when B is in index order, as ``lex_points`` sorts)."""
     codes = np.ascontiguousarray(coords.T)
-    return codes, fs.vlog0(codes)
+    return codes, fs.vlog0(codes), np.argmax(coords != 0, axis=1)
 
 
 def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
@@ -220,18 +225,29 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     points at row r's positions ``take[r]`` by row r's subspace (``j0``
     and ``merge_lower`` then do not apply).
 
-    ``operands`` is ``kernel_operands`` of B; ``basis`` is (nb, k, d), one
-    reduced basis per row (row r of it is 1 at its own pivot column and
-    0 at the others'): a normalized point (k = 1) or the reduced rows of
-    a line (k = 2).  Only the d-k free columns of a basis carry
-    information; there coordinate c of point j's image is
-    coords[j, c] - sum_r alpha_r * basis[r, c], alpha_r = coords[j, pivot_r],
-    whose products come as log sums from B's logs, taken once, and whose
-    zero-safe log ``fs.vmulsub_log0`` returns.  The image
-    becomes d-k digits: each coordinate's log relative to the leading
-    nonzero one (so every scalar multiple gets the same digits), or q-1
-    for a zero coordinate, so the points of the subspace itself get all
-    digits q-1.  The work runs in cache-sized row tiles.
+    ``operands`` is ``kernel_operands`` of B, a point set in index order;
+    ``basis`` is (nb, k, d), one reduced basis per row (row r of it is 1
+    at its own pivot column and 0 at the others'): a normalized point
+    (k = 1) or the reduced rows of a line (k = 2).  Only the d-k free
+    columns of a basis carry information; there coordinate c of point
+    j's image is coords[j, c] - sum_r alpha_r * basis[r, c], alpha_r =
+    coords[j, pivot_r].  For a point basis P with pivot p, alpha is 0 or
+    1 at every column Q whose leading column is p or later (Q is
+    normalized), so the image coordinate is one ``fs.vsubmul01_log0``,
+    with no log-domain product where subtraction works on codes.  B is
+    sorted by leading column, so the other columns are a prefix, found
+    by ``searchsorted``; they, and every ``take`` row, take the products
+    as log sums from B's logs, taken once, in ``fs.vmulsub_log0``.  Both
+    return zero-safe logs.
+    The image becomes d-k digits: each coordinate's log relative to the
+    leading nonzero one (so every scalar multiple gets the same digits),
+    or q-1 for a zero coordinate, so the points of the subspace itself
+    get all digits q-1.  The lead is the first free coordinate, whose
+    digit is then 0: a key is the OR of the other digits, each read from
+    a table shifted to its place.  Only the images whose first
+    coordinate is zero (about 1 in q) are redone with the leading
+    nonzero coordinate as the lead.  The work runs in cache-sized row
+    tiles.
 
     Returns (words, self_words, jbits): the digits packed ``w`` bits
     each into one (nb, mc) integer array (int32 when it fits 31 bits),
@@ -242,7 +258,7 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     the point in column r) gives each row's columns up to its own the
     zero image, so they join the row's own group.
     """
-    codes, logs = operands
+    codes, logs, leads = operands
     nb, k, d = basis.shape
     q = fs.q
     z = fs.zero_log
@@ -263,51 +279,79 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
         self_words.append(key)
     piv = np.argmax(basis != 0, axis=2)                  # (nb, k)
     free = free_columns(piv, d)
-    lb = fs.vlog0(np.take_along_axis(basis, free[:, None, :], axis=2))
-    table = _digit_table(fs)
-    col = np.arange(mc)
+    bf = np.take_along_axis(basis, free[:, None, :], axis=2)  # (nb, k, nd)
+    lb = fs.vlog0(bf)
+    # columns before ``split[r]`` take log-domain products
+    if take is None and k == 1:
+        split = np.maximum(np.searchsorted(leads, piv[:, 0]) - j0, 0)
+    else:
+        split = np.full(nb, mc)
     # a key of at most 31 bits sorts as int32, twice as fast
     dtype = np.int32 if w * per + jbits <= 31 else np.int64
+    # tables[s]: the digit table shifted past s digits and the column bits
+    table = _digit_table(fs).astype(dtype)
+    tables = [table << (w * s + jbits) for s in range(per)]
+    col = np.arange(mc, dtype=dtype)
     words = [np.empty((nb, mc), dtype=dtype) for _ in spans]
     step = tile_rows(mc)
     for r0 in range(0, nb, step):
         r1 = min(r0 + step, nb)
+        cut = int(split[r0:r1].max())
 
-        def tile_of(a, c):
-            """Coordinate c[r] of row r's points, from the (d, m) operand
-            a, for the tile's rows: (r1-r0, mc)."""
+        def tile_of(a, c, lo, hi):
+            """Columns lo..hi-1 of coordinate c[r] of row r's points, from
+            the (d, m) operand a, for the tile's rows."""
             if take is None:
-                return a[c, j0:]
+                if (c == c[0]).all():       # one row serves the tile
+                    return a[c[0], None, j0 + lo:j0 + hi]
+                return a[c, j0 + lo:j0 + hi]
             # one flat gather: twice as fast as indexing by two arrays
-            return np.take(a.ravel(), c[:, None] * a.shape[1] + take[r0:r1])
+            return np.take(a.ravel(),
+                           c[:, None] * a.shape[1] + take[r0:r1, lo:hi])
 
-        la = [tile_of(logs, piv[r0:r1, r]) for r in range(k)]
-        if merge_lower:
-            low = col[None, :r1] <= np.arange(r0, r1)[:, None]
+        la = [tile_of(logs, piv[r0:r1, r], 0, cut) for r in range(k)]
+        if cut < mc:
+            alpha = tile_of(codes, piv[r0:r1, 0], cut, mc)   # 0 or 1
         lr = []
         for i in range(nd):
-            sums = [la[r] + lb[r0:r1, r, i:i + 1] for r in range(k)]
-            x = fs.vmulsub_log0(tile_of(codes, free[r0:r1, i]), sums)
-            if merge_lower:
-                x[:, :r1][low] = z
-            lr.append(x)
-        # log of the leading nonzero coordinate (0 on an all-zero row):
-        # last to first, nonzero wins
-        lead = np.where(lr[-1] != z, lr[-1], 0)
-        for x in lr[-2::-1]:
-            np.copyto(lead, x, where=x != z)
-        # x - lead is in -(q-2)..q-2 for a nonzero coordinate and above
-        # q-2 for a zero one: one table maps both to the digit
-        lead -= q - 2
+            c = free[r0:r1, i]
+            parts = []
+            if cut:
+                sums = [la[r] + lb[r0:r1, r, i:i + 1] for r in range(k)]
+                parts.append(fs.vmulsub_log0(tile_of(codes, c, 0, cut), sums))
+            if cut < mc:
+                parts.append(fs.vsubmul01_log0(tile_of(codes, c, cut, mc),
+                                               alpha, bf[r0:r1, 0, i:i + 1]))
+            lr.append(parts[0] if len(parts) == 1
+                      else np.concatenate(parts, axis=1))
+        # lead = first coordinate: x - lead + q-2 is in 0..2q-4 for a
+        # nonzero coordinate and above 2q-4 for a zero one (see
+        # _digit_table); a zero lead gives in-range garbage, redone below
+        base = (q - 2) - lr[0]
         for kw, (a, b) in zip(words, spans):
             tile = kw[r0:r1]
-            tile[...] = table[lr[a] - lead]
-            for x in lr[a + 1:b]:
-                tile <<= w
-                tile |= table[x - lead]
-            if jbits:
-                tile <<= jbits
-                tile |= col
+            tile[...] = col if jbits else 0
+            for i in range(max(a, 1), b):
+                tile |= tables[b - 1 - i][lr[i] + base]
+        redo = np.flatnonzero(lr[0] == z)
+        if redo.size:
+            sub = [x.ravel()[redo] for x in lr]
+            # the leading nonzero coordinate's log, 0 on an all-zero image:
+            # last to first, nonzero wins
+            lead = np.zeros(redo.size, dtype=np.int64)
+            for x in sub[:0:-1]:
+                np.copyto(lead, x, where=x != z)
+            base = (q - 2) - lead
+            for kw, (a, b) in zip(words, spans):
+                key = col[redo % mc] if jbits else np.zeros(redo.size, dtype)
+                for i in range(a, b):
+                    key |= tables[b - 1 - i][sub[i] + base]
+                kw[r0:r1].ravel()[redo] = key
+        if merge_lower:
+            low = col[None, :r1] <= np.arange(r0, r1)[:, None]
+            for kw, self_word in zip(words, self_words):
+                key = self_word << jbits | col[:r1] if jbits else self_word
+                np.copyto(kw[r0:r1, :r1], key, where=low)
     return words, self_words, jbits
 
 
@@ -441,11 +485,17 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
         else:
             # each k-line is seen from its k members
             sizes = {v: np.bincount(gpos[counts == v - 1], minlength=nb)
-                     for v in (np.unique(counts) + 1).tolist()}
+                     for v in (distinct(counts) + 1).tolist()}
         k = int(counts.max()) + 1 if counts.size else 0
         rows = {}
         for s in collect_sizes | ({k} if k >= 3 else set()):
             gsel = np.flatnonzero(counts == s - 1)
+            # a group's members come ascending (their columns are in the
+            # sort key, and the sorts keep column order among equal keys)
+            if not pair:
+                # report each secant once, at its lowest member (in pair
+                # mode every member is above the group's own point)
+                gsel = gsel[cols[starts[gsel]] > gpos[gsel] + i0]
             if gsel.size == 0:
                 continue
             # a block's element offsets and B's positions fit int32
@@ -455,14 +505,10 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
             part[:, 0] = i0 + gpos[gsel]
             part[:, 1:] = cols[offs]             # member positions
             part[:, 1:] += j0
-            if not pair:
-                # report each secant once, at its lowest member (in pair
-                # mode every member is above the group's own point)
-                part = part[part[:, 1:].min(axis=1) > part[:, 0]]
-            part.sort(axis=1)
             # each row's lowest member lies in this block, and two points
             # span one line, so the two lowest members order the rows
-            rows[s] = part[np.lexsort((part[:, min(1, s - 1)], part[:, 0]))]
+            rows[s] = part[np.argsort(part[:, 0].astype(np.int64) * m
+                                      + part[:, 1])]
         return sizes, k, rows
 
     # size -> chunks of (S, size) position rows; the longest size seen so

@@ -17,6 +17,8 @@ producing machine.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .gf import FieldTooLarge, make_field
@@ -76,36 +78,52 @@ def read_point_set(path) -> PointSet:
 
 
 def parse_point_set(text: str) -> PointSet:
-    header = None
-    rows = []
-    for ln, line in _records(text):
-        if header is None:
-            parts = line.split()
-            if len(parts) != 5 or parts[0] != "PG":
-                raise ParseError(f"line {ln}: expected 'PG n p t modulus'")
-            try:
-                n, p, t = int(parts[1]), int(parts[2]), int(parts[3])
-                modulus = tuple(int(c) for c in parts[4].split(","))
-            except ValueError as exc:
-                raise ParseError(f"line {ln}: bad header: {exc}") from exc
-            try:
-                fs = make_field(p, t, modulus)
-            except FieldTooLarge:
-                raise
-            except Exception as exc:
-                raise ParseError(f"line {ln}: bad field: {exc}") from exc
-            header = build_geometry(n, fs)
-            continue
-        codes = parse_codes(line.split(), header.n + 1, header.fs.q,
-                            f"line {ln}")
-        if not any(codes):
-            raise ParseError(f"line {ln}: zero vector is not a point")
-        rows.append(codes)
-    if header is None:
+    records = _records(text)
+    ln, line = next(records, (None, None))
+    if line is None:
         raise ParseError("missing 'PG n p t modulus' header")
-    if not rows:
+    parts = line.split()
+    if len(parts) != 5 or parts[0] != "PG":
+        raise ParseError(f"line {ln}: expected 'PG n p t modulus'")
+    try:
+        n, p, t = int(parts[1]), int(parts[2]), int(parts[3])
+        modulus = tuple(int(c) for c in parts[4].split(","))
+    except ValueError as exc:
+        raise ParseError(f"line {ln}: bad header: {exc}") from exc
+    try:
+        fs = make_field(p, t, modulus)
+    except FieldTooLarge:
+        raise
+    except Exception as exc:
+        raise ParseError(f"line {ln}: bad field: {exc}") from exc
+    g = build_geometry(n, fs)
+    records = list(records)
+    if not records:
         raise ParseError("empty point set")
-    return PointSet.from_coords(header, rows)
+    return PointSet.from_coords(g, _point_rows(records, n + 1, fs.q))
+
+
+def _point_rows(records, width: int, q: int) -> np.ndarray:
+    """The (len(records), width) codes of the point lines ``records``,
+    converted in one pass; when that finds any fault, the lines are read
+    one by one for the first fault's ParseError."""
+    lines = [line for _, line in records]
+    widths = np.fromiter(map(len, map(str.split, lines)), np.int64,
+                         len(lines))
+    if np.all(widths == width):
+        try:
+            rows = np.fromiter(
+                map(int, chain.from_iterable(map(str.split, lines))),
+                np.int64, width * len(lines)).reshape(-1, width)
+        except (ValueError, OverflowError):
+            rows = None
+        if (rows is not None and np.all((rows >= 0) & (rows < q))
+                and np.all(rows.any(axis=1))):
+            return rows
+    for ln, line in records:
+        if not any(parse_codes(line.split(), width, q, f"line {ln}")):
+            raise ParseError(f"line {ln}: zero vector is not a point")
+    raise AssertionError("no faulty point line found")
 
 
 def write_reduced_subspace(path, s: Subspace):

@@ -23,9 +23,11 @@ Vectorized addition has three paths: XOR for p = 2, addition mod p for
 t = 1, and Zech logarithms for odd extension fields, where x - y is read
 off log x and a log sum of y through two O(q) tables (``_init_zech``),
 so ``vmulsub_log0`` evaluates c - a1*b1 - ... with two gathers per
-product.  The sentinel is 3(q-1) rather than 2(q-1) so that the Zech
-table's index ranges for x = 0, for y = 0 and for two nonzero operands
-stay apart.  The scalar ``add`` / ``neg`` work digit by digit and are
+product.  A factor that is 0 or 1 needs no log-domain product where
+subtraction works on codes: ``vsubmul01_log0`` takes c - a*b for such
+an a as an integer product there.  The sentinel is 3(q-1) rather than
+2(q-1) so that the Zech table's index ranges for x = 0, for y = 0 and
+for two nonzero operands stay apart.  The scalar ``add`` / ``neg`` work digit by digit and are
 the reference the tests hold the vectorized paths to.
 
 A subfield GF(p^e) is found and embedded on the same vectorized
@@ -438,6 +440,19 @@ class FieldSpec:
         for s in sums:
             lx = self._zech_sub_log0(lx, s)
         return lx
+
+    def vsubmul01_log0(self, c, a, b):
+        """Zero-safe logs (``vlog0``) of c - a*b, for codes c and b and a
+        factor a that is 0 or 1.
+
+        Where subtraction works on codes, a*b is the integer product, with
+        no log sum and no antilog gather; odd extension fields subtract in
+        the log domain, where the product is the log sum of a and b.
+        """
+        if self.p == 2 or self.t == 1:
+            return self._log0[self.vsub(c, a * b)]
+        return self._zech_sub_log0(self._log0.take(c),
+                                   self._log0.take(a) + self._log0.take(b))
 
     # -- subfields -----------------------------------------------------------
 

@@ -45,6 +45,14 @@ def space_size(q: int, k: int) -> int:
     return (q ** (k + 1) - 1) // (q - 1)
 
 
+def distinct(a) -> np.ndarray:
+    """The sorted distinct values of ``a``, flattened: ``np.unique(a)``
+    without numpy 2's masked-array check, whose first call imports
+    ``numpy.ma`` (10 to 18 ms in every process)."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def lex_points(k: int, q: int) -> np.ndarray:
     """The points of PG(k, q) as normalized code rows, in index order."""
     chunks = []
@@ -305,7 +313,7 @@ class PointSet:
 
     def __init__(self, geometry: Geometry, indices):
         self.geometry = geometry
-        idx = np.unique(np.asarray(list(indices) if not isinstance(
+        idx = distinct(np.asarray(list(indices) if not isinstance(
             indices, np.ndarray) else indices, dtype=np.int64))
         self.indices = idx
         self._set = None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldError
-from .pg import Geometry, PointSet, Subspace, lex_points, rref
+from .pg import Geometry, PointSet, Subspace, distinct, lex_points, rref
 
 
 class ReductionError(Exception):
@@ -60,7 +60,7 @@ class SpreadContext:
         codes = np.arange(fs.q, dtype=np.int64)
         small = codes[:, None] // self.q0 ** np.arange(self.h) % self.q0
         big = fs.vmatmul(self.embed_np[small], self.delta_pows)
-        if np.unique(big).size != fs.q:
+        if distinct(big).size != fs.q:
             raise ReductionError("basis matrix is singular")
         self.expand_table = np.empty_like(small)
         self.expand_table[big] = small

@@ -22,7 +22,7 @@ import numpy as np
 from .census import (LineCensus, kernel_operands, line_census, map_blocks,
                      pack_rows, quotient_keys, quotient_rows, row_groups,
                      split_blocks)
-from .pg import PointSet, Subspace, span
+from .pg import PointSet, Subspace, distinct, span
 from .reduction import SpreadContext
 
 
@@ -119,18 +119,25 @@ def is_subline(s: PointSet, e: int) -> bool:
 
 def _line_pivots(fs, u, v):
     """The two pivot columns of the reduced bases of the lines through
-    normalized point pairs u, v (rows), and v less its multiple of u,
-    whose leading column is the second pivot."""
-    piv0 = np.argmax(u != 0, axis=1)
-    alpha = np.take_along_axis(v, piv0[:, None], axis=1)
-    r1 = fs.vsub(v, fs.vmul(alpha, u))
-    return piv0, np.argmax(r1 != 0, axis=1), r1
+    normalized point pairs u, v (rows), in increasing order, and a point
+    of each line that is 0 at the first pivot, the second one's leading
+    column.
+
+    The first pivot is the lower of the two leading columns.  A
+    normalized point of the line is 1 there, or 0 for the one point off
+    it, so a_u v - a_v u, a the entries there, is that point: integer
+    products by 0 or 1 and one ``vsub``.
+    """
+    piv0 = np.argmax((u != 0) | (v != 0), axis=1)[:, None]
+    r1 = fs.vsub(np.take_along_axis(u, piv0, axis=1) * v,
+                 np.take_along_axis(v, piv0, axis=1) * u)
+    return piv0[:, 0], np.argmax(r1 != 0, axis=1), r1
 
 
 def _line_bases(fs, u, v):
     """Reduced bases of the lines through normalized point pairs u, v
-    (rows): (S, 2, n+1) rows with 1 at their own pivot (``_line_pivots``)
-    and 0 at the other's."""
+    (rows), u the lower of each pair in index order: (S, 2, n+1) rows
+    with 1 at their own pivot (``_line_pivots``) and 0 at the other's."""
     _, piv1, r1 = _line_pivots(fs, u, v)
     lead = np.take_along_axis(r1, piv1[:, None], axis=1)
     r1 = fs.vmul(fs.vinv(lead), r1)
@@ -147,29 +154,35 @@ def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
     boolean verdict per secant.
 
     A member's homogeneous coordinates (a, b) on its line are its entries
-    at the two pivot columns of the line's reduced basis.  With
-    d_ik = a_i b_k - a_k b_i, the cross-ratio (P0, P1; P2, Pk) is
+    at the two pivot columns of the line's reduced basis (``_line_pivots``).
+    With d_ik = a_i b_k - a_k b_i, the cross-ratio (P0, P1; P2, Pk) is
     d_02 d_1k / (d_12 d_0k), and the secant is a subline exactly when it
     lies in GF(q0)* for every k >= 2: d_0k, d_1k nonzero and
     log d_1k - log d_0k - log d_12 + log d_02 divisible by (q-1)/(q0-1).
+    A member is normalized, so a is 1, or 0 for the one member off the
+    first pivot: each d_ik is two integer products and one ``vsub``.
+    The entries are gathered member-major, (q0+1, S).
     """
     fs = b.geometry.fs
     rows = np.asarray(rows)
     coords = b.coords()
     piv0, piv1, _ = _line_pivots(fs, coords[rows[:, 0]], coords[rows[:, 1]])
-    la = fs.vlog0(coords[rows, piv0[:, None]])
-    lb = fs.vlog0(coords[rows, piv1[:, None]])
+    # the members' a and b, one flat gather each
+    at = rows.T * coords.shape[1]
+    at += piv0
+    av = np.take(coords, at)
+    at += piv1 - piv0
+    bv = np.take(coords, at)
 
     def log_d(i):
         # log d_ik for k >= 2
-        return fs.vlog0(fs.vsub(fs.vexp0(la[:, i:i + 1] + lb[:, 2:]),
-                                fs.vexp0(la[:, 2:] + lb[:, i:i + 1])))
+        return fs.vsubmul01_log0(av[i] * bv[2:], av[2:], bv[i])
 
     ld0, ld1 = log_d(0), log_d(1)
     z = fs.zero_log
     step = (fs.q - 1) // (fs.p ** e - 1)
-    cross = ld1 - ld0 - ld1[:, :1] + ld0[:, :1]
-    return np.all((ld0 != z) & (ld1 != z) & (cross % step == 0), axis=1)
+    cross = ld1 - ld0 - ld1[:1] + ld0[:1]
+    return np.all((ld0 != z) & (ld1 != z) & (cross % step == 0), axis=0)
 
 
 def _short_secants(b: PointSet, q0: int, census: LineCensus | None,
@@ -193,8 +206,8 @@ def check_sublines(b: PointSet, e: int, census: LineCensus | None = None,
     """
     q0 = b.geometry.fs.p ** e
     secants = _short_secants(b, q0, census, threads).secants[q0 + 1]
-    # a batch's temporaries (la, lb, the log d rows and the arithmetic on
-    # them) come to under 8 int64 per secant member
+    # a batch's temporaries (the pivot entries, the products, the d rows
+    # and their logs) come to under 8 int64 per secant member
     starts, bs, workers = split_blocks(secants.shape[0], 8 * (q0 + 1),
                                        threads)
 
@@ -473,7 +486,7 @@ def plane_block_data(census: LineCensus, secants, q0: int,
             # runs come in row order: each row's first run opens its segment
             first = np.flatnonzero(np.diff(row, prepend=-1))
             min_size[s0 + row[first]] = np.minimum.reduceat(size, first)
-            return np.unique(size).tolist()
+            return distinct(size).tolist()
 
         for part in map_blocks(plane_block, block_starts, workers):
             sizes.update(part)

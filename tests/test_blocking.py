@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,16 +247,18 @@ def _scalar_tangent_only_point(b):
 def test_find_tangent_only_point_matches_scalar(monkeypatch, block):
     g5 = build_geometry(2, make_field(5, 1))
     late = PointSet(g5, [8, 9, 14, 17, 22])       # first hit: point 23
-    baer_9 = subgeometry(build_geometry(2, make_field(3, 2)), 1)  # none
-    want = {}
-    for name, b in (("late", late), ("baer_9", baer_9)):
-        want[name] = _scalar_tangent_only_point(b)
-    assert want == {"late": 23, "baer_9": None}
+    # no hit: every candidate, of every leading column, is searched, in
+    # odd (Zech) and even characteristic
+    baer_9 = subgeometry(build_geometry(2, make_field(3, 2)), 1)
+    baer_4 = subgeometry(build_geometry(2, make_field(2, 2)), 1)
+    sets = {"late": late, "baer_9": baer_9, "baer_4": baer_4}
+    want = {name: _scalar_tangent_only_point(b) for name, b in sets.items()}
+    assert want == {"late": 23, "baer_9": None, "baer_4": None}
     if block == "three_rows":
         # blocks of 1, 2, then 3 candidates: the hit lies past several
         monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 3 * late.card)
-    assert blocking.find_tangent_only_point(late) == 23
-    assert blocking.find_tangent_only_point(baer_9) is None
+    for name, b in sets.items():
+        assert blocking.find_tangent_only_point(b) == want[name]
 
 
 def test_duals_through_a_point_each_once():
@@ -283,6 +287,28 @@ def test_exponent_from_lines_agrees(baer_49, trace_343):
         e_h = blocking.exponent(b)[0]
         e_l = blocking.exponent_from_lines(b, census)[0]
         assert e_h == e_l
+
+
+def test_hyperplane_profile_holds_few_incidence_copies(monkeypatch,
+                                                      trace_343):
+    # the profile sorts one copy of the incidence; the hyperplanes met,
+    # their counts and the sizes hold at most one incidence each, and the
+    # sizes are looked up in blocks, here of an eighth of the incidence.
+    # np.unique with return_inverse held 7.75 incidences above it.
+    g = trace_343.geometry
+    inc = blocking.hyperplane_incidence(g, trace_343.coords())
+    monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", inc.size // 8)
+    met, counts = np.unique(inc, return_counts=True)
+    tracemalloc.start()
+    try:
+        got = blocking._hyperplane_profile(trace_343)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - inc.nbytes <= 3.5 * inc.nbytes
+    for x, y in zip(got, (inc, counts[np.searchsorted(met, inc)], met,
+                          counts)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_one_hyperplane_profile_per_check(baer_49, planar_baer_3d,

@@ -134,11 +134,17 @@ def scalar_lines(b):
 
 def _mixed_set(g, seed):
     """Five points on one line, three more on a second line through
-    (1, 0, ..., 0), and up to ten random points."""
+    (1, 0, ..., 0), three points with leading column 1 and one with each
+    later leading column, and up to ten random points.  So the census
+    kernel quotients points of B by points of a later leading column,
+    with log-domain products, and many images have a zero first free
+    coordinate."""
     assert g.fs.q > 4
     unit = np.eye(g.n + 1, dtype=np.int64)
     rows = [unit[0] + c * unit[1] for c in range(4)] + [unit[1]]
     rows += [unit[0] + c * unit[2] for c in range(1, 4)]
+    rows += [unit[1] + c * unit[g.n] for c in range(1, 3)]
+    rows += [unit[j] for j in range(2, g.n + 1)]
     b = PointSet.from_coords(g, rows)
     rng = np.random.default_rng(seed)
     extra = PointSet(g, np.unique(rng.integers(0, g.num_points, 10)))
@@ -177,6 +183,89 @@ def test_census_kernel_matches_oracles(field, monkeypatch, n, p, t):
         explicit = line_census(b, collect_sizes=list(lines), mode="full")
         for s, rows in lines.items():
             assert np.array_equal(explicit.secant_members(s), rows)
+
+
+def _scalar_digits(b, rows, j0):
+    """Oracle: (len(rows), m - j0, n) digits of the quotient images of
+    B's points j0.. by each point of B at positions ``rows``, by scalar
+    field arithmetic: each free coordinate's log relative to the leading
+    nonzero one, or q-1 for a zero coordinate."""
+    fs = b.geometry.fs
+    q = fs.q
+    pts = [[int(x) for x in c] for c in b.coords()]
+    out = []
+    for i in rows:
+        p = pts[i]
+        k = next(c for c, x in enumerate(p) if x)
+        per_row = []
+        for qc in pts[j0:]:
+            img = [fs.sub(qc[c], fs.mul(qc[k], p[c]))
+                   for c in range(len(p)) if c != k]
+            lead = next((x for x in img if x), None)
+            per_row.append([fs._log[fs.div(x, lead)] if x else q - 1
+                            for x in img])
+        out.append(per_row)
+    return np.array(out, dtype=np.int64)
+
+
+def _key_digits(fs, words, jbits, nd):
+    """(nb, mc, nd) digits of ``quotient_keys`` words, and the column bits
+    (None without them)."""
+    w = int(fs.q - 1).bit_length()
+    per = -(-nd // len(words))
+    digits = []
+    for kw, a in zip(words, range(0, nd, per)):
+        b = min(a + per, nd)
+        key = kw.astype(np.int64) >> jbits
+        digits += [key >> (w * (b - 1 - i)) & (1 << w) - 1
+                   for i in range(a, b)]
+    cols = words[0].astype(np.int64) & (1 << jbits) - 1 if jbits else None
+    return np.stack(digits, axis=2), cols
+
+
+# char-2 xor, prime modulo and Zech subtraction in the 0/1 products, in
+# one word with column bits and in words of one digit; tiles of 3 rows,
+# so that tiles mix leading columns and log-domain prefixes of several
+# lengths
+@pytest.mark.parametrize("p,t", [(2, 4), (5, 1), (3, 2)])
+@pytest.mark.parametrize("one_word", [True, False])
+def test_quotient_keys_match_scalar_digits(field, monkeypatch, p, t,
+                                           one_word):
+    g = build_geometry(3, field(p, t))
+    b = _mixed_set(g, seed=p + t)
+    fs, m = g.fs, b.card
+    assert set(np.argmax(b.coords() != 0, axis=1).tolist()) == {0, 1, 2, 3}
+    if not one_word:
+        monkeypatch.setattr(census_module, "_WORD_BITS",
+                            int(fs.q - 1).bit_length())
+    monkeypatch.setattr(census_module, "TILE_ELEMS", 3 * m)
+    operands = kernel_operands(fs, b.coords())
+    zero_first = 0
+    # full mode: every point against all; pair mode: blocks of 6 points,
+    # each against the points from its block's first on
+    for i0, i1, pair in [(0, m, False)] + [(i, min(i + 6, m), True)
+                                          for i in range(0, m, 6)]:
+        j0 = i0 if pair else 0
+        words, self_words, jbits = quotient_keys(
+            fs, operands, b.coords()[i0:i1, None, :], j0, cols=True,
+            merge_lower=pair)
+        assert len(words) == (1 if one_word else 3) and (jbits > 0) == one_word
+        got, cols = _key_digits(fs, words, jbits, 3)
+        want = _scalar_digits(b, range(i0, i1), j0)
+        zero_first += int(np.count_nonzero(want[:, :, 0] == fs.q - 1))
+        if pair:
+            # each row's columns up to its own join its self-group
+            want[np.arange(j0, m)[None, :] <= np.arange(i0, i1)[:, None]] = \
+                fs.q - 1
+        assert np.array_equal(got, want)
+        if jbits:
+            assert np.array_equal(cols, np.broadcast_to(np.arange(m - j0),
+                                                        cols.shape))
+        self_digits, _ = _key_digits(
+            fs, [np.array([[sw]]) for sw in self_words], 0, 3)
+        assert (self_digits == fs.q - 1).all()
+    # many images have a zero first free coordinate
+    assert zero_first > 2 * m
 
 
 def _late_line_set(field):

@@ -274,6 +274,30 @@ def test_log_mulsub_matches_scalar(field, p, t):
                           [log0(v) for v in two])
 
 
+# char-2 xor, prime modulo and Zech subtraction, with cancellation
+@pytest.mark.parametrize("p,t", [(2, 6), (7, 1), (7, 2), (3, 10)])
+def test_mulsub_by_zero_or_one_matches_scalar(field, p, t):
+    fs = field(p, t)
+    rng = np.random.default_rng(6)
+    c, b = rng.integers(0, fs.q, (2, 400))
+    a = rng.integers(0, 2, 400)
+    b[::9] = 0
+    c[::7] = 0
+    c[100:140] = b[100:140]
+    a[100:140] = 1
+    want = [fs.sub(int(x), fs.mul(int(y), int(z))) for x, y, z in zip(c, a, b)]
+    assert want.count(0) >= 40
+    assert np.array_equal(fs.vsubmul01_log0(c, a, b),
+                          [fs.zero_log if v == 0 else fs._log[v]
+                           for v in want])
+    # a row of c and a against a column of b, as the census kernel calls it
+    got = fs.vsubmul01_log0(c[None, :10], a[None, :10], b[:3, None])
+    assert got.shape == (3, 10)
+    for i in range(3):
+        assert np.array_equal(got[i], fs.vsubmul01_log0(c[:10], a[:10],
+                                                        b[i]))
+
+
 def _digits(code, fs):
     return [code // fs.p ** k % fs.p for k in range(fs.t)]
 

@@ -73,10 +73,14 @@ def test_batch_sublines_match_scalar_on_mixed_rows(field, p, t, e):
         return np.searchsorted(b.indices, idx)
 
     sub = fs.subfield(e).members()
+    # the line's one point that is 0 at its first pivot column, v
+    off = positions([(0, 1)])[0]
     rows = []
     for k in range(24):
         while True:
             a, c, d0, d1 = (int(x) for x in rng.integers(0, fs.q, 4))
+            if k % 4 == 0:
+                a = 0       # infinity goes to v
             if fs.sub(fs.mul(a, d1), fs.mul(c, d0)):
                 break
         # image of GF(q0) + infinity under (x : 1) -> (a x + c : d0 x + d1)
@@ -88,13 +92,24 @@ def test_batch_sublines_match_scalar_on_mixed_rows(field, p, t, e):
                 np.setdiff1d(np.arange(b.card), row))
         elif k % 3 == 2:    # any q0+1 points of the line
             row = rng.choice(b.card, q0 + 1, replace=False)
-        rows.append(rng.permutation(row))
+            if k % 4 == 0 and off not in row:
+                row[0] = off
+        row = rng.permutation(row)
+        if k < 8 and off in row:
+            # v first, then second: it sets the line's first pivot
+            # (_line_pivots) from either end of the pair
+            at = np.flatnonzero(row == off)[0]
+            row[[at, k // 4]] = row[[k // 4, at]]
+        rows.append(row)
     rows = np.array(rows)
     got = structure.sublines_pass_batch(b, rows, e)
     want = [structure.is_subline(PointSet(g, b.indices[row]), e)
             for row in rows]
     assert got.tolist() == want
     assert all(want[::3]) and not any(want[2::3])
+    with_off = np.array([off in row for row in rows])
+    assert rows[0, 0] == off and rows[4, 1] == off
+    assert np.any(with_off & want) and np.any(with_off & ~np.array(want))
 
 
 def test_check_sublines_corpus(baer_49, trace_343):
