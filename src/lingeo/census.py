@@ -17,8 +17,10 @@ Every census also keeps the secants of its longest line size, which for
 the linear sets the checks are about are the short (q0+1)-secants, so
 one pass serves every check.  Secants are kept as int32 rows of
 positions into B, the form in which every check reads them, each secant
-held once: a block sorts its own rows, and the blocks' rows are copied
-into one array in block order.  This is the only grouping routine in
+held once: a block sorts its own rows, and as each block's result is
+reached its rows are copied into one array per size, reserved for the
+most secants of that size B can have and trimmed at the end, and let
+go.  This is the only grouping routine in
 production: point exponents read its per-point counts, the certifier its
 secant rows, and the tangent-only point search runs on its kernel.
 Hyperplane questions (blocking, minimality, the exponent) read
@@ -39,11 +41,13 @@ which quotients all of B by one secant.
 Blocks are independent, and the kernel's sorts, gathers and ufuncs release
 the GIL, so ``map_blocks`` runs them on a pool of ``threads`` worker
 threads (clamped to the CPUs and to the blocks; one worker is a plain
-loop).  ``split_blocks`` gives each of w workers blocks of
-``BLOCK_ELEMS // w`` elements, so the elements in flight do not grow, and
-the callers merge the results in block order, so every thread count gives
-the same census.  ``line_census`` and ``structure``'s subline and plane
-checks go through it, so ``BLOCK_ELEMS`` is the one memory budget.
+generator).  ``split_blocks`` gives each of w workers blocks of
+``BLOCK_ELEMS // w`` elements, so the elements in flight do not grow.
+``map_blocks`` yields the results in block order, and the callers fold
+each one in as it comes and let it go, so every thread count gives the
+same census and no caller holds all blocks' results at once.
+``line_census`` and ``structure``'s subline and plane checks go through
+it, so ``BLOCK_ELEMS`` is the one memory budget.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ class LineCensus:
     longest line size, as int32 rows of positions into
     ``point_set.indices`` (the form every check reads them in;
     ``secant_members`` gives the point indices), one sorted row per
-    secant, the rows ordered by their two lowest members.
+    secant, the rows ordered by their two lowest members: one array per
+    size, written once as the census blocks come in.
     ``per_point_secants`` (and so ``per_point_tangents``) is None when
     the census was computed in pair mode and some secant size is not
     collected (the histogram itself is always exact).  ``threads`` is
@@ -146,7 +151,7 @@ class LineCensus:
 
 
 _PAIR_MODE_THRESHOLD = 4096
-BLOCK_ELEMS = 1 << 20       # (row, column) elements in flight, over all workers
+BLOCK_ELEMS = 1 << 19       # (row, column) elements in flight, over all workers
 TILE_ELEMS = 1 << 15        # elements per cache-sized step inside a block
 _WORD_BITS = 63             # bits of a non-negative int64 sort key
 
@@ -188,17 +193,21 @@ def split_blocks(n: int, width: int, threads: int):
     return range(0, n, rows), rows, worker_count(workers, blocks)
 
 
-def map_blocks(fn, starts, threads: int) -> list:
-    """``[fn(s) for s in starts]``, on ``worker_count(threads,
-    len(starts))`` threads: a plain loop for one, else a thread pool
-    (the kernels release the GIL).  Results come in block order."""
+def map_blocks(fn, starts, threads: int):
+    """``fn(s)`` for each s in ``starts``, yielded in block order, on
+    ``worker_count(threads, len(starts))`` threads: a plain generator for
+    one, else a thread pool's ``map`` (the kernels release the GIL).
+    Each result is handed over as it is reached and held no longer, so a
+    caller that folds it in and lets go holds one block's result, plus
+    those of later blocks that finished first."""
     workers = worker_count(threads, len(starts))
     if workers == 1:
-        return [fn(s) for s in starts]
+        yield from map(fn, starts)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, starts))
+        yield from pool.map(fn, starts)
 
 
 def free_columns(piv: np.ndarray, d: int) -> np.ndarray:
@@ -433,15 +442,26 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     and each run of equal keys is one line through that row's point
     (``row_groups``).  A secant is cut at its lowest member, so each
     block's secant rows start in its own points: the block sorts them
-    by their two lowest members, and the merge copies the blocks' rows
-    in block order into one int32 array, letting go of each block's
-    rows once copied.  Keys too wide for one int64 with their column
-    bits are grouped by ``np.lexsort`` instead, so every field up to
-    2^16 and every dimension whose point indices fit int64 has an exact
-    path.  A 16k-point set costs a few hundred vectorized passes rather
-    than 16k small ones.  ``threads`` workers census blocks at once
-    (``split_blocks``, ``map_blocks``); their counts and secant rows are
-    merged in block order.
+    by their two lowest members.  Keys too wide for one int64 with their
+    column bits are grouped by ``np.lexsort`` instead, so every field up
+    to 2^16 and every dimension whose point indices fit int64 has an
+    exact path.  A 16k-point set costs a few hundred vectorized passes
+    rather than 16k small ones.  ``threads`` workers census blocks at
+    once (``split_blocks``, ``map_blocks``); their counts and secant rows
+    are merged in block order, whatever order the blocks finish in.
+
+    Two points span one line, so B has at most m(m-1) / (s(s-1))
+    s-secants.  Each collected size gets an int32 array of that many
+    rows; the blocks' rows are written into it in block order as
+    ``map_blocks`` yields them, each block's let go before the next is
+    taken, and the array is trimmed in place to the rows written.  So
+    the secants are held once, beside one block's result.  When a longer
+    line shows up in a later block, the shorter size's array is dropped
+    whole unless that size was asked for.  The reservation takes
+    4m(m-1)/(s-1) bytes of address space (0.8 GB at m = 20,000 and
+    s = 3), but pages never written are never resident, and the trim
+    returns the address space; a host that does not overcommit memory
+    must have that much to spare.
     """
     g = b.geometry
     fs = g.fs
@@ -511,9 +531,17 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
                                       + part[:, 1])]
         return sizes, k, rows
 
-    # size -> chunks of (S, size) position rows; the longest size seen so
-    # far (longest) is collected too, and dropped when a longer line shows up
-    chunks: dict = {s: [] for s in collect_sizes}
+    def reserve(s):
+        """[rows, rows written, pair mode: secants through each point] for
+        the s-secants: rows for the most that B can have (two points span
+        one line, so at most m(m-1) / (s(s-1)))."""
+        return [np.empty((m * (m - 1) // (s * (s - 1)) if s > 1 else 0, s),
+                         dtype=np.int32), 0,
+                np.zeros(m, dtype=np.int64) if pair else None]
+
+    # size -> reserve(size); the longest size seen so far (longest) is
+    # collected too, and dropped when a longer line shows up
+    filled: dict = {s: reserve(s) for s in collect_sizes}
     longest = 0
     hist: dict = {}
     group_counts: dict = {}           # pair mode: group size -> #groups
@@ -530,11 +558,22 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
                 hist[v] = hist.get(v, 0) + int(per.sum())
         if k > longest:
             if longest not in collect_sizes:
-                chunks.pop(longest, None)
+                filled.pop(longest, None)
             longest = k
-        for s, part in rows.items():
-            if s in collect_sizes or s == longest:
-                chunks.setdefault(s, []).append(part)
+            if k >= 3 and k not in filled:
+                filled[k] = reserve(k)
+        # blocks hold ascending ranges of lowest members, so block order is
+        # row order: each part is copied into place and let go at once,
+        # before the next block's result is taken
+        while rows:
+            s, part = rows.popitem()
+            if s in filled:
+                slot = filled[s]
+                slot[0][slot[1]:slot[1] + len(part)] = part
+                slot[1] += len(part)
+                if pair:
+                    slot[2] += np.bincount(part.ravel(), minlength=m)
+        part = None     # let the last part go before the next block runs
     if pair:
         # N_k = c_{k-1} - c_k: each k-line yields one group of every size < k
         top = max(group_counts) if group_counts else 0
@@ -561,22 +600,14 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     if hist[1] == 0:
         del hist[1]
     secants = {}
-    for s, parts in chunks.items():
-        # blocks hold ascending ranges of lowest members, so block order is
-        # row order: fill one array and let go of each part once copied
-        pos = np.empty((sum(len(part) for part in parts), s), dtype=np.int32)
-        at = 0
-        if pair:
-            by_size[s] = np.zeros(m, dtype=np.int64)
-        for i, part in enumerate(parts):
-            pos[at:at + len(part)] = part
-            at += len(part)
-            if pair:
-                by_size[s] += np.bincount(part.ravel(), minlength=m)
-            parts[i] = None
-        if pair:
-            n_sec += by_size[s]
+    for s, (pos, at, counts) in filled.items():
+        # trimmed in place (no view of it exists): the rows never written
+        # were never touched, and their address space goes back
+        pos.resize((at, s), refcheck=False)
         secants[s] = pos
+        if pair:
+            by_size[s] = counts
+            n_sec += counts
     if pair and not all(s in secants for s in hist if s >= 2):
         n_sec = None        # some secant is not on record
     return LineCensus(b, hist, n_sec, by_size, secants, threads)

@@ -475,9 +475,14 @@ def plane_block_data(census: LineCensus, secants, q0: int,
             starts, _counts, row, own, members = row_groups(
                 *quotient_keys(fs, operands, basis, cols=True,
                                take=reps[at]), cols=True)
-            # each member's weight, in one flat gather
-            w = np.take(weights, np.repeat(at * width, width) + members)
-            off = np.add.reduceat(w, starts)
+            # each member's weight, in one flat gather whose index is built
+            # in place, the columns let go once added; the sums stay int32
+            # (at most |B|), so the weights get no int64 copy
+            idx = np.repeat(at * width, width)
+            idx += members
+            del members
+            off = np.add.reduceat(np.take(weights, idx), starts,
+                                  dtype=np.int32)
             row, size = row[~own], off[~own] + q0 + 1
             # off-line points make a plane non-collinear, so size decides
             good[s0:s1] = np.bincount(row[size == target], minlength=s1 - s0)

@@ -282,14 +282,25 @@ def _late_line_set(field):
 
 def test_longer_line_in_a_later_block_replaces_collected_secants(
         field, monkeypatch):
+    # blocks of 4 points at one worker, of 2 and 1 at two and three; in a
+    # threaded run the first block returns after two later ones, so the
+    # 5-point line can reach the merge before the 3-secants it replaces
     b = _late_line_set(field)
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
     monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 4 * b.card)
     lines = scalar_lines(b)
     assert max(lines) == 5 and len(lines[3]) == 2
     for mode in ("full", "pair"):
-        census = line_census(b, mode=mode)
-        assert list(census.secants) == [5]
-        assert np.array_equal(census.secant_members(5), lines[5])
+        runs = []
+        for threads in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                probe = _probed(mp, threads, census_module, "quotient_keys")
+                runs.append(line_census(b, mode=mode, threads=threads))
+            probe.check(threads)
+            assert list(runs[-1].secants) == [5]
+            assert np.array_equal(runs[-1].secant_members(5), lines[5])
+        for got in runs[1:]:
+            _assert_same_census(got, runs[0])
 
 
 @pytest.mark.parametrize("mode", ["full", "pair"])
@@ -431,26 +442,43 @@ def test_worker_count_clamps_to_cpus_and_blocks():
 
 
 class _BlockProbe:
-    """Wraps a block function and records the threads that call it.  With
-    ``meet``, the first two calls wait for each other, so two blocks must
-    run at the same time on two threads or the wait times out."""
+    """Wraps a block function and records the threads that call it and
+    the order in which its calls return.  With ``late``, the first call
+    waits until two later calls have returned: the earliest block then
+    finishes after blocks behind it, so the callers must merge out of
+    order, and two blocks must run at the same time on two threads or
+    the wait times out."""
 
-    def __init__(self, fn, meet):
+    def __init__(self, fn, late):
         self.fn = fn
         self.threads = set()
-        self._meet = threading.Barrier(2 if meet else 1, timeout=10)
+        self.returned = []          # call numbers, in the order they return
+        self._late = late
+        self._ahead = threading.Semaphore(0)
         self._calls = itertools.count()
 
     def __call__(self, *args, **kwargs):
         self.threads.add(threading.get_ident())
-        if next(self._calls) < 2:
-            self._meet.wait()
-        return self.fn(*args, **kwargs)
+        call = next(self._calls)
+        if self._late and call == 0:
+            for _ in range(2):
+                assert self._ahead.acquire(timeout=10), "no later block ran"
+        out = self.fn(*args, **kwargs)
+        self.returned.append(call)
+        if call:
+            self._ahead.release()
+        return out
+
+    def check(self, threads):
+        """Several threads ran, and the first call returned late."""
+        assert len(self.threads) >= min(threads, 2)
+        if self._late:
+            assert self.returned.index(0) >= 2
 
 
 def _probed(monkeypatch, threads, module, name):
     """Probe ``module.name`` for one run on ``threads`` workers."""
-    probe = _BlockProbe(getattr(module, name), meet=threads > 1)
+    probe = _BlockProbe(getattr(module, name), late=threads > 1)
     monkeypatch.setattr(module, name, probe)
     return probe
 
@@ -463,8 +491,9 @@ def _blocks_of(monkeypatch, rows, width, blocks):
 
 
 # real concurrency: four CPUs granted, every input split into at least
-# four blocks, and the first two blocks of each threaded run meet on two
-# worker threads; the merged results must not depend on the thread count
+# four blocks, and in each threaded run the first block returns after two
+# later ones, so the merge takes results out of order: the merged results
+# must not depend on the thread count
 
 
 def test_census_identical_across_threads(monkeypatch, baer_49, trace_343,
@@ -481,7 +510,7 @@ def test_census_identical_across_threads(monkeypatch, baer_49, trace_343,
                     probe = _probed(mp, threads, census_module,
                                     "quotient_keys")
                     runs.append(line_census(b, threads=threads, **kwargs))
-                assert len(probe.threads) >= min(threads, 2)
+                probe.check(threads)
                 assert runs[-1].threads == threads
             for got in runs[1:]:
                 _assert_same_census(got, runs[0])
@@ -521,7 +550,7 @@ def test_subline_violations_identical_across_threads(monkeypatch, baer_49,
                 probe = _probed(mp, threads, structure,
                                 "sublines_pass_batch")
                 runs.append(structure.check_sublines(b, e, threads=threads))
-            assert len(probe.threads) >= min(threads, 2)
+            probe.check(threads)
         assert runs[0]["checked"] == len(secants)
         assert runs[1:] == runs[:1] * 2
     # the violations span several batches
@@ -543,7 +572,7 @@ def test_plane_blocks_identical_across_threads(monkeypatch, rank5_pg3_81):
             probe = _probed(mp, threads, structure, "quotient_keys")
             runs.append(structure.plane_block_data(census, secants, q0,
                                                    threads=threads))
-        assert len(probe.threads) >= min(threads, 2)
+        probe.check(threads)
     assert set(runs[0].sizes) == {13, 40}
     for got in runs[1:]:
         assert np.array_equal(got.good, runs[0].good)
@@ -571,20 +600,26 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_census_peak_is_its_secants_plus_a_block(rank5_pg3_4096):
+def test_census_peak_is_its_secants_plus_a_block(monkeypatch,
+                                                 rank5_pg3_4096):
     # one thread, so the peak is deterministic.  A block of BLOCK_ELEMS
     # elements holds an int64 key and an int32 column per element and,
     # while its secant rows are cut, int32 offsets, rows and their sorted
-    # copy: under 24 bytes per element.  Before it, the parts of the
-    # earlier blocks are held; the merge then copies them into one int32
-    # array, so at its start it holds the secants twice.
-    b, _ = rank5_pg3_4096
-    out = []
-    peak = _traced_peak(lambda: out.append(line_census(b, mode="pair")))
-    secants = out[0].secants[9]
-    assert secants.shape == (304265, 9) and secants.dtype == np.int32
-    block_bytes = 24 * census_module.BLOCK_ELEMS
-    assert peak <= secants.nbytes + max(secants.nbytes, block_bytes)
+    # copy: under 24 bytes per element.  Each block's rows are copied into
+    # the one int32 array as they arrive, so the secants are never held
+    # twice.  The slack is B's operands and the int64 temporaries of one
+    # row tile (TILE_ELEMS elements), whatever the block size.
+    b, want = rank5_pg3_4096
+    monkeypatch.setattr(census_module, "BLOCK_ELEMS", 1 << 16)
+    slack = 3 << 20
+    for kwargs in ({"mode": "pair"}, {"mode": "full", "collect_sizes": [9]}):
+        out = []
+        peak = _traced_peak(lambda: out.append(line_census(b, **kwargs)))
+        secants = out[0].secants[9]
+        assert secants.shape == (304265, 9) and secants.dtype == np.int32
+        assert np.array_equal(secants, want.secants[9])
+        assert peak <= (secants.nbytes + 24 * census_module.BLOCK_ELEMS
+                        + slack)
 
 
 def test_subline_batches_do_not_grow_with_threads(monkeypatch,
