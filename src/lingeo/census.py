@@ -15,8 +15,11 @@ keys then puts each line through each P in one run.  This keeps censuses
 of 16k-point sets in multi-billion-point ambient spaces tractable.
 Every census also keeps the secants of its longest line size, which for
 the linear sets the checks are about are the short (q0+1)-secants, so
-one pass serves every check.  Secants are kept as int32 rows of
-positions into B, the form in which every check reads them, each secant
+one pass serves every check.  Secants are kept as rows of positions
+into B, the form in which every check reads them: 16-bit positions up
+to 65,536 points, int32 above (``position_dtype``, which every array of
+positions takes its type from; a check that computes with positions
+widens them first).  Each secant is
 held once: a block sorts its own rows, and as each block's result is
 reached its rows are copied into one array per size, reserved for the
 most secants of that size B can have and trimmed at the end, and let
@@ -52,6 +55,7 @@ it, so ``BLOCK_ELEMS`` is the one memory budget.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -91,8 +95,9 @@ class LineCensus:
     """Histogram of |L ∩ B| over lines meeting B, plus per-point counts.
 
     ``secants`` holds the asked-for sizes and, when it is at least 3, the
-    longest line size, as int32 rows of positions into
-    ``point_set.indices`` (the form every check reads them in;
+    longest line size, as rows of positions into ``point_set.indices``
+    (16-bit positions up to 65,536 points, int32 above:
+    ``position_dtype``; the form every check reads them in;
     ``secant_members`` gives the point indices), one sorted row per
     secant, the rows ordered by their two lowest members: one array per
     size, written once as the census blocks come in.
@@ -129,7 +134,8 @@ class LineCensus:
 
     def secant_members(self, size: int) -> np.ndarray:
         """(S, size) array of member indices, one sorted row per secant."""
-        rows = self.secants.get(size, np.zeros((0, size), dtype=np.int32))
+        rows = self.secants.get(size, np.zeros(
+            (0, size), dtype=position_dtype(self.point_set.card)))
         return self.point_set.indices[rows]
 
     def with_secants(self, *sizes: int) -> "LineCensus":
@@ -151,9 +157,18 @@ class LineCensus:
 
 
 _PAIR_MODE_THRESHOLD = 4096
+POSITION_LIMIT = 1 << 16    # most points whose positions are held in 16 bits
 BLOCK_ELEMS = 1 << 19       # (row, column) elements in flight, over all workers
 TILE_ELEMS = 1 << 15        # elements per cache-sized step inside a block
 _WORD_BITS = 63             # bits of a non-negative int64 sort key
+
+
+def position_dtype(m: int):
+    """The dtype of positions into a set of ``m`` points, and of counts
+    bounded by ``m``: uint16 up to ``POSITION_LIMIT`` points, int32 above.
+    A consumer that computes with positions widens them first: numpy
+    keeps ``uint16 * int`` in uint16."""
+    return np.uint16 if m <= POSITION_LIMIT else np.int32
 
 
 def block_rows(width: int) -> int:
@@ -315,6 +330,7 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
                     return a[c[0], None, j0 + lo:j0 + hi]
                 return a[c, j0 + lo:j0 + hi]
             # one flat gather: twice as fast as indexing by two arrays
+            # (c is int64, so the positions of ``take`` are widened)
             return np.take(a.ravel(),
                            c[:, None] * a.shape[1] + take[r0:r1, lo:hi])
 
@@ -364,13 +380,17 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     return words, self_words, jbits
 
 
+@functools.lru_cache(maxsize=16)
 def _digit_table(fs) -> np.ndarray:
     """Digit of (log - lead log + q - 2) for a quotient coordinate: the
     relative log mod q-1 when the coordinate is nonzero, q-1 when zero
-    (its zero-safe log, ``fs.zero_log``, puts it past 2q-4)."""
+    (its zero-safe log, ``fs.zero_log``, puts it past 2q-4).  Built once
+    per field and read-only."""
     q = fs.q
     x = np.arange(fs.zero_log + q - 1, dtype=np.int64)
-    return np.where(x <= 2 * q - 4, (x - (q - 2)) % max(1, q - 1), q - 1)
+    table = np.where(x <= 2 * q - 4, (x - (q - 2)) % max(1, q - 1), q - 1)
+    table.flags.writeable = False
+    return table
 
 
 def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
@@ -378,10 +398,11 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
 
     Returns (starts, counts, pos, own, members): the start of each run
     in the row-major sorted order, its length, its row, whether it is
-    the row's zero-image group, and, when ``cols``, the int32 column of
-    every sorted element (else None).  One word, with its ``jbits`` column
-    bits when ``cols``, is sorted row by row; otherwise the block is
-    sorted by ``np.lexsort`` with the row as the primary key.
+    the row's zero-image group, and, when ``cols``, the column of every
+    sorted element (else None), as a position (``position_dtype``: 16
+    bits up to 65,536 columns, int32 above).  One word, with its
+    ``jbits`` column bits when ``cols``, is sorted row by row; otherwise
+    the block is sorted by ``np.lexsort`` with the row as the primary key.
     """
     nb, mc = words[0].shape
     size = nb * mc
@@ -392,8 +413,8 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
         words[0].sort(axis=1)
         flat = words[0].ravel()
         if jbits:
-            # column bits straight into int32, without an int64 temporary
-            members = np.empty(size, dtype=np.int32)
+            # column bits straight into positions, without a wide temporary
+            members = np.empty(size, dtype=position_dtype(mc))
             np.bitwise_and(flat, (1 << jbits) - 1, out=members,
                            casting="unsafe")
             flat >>= jbits
@@ -411,7 +432,7 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
         for sw, self_word in zip(ordered, self_words):
             own &= sw[starts] == self_word
         if cols:
-            members = (order % mc).astype(np.int32)
+            members = (order % mc).astype(position_dtype(mc))
     counts = np.diff(np.append(starts, size))
     return starts, counts, starts // mc, own, members
 
@@ -421,7 +442,8 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     """Exact census of all lines meeting B, grouped around each point.
 
     ``collect_sizes`` lists intersection sizes whose secants should be
-    returned as explicit (S, size) int32 arrays of positions in B (each
+    returned as explicit (S, size) arrays of positions in B (16-bit
+    positions up to 65,536 points, int32 above: ``position_dtype``; each
     secant reported once, one sorted row each).  The secants of the
     longest line size are always collected when that size is at least 3.
     Two strategies:
@@ -451,14 +473,14 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     are merged in block order, whatever order the blocks finish in.
 
     Two points span one line, so B has at most m(m-1) / (s(s-1))
-    s-secants.  Each collected size gets an int32 array of that many
-    rows; the blocks' rows are written into it in block order as
+    s-secants.  Each collected size gets an array of that many rows;
+    the blocks' rows are written into it in block order as
     ``map_blocks`` yields them, each block's let go before the next is
     taken, and the array is trimmed in place to the rows written.  So
     the secants are held once, beside one block's result.  When a longer
     line shows up in a later block, the shorter size's array is dropped
     whole unless that size was asked for.  The reservation takes
-    4m(m-1)/(s-1) bytes of address space (0.8 GB at m = 20,000 and
+    m(m-1)/(s-1) positions of address space (0.4 GB at m = 20,000 and
     s = 3), but pages never written are never resident, and the trim
     returns the address space; a host that does not overcommit memory
     must have that much to spare.
@@ -469,10 +491,11 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     m = b.card
     lines_through_point = space_size(fs.q, g.n - 1)
     collect_sizes = set(collect_sizes)
+    position = position_dtype(m)
     if m == 1:
         return LineCensus(b, {1: lines_through_point},
                           np.zeros(1, dtype=np.int64), {},
-                          {s: np.zeros((0, s), dtype=np.int32)
+                          {s: np.zeros((0, s), dtype=position)
                            for s in collect_sizes}, threads)
     if mode == "auto":
         mode = "pair" if m > _PAIR_MODE_THRESHOLD else "full"
@@ -518,10 +541,10 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
                 gsel = gsel[cols[starts[gsel]] > gpos[gsel] + i0]
             if gsel.size == 0:
                 continue
-            # a block's element offsets and B's positions fit int32
+            # a block's element offsets fit int32
             offs = (starts[gsel].astype(np.int32)[:, None]
                     + np.arange(s - 1, dtype=np.int32))
-            part = np.empty((gsel.size, s), dtype=np.int32)
+            part = np.empty((gsel.size, s), dtype=position)
             part[:, 0] = i0 + gpos[gsel]
             part[:, 1:] = cols[offs]             # member positions
             part[:, 1:] += j0
@@ -536,7 +559,7 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
         the s-secants: rows for the most that B can have (two points span
         one line, so at most m(m-1) / (s(s-1)))."""
         return [np.empty((m * (m - 1) // (s * (s - 1)) if s > 1 else 0, s),
-                         dtype=np.int32), 0,
+                         dtype=position), 0,
                 np.zeros(m, dtype=np.int64) if pair else None]
 
     # size -> reserve(size); the longest size seen so far (longest) is

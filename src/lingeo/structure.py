@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .census import (LineCensus, kernel_operands, line_census, map_blocks,
-                     pack_rows, quotient_keys, quotient_rows, row_groups,
-                     split_blocks)
+                     pack_rows, position_dtype, quotient_keys, quotient_rows,
+                     row_groups, split_blocks)
 from .pg import PointSet, Subspace, distinct, span
 from .reduction import SpreadContext
 
@@ -167,8 +167,9 @@ def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
     rows = np.asarray(rows)
     coords = b.coords()
     piv0, piv1, _ = _line_pivots(fs, coords[rows[:, 0]], coords[rows[:, 1]])
-    # the members' a and b, one flat gather each
-    at = rows.T * coords.shape[1]
+    # the members' a and b, one flat gather each; the positions are
+    # widened first (a 16-bit position times n+1 would wrap in 16 bits)
+    at = np.multiply(rows.T, coords.shape[1], dtype=np.int64)
     at += piv0
     av = np.take(coords, at)
     at += piv1 - piv0
@@ -371,48 +372,63 @@ def _anchor_lines(census: LineCensus, anchors: np.ndarray):
 
     ``anchors`` are ascending positions into B.  Returns (width, lines_of):
     the most such lines through one anchor, and a function taking anchor
-    slots ``a`` (indices into ``anchors``) to two (len(a), width) int32
-    arrays: row i holds one member other than ``anchors[a[i]]`` of each
+    slots ``a`` (indices into ``anchors``) to two (len(a), width) arrays
+    of positions (``position_dtype``: 16 bits up to 65,536 points, int32
+    above): row i holds one member other than ``anchors[a[i]]`` of each
     line through it and that line's size less one, padded with the anchor
     itself at weight 0.
 
     The lines of 3 or more points come from ``census.with_secants`` of
     their sizes, so a census that holds them all makes no pass.  Its rows
     are ordered by their lowest member, so only those that start at or
-    below the last anchor are scanned, one column at a time, and each
-    anchor keeps the numbers of its rows.  The 2-secants, up to |B|^2 / 2
-    of them, are not collected: an anchor's 2-secant members are the
-    points of B that its longer lines miss, found when its row is built.
+    below the last anchor are scanned.  Each anchor keeps the numbers of
+    its rows, of each size, in one int32 segment: the segments' lengths
+    are counted first, then one secant column at a time has its anchor
+    slots sorted and its row numbers placed, so no sort runs over every
+    member at once.  The 2-secants, up to |B|^2 / 2 of them, are not
+    collected: an anchor's 2-secant members are the points of B that its
+    longer lines miss, found when its row is built.
     """
     b = census.point_set
+    position = position_dtype(b.card)
     sizes = [s for s in census.hist if s >= 3]
     lines = census.with_secants(*sizes)
-    slot = np.full(b.card, -1, dtype=np.int32)
-    slot[anchors] = np.arange(anchors.size)
+    # anchor k's slot is k + 1, any other point's 0
+    slot = np.zeros(b.card, dtype=position_dtype(anchors.size + 1))
+    slot[anchors] = np.arange(1, anchors.size + 1)
     through = []    # (size, row numbers by anchor, each anchor's offsets)
     count = np.zeros(anchors.size, dtype=np.int64)
     spare = np.full(anchors.size, b.card - 1, dtype=np.int64)
     for s in sizes:
         rows = lines.secants[s]
         rows = rows[:np.searchsorted(rows[:, 0], anchors[-1], side="right")]
-        at, num = [], []
-        for j in range(s):
-            a = slot[rows[:, j]]
-            hit = np.flatnonzero(a >= 0)
-            at.append(a[hit])
-            num.append(hit.astype(np.int32))
-        at = np.concatenate(at)
-        n = np.bincount(at, minlength=anchors.size)
-        through.append((s, np.concatenate(num)[np.argsort(at)],
-                        np.concatenate([[0], np.cumsum(n)])))
+        # per column, the rows through each anchor
+        hits = [np.bincount(slot[rows[:, j]], minlength=anchors.size + 1)[1:]
+                for j in range(s)]
+        n = sum(hits)
+        start = np.concatenate([[0], np.cumsum(n)])
+        num = np.empty(start[-1], dtype=np.int32)
+        fill = start[:-1].copy()    # each segment's next free entry
+        for j, h in enumerate(hits):
+            # the rows sorted by the anchor they hold in column j, in row
+            # order (a radix sort on 16-bit slots), those that hold none
+            # first and skipped
+            order = np.argsort(slot[rows[:, j]], kind="stable")
+            order = order[order.size - int(h.sum()):]
+            # anchor k's rows go to fill[k], fill[k] + 1, ...
+            dest = np.repeat(fill - (np.cumsum(h) - h), h)
+            dest += np.arange(dest.size)
+            num[dest] = order
+            fill += h
+        through.append((s, num, start))
         count += n
         spare -= (s - 1) * n
     # an anchor's points off its longer lines lie on one 2-secant each
     width = int((count + spare).max())
 
     def lines_of(a):
-        reps = np.repeat(anchors[a].astype(np.int32)[:, None], width, axis=1)
-        weights = np.zeros(reps.shape, dtype=np.int32)
+        reps = np.repeat(anchors[a].astype(position)[:, None], width, axis=1)
+        weights = np.zeros(reps.shape, dtype=position)
         for i, k in enumerate(a):
             p, c = anchors[k], 0
             missed = np.ones(b.card, dtype=bool) if spare[k] else None
@@ -438,6 +454,9 @@ def plane_block_data(census: LineCensus, secants, q0: int,
                      threads: int = 1) -> PlaneData:
     """``plane_census`` of every (q0+1)-secant in ``secants`` (an (S, q0+1)
     array of positions into the census's point set B), as block kernels.
+    The members each kernel row quotients, and their weights, are held as
+    positions (``position_dtype``: 16 bits up to 65,536 points, int32
+    above), as the census's secants are.
 
     Secant L is read from its first (lowest) member P: every point of B
     off L lies on one line M != L through P that meets B twice or more,

@@ -304,8 +304,8 @@ def test_longer_line_in_a_later_block_replaces_collected_secants(
 
 
 @pytest.mark.parametrize("mode", ["full", "pair"])
-def test_secant_rows_are_int32_in_oracle_order(monkeypatch, field, baer_49,
-                                               mode):
+def test_secant_rows_are_16_bit_positions_in_oracle_order(monkeypatch, field,
+                                                          baer_49, mode):
     # blocks of 2 points at one worker, of 1 at more: every block sorts its
     # own rows and the merge keeps block order, so the rows must be the
     # oracle's sorted rows for every thread count.  Many of baer_49's
@@ -328,11 +328,38 @@ def test_secant_rows_are_int32_in_oracle_order(monkeypatch, field, baer_49,
                                      threads=threads)
                 assert sorted(census.secants) == (asked or [longest])
                 for s, rows in census.secants.items():
-                    assert rows.dtype == np.int32
+                    assert rows.dtype == np.uint16
                     assert np.array_equal(rows, want[s])
                     assert np.array_equal(
                         census.per_point_by_size[s],
                         np.bincount(want[s].ravel(), minlength=b.card))
+
+
+def test_positions_past_the_16_bit_limit_are_int32(monkeypatch, field,
+                                                  rank5_pg3_81):
+    # the limit below |B|, so B's positions are int32 while a late pair
+    # block's columns still fit, and then below every count: the census,
+    # the subline violations and the plane kernel must not change
+    b, q0 = rank5_pg3_81, 3
+    lines = _five_point_lines(build_geometry(2, field(2, 4)), 8, seed=2)
+    runs = []
+    for limit in (census_module.POSITION_LIMIT, b.card - 1, 1):
+        monkeypatch.setattr(census_module, "POSITION_LIMIT", limit)
+        censuses = [line_census(b, collect_sizes=[q0 + 1], mode=mode)
+                    for mode in ("full", "pair")]
+        secants = censuses[0].secants[q0 + 1]
+        assert secants.dtype == (np.uint16 if limit >= b.card else np.int32)
+        runs.append((censuses, structure.check_sublines(lines, 2),
+                     structure.plane_block_data(censuses[0], secants, q0)))
+    want_censuses, want_violations, want_planes = runs[0]
+    assert want_violations["violations"]
+    for censuses, violations, planes in runs[1:]:
+        for got, want in zip(censuses, want_censuses):
+            _assert_same_census(got, want)
+        assert violations == want_violations
+        assert np.array_equal(planes.good, want_planes.good)
+        assert np.array_equal(planes.min_size, want_planes.min_size)
+        assert planes.sizes == want_planes.sizes
 
 
 def test_longest_secants_collected_as_if_asked(baer_49, trace_343, line_49):
@@ -603,12 +630,13 @@ def _traced_peak(fn) -> int:
 def test_census_peak_is_its_secants_plus_a_block(monkeypatch,
                                                  rank5_pg3_4096):
     # one thread, so the peak is deterministic.  A block of BLOCK_ELEMS
-    # elements holds an int64 key and an int32 column per element and,
-    # while its secant rows are cut, int32 offsets, rows and their sorted
-    # copy: under 24 bytes per element.  Each block's rows are copied into
-    # the one int32 array as they arrive, so the secants are never held
-    # twice.  The slack is B's operands and the int64 temporaries of one
-    # row tile (TILE_ELEMS elements), whatever the block size.
+    # elements holds an int64 key and a 16-bit column per element and,
+    # while its secant rows are cut, int32 offsets, 16-bit rows and their
+    # sorted copy: under 24 bytes per element.  Each block's rows are
+    # copied into the one uint16 array as they arrive, so the secants are
+    # never held twice.  The slack is B's operands and the int64
+    # temporaries of one row tile (TILE_ELEMS elements), whatever the
+    # block size.
     b, want = rank5_pg3_4096
     monkeypatch.setattr(census_module, "BLOCK_ELEMS", 1 << 16)
     slack = 3 << 20
@@ -616,7 +644,7 @@ def test_census_peak_is_its_secants_plus_a_block(monkeypatch,
         out = []
         peak = _traced_peak(lambda: out.append(line_census(b, **kwargs)))
         secants = out[0].secants[9]
-        assert secants.shape == (304265, 9) and secants.dtype == np.int32
+        assert secants.shape == (304265, 9) and secants.dtype == np.uint16
         assert np.array_equal(secants, want.secants[9])
         assert peak <= (secants.nbytes + 24 * census_module.BLOCK_ELEMS
                         + slack)

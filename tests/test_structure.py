@@ -112,6 +112,44 @@ def test_batch_sublines_match_scalar_on_mixed_rows(field, p, t, e):
     assert np.any(with_off & want) and np.any(with_off & ~np.array(want))
 
 
+def test_16_bit_positions_past_their_products_match_wide_ones(field):
+    # about 17,000 points of PG(3, 64): from position 16,384 on, a position
+    # times n+1 = 4 no longer fits 16 bits, so a consumer that computed
+    # with 16-bit positions before widening them would gather other points
+    fs = field(2, 6)
+    g = build_geometry(3, fs)
+    q0 = 8
+    rng = np.random.default_rng(4)
+    sub = np.array(fs.subfield(3).members())
+    sublines = []           # PG(1, 8): u + x v over x in GF(8), and v
+    for _ in range(300):
+        u, v = g.coords_of_indices(rng.choice(g.num_points, 2, replace=False))
+        sublines.append(np.vstack([fs.vadd(u, fs.vmul(sub[:, None], v)), v]))
+    idx = g.index_of_rows(np.concatenate(sublines))
+    b = PointSet(g, np.concatenate(
+        [idx, rng.choice(g.num_points, 14_500, replace=False)]))
+    assert b.card * (g.n + 1) > 1 << 16
+    assert census_module.position_dtype(b.card) == np.uint16
+    rows = np.sort(np.searchsorted(b.indices, idx).reshape(-1, q0 + 1), axis=1)
+    # and as many rows of any points at such high positions
+    high = np.arange(1 << 14, b.card)
+    rows = np.vstack([rows] + [np.sort(rng.choice(high, q0 + 1, replace=False))
+                               for _ in range(300)])
+    assert (rows.max(axis=1) >= 1 << 14).all()
+    narrow, wide = rows.astype(np.uint16), rows.astype(np.int64)
+    got = structure.sublines_pass_batch(b, narrow, 3)
+    assert np.array_equal(got, structure.sublines_pass_batch(b, wide, 3))
+    assert got[:300].all() and not got[300:].all()
+    # the plane kernel's members, quotiented by the lines of the rows
+    coords = b.coords()
+    basis = structure._line_bases(fs, coords[rows[:, 0]], coords[rows[:, 1]])
+    operands = census_module.kernel_operands(fs, coords)
+    keys = [census_module.quotient_keys(fs, operands, basis, cols=True,
+                                        take=take)[0]
+            for take in (narrow, wide)]
+    assert all(np.array_equal(a, w) for a, w in zip(*keys))
+
+
 def test_check_sublines_corpus(baer_49, trace_343):
     out = structure.check_sublines(baer_49, 1)
     assert out["checked"] == 57 and out["violations"] == []
@@ -227,6 +265,17 @@ def rank5_pg3_81_off(rank5_pg3_81):
     return b
 
 
+@pytest.fixture(scope="module")
+def rank6_pg4_243():
+    """Rank-6 GF(3)-linear set of PG(4, 3^5) spanned by e1 ... e5 and
+    (3, 9, 1, 0, 0): 364 points on 10,998 4-secants and one 13-point
+    line."""
+    g = build_geometry(4, make_field(3, 5))
+    vecs = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    vecs.append((3, 9, 1, 0, 0))
+    return SpreadContext(g, 1).linear_set_from_vectors(vecs)
+
+
 def _census(b, q0):
     return line_census(b, collect_sizes=[q0 + 1], mode="full")
 
@@ -237,23 +286,35 @@ def _anchor_width(census, secants):
     return int(census.per_point_secants[np.unique(secants[:, 0])].max())
 
 
+# secants sampled (seeded) per set; the other sets check every secant
+_PLANE_SAMPLE = {"rank6_pg4_243": 300}
+
+
 @pytest.mark.parametrize("name,q0", [("planar_baer_3d", 7),
                                      ("rank5_pg3_81", 3),
                                      ("rank5_pg3_16", 2),
                                      ("all_bad_3d", 7),
                                      ("trace_3d", 7),
                                      ("trace_3d_off", 7),
-                                     ("rank5_pg3_81_off", 3)])
+                                     ("rank5_pg3_81_off", 3),
+                                     ("rank6_pg4_243", 3)])
 @pytest.mark.parametrize("words", ["one", "lexsort"])
 def test_plane_block_data_matches_scalar(request, monkeypatch, name, q0,
                                          words):
     # every secant of each set, mixed line sizes in all_bad_3d (2, 3, 7, 8),
     # the trace sets (8 and 50, and 2 with the point off the plane) and
-    # rank5_pg3_81_off (2, 4, 5 and 6)
+    # rank5_pg3_81_off (2, 4, 5 and 6); a seeded sample of 300 of the
+    # 10,998 4-secants of rank6_pg4_243, in PG(4, q), whose anchors also
+    # lie on its 13-point line
     b = request.getfixturevalue(name)
     census = _census(b, q0)
     secants = census.secants[q0 + 1]
     assert len(secants) > 40
+    if name in _PLANE_SAMPLE:
+        pick = np.random.default_rng(0).choice(len(secants),
+                                               _PLANE_SAMPLE[name],
+                                               replace=False)
+        secants = secants[np.sort(pick)]
     # 40 secants per block and 3 per tile: several of each
     width = _anchor_width(census, secants)
     monkeypatch.setattr("lingeo.census.BLOCK_ELEMS", 40 * width)
