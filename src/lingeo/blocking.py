@@ -386,6 +386,34 @@ def analyze(b: PointSet, assume_blocking: bool | None = None,
         witnesses=witnesses)
 
 
+def minimal_blocking_report(b: PointSet, hyperplane_sizes,
+                            line_sizes) -> BlockingReport:
+    """The report ``analyze`` gives B, for B known to be a minimal blocking
+    set, from |H ∩ B| of every hyperplane H and the sizes of the lines
+    meeting B, with no census or hyperplane profile of its own.
+
+    The exponents follow the rules ``analyze`` applies to the same sizes.
+    The hyperplanes containing B are those of size |B|: through a subspace
+    of dimension d pass 1 + q + ... + q^(n-d-1) of them, which gives the
+    span.  ``search`` holds these sizes as bitmask popcounts.
+    """
+    g = b.geometry
+    fs = g.fs
+    size = b.card
+    e, q0, h, integral = _exponent_from_profile(fs, hyperplane_sizes)
+    containing = sum(s == size for s in hyperplane_sizes)
+    span_dim, through = g.n, 1
+    while containing > 0:
+        containing -= through
+        through *= fs.q
+        span_dim -= 1
+    return BlockingReport(
+        size=size, kappa=size - fs.q, is_blocking=True, is_minimal=True,
+        is_small=size < 3 * (fs.q + 1) / 2, exponent_e=e,
+        exponent_e_lines=_exponent_from_line_sizes(line_sizes, fs.p, fs.t),
+        q0=q0, h=h, h_integral=integral, span_dim=span_dim, strategy="cover")
+
+
 # ---------------------------------------------------------------------------
 # projection
 

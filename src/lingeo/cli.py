@@ -19,6 +19,13 @@ Exit codes: 0 success / all checks pass; 1 at least one FAIL;
 without --force, a field above the 2^16 limit of the field tables, or a
 space with more than 2^63 - 1 points, past the int64 point indices
 (no flag overrides either limit).
+
+Each command imports the modules that only it needs when it runs:
+``verify`` imports ``structure``, ``search`` imports ``search`` and
+``build`` imports ``constructions``.  A run with no bytecode cache
+compiles every lingeo module it imports, and ``structure`` takes the
+longest, so ``search`` and ``project`` do not pay for it; ``search``
+imports it only to certify an entry that is not a line.
 """
 
 from __future__ import annotations
@@ -30,16 +37,14 @@ import time
 
 import numpy as np
 
-from . import __version__, blocking, structure
+from . import __version__, blocking
 from .census import line_census
-from .constructions import full_line, subgeometry
 from .fileio import (ParseError, parse_codes, point_set_to_text,
                      read_point_set, read_reduced_subspace, read_vectors,
                      write_point_set)
 from .gf import FieldError, FieldTooLarge, make_field
 from .pg import GeometryError, GeometryTooLarge, build_geometry
 from .reduction import ReductionError, SpreadContext
-from .search import GuardExceeded, SearchConfig, enumerate_minimal, verify_catalog
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,6 +89,8 @@ def _field(args):
 
 
 def cmd_build(args):
+    from .constructions import full_line, subgeometry
+
     started = time.monotonic()
     out = _outdir(args)
     fs = _field(args)
@@ -128,6 +135,8 @@ _ALL_CHECKS = ("1modp", "sublines", "lemmas", "certify")
 
 
 def cmd_verify(args):
+    from . import structure
+
     started = time.monotonic()
     out = _outdir(args)
     checks = [c.strip() for c in args.checks.split(",")] if args.checks \
@@ -202,6 +211,8 @@ def cmd_verify(args):
 
 
 def cmd_search(args):
+    from .search import SearchConfig, enumerate_minimal, verify_catalog
+
     started = time.monotonic()
     out = _outdir(args)
     fs = _field(args)
@@ -348,14 +359,29 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise ParseError(f"--{name.replace('_', '-')} must be >= 1")
         return args.func(args)
-    except (GuardExceeded, FieldTooLarge, GeometryTooLarge) as exc:
+    # an except clause's classes are looked up only once an error is
+    # raised, so the command modules' errors are imported then, and no
+    # command loads another's modules
+    except _guard_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, FieldError, GeometryError, ReductionError,
-            blocking.BlockingError, structure.StructureError,
-            FileNotFoundError, ValueError) as exc:
+    except _invalid_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+
+
+def _guard_errors():
+    from .search import GuardExceeded
+
+    return GuardExceeded, FieldTooLarge, GeometryTooLarge
+
+
+def _invalid_errors():
+    from .structure import StructureError
+
+    return (ParseError, FieldError, GeometryError, ReductionError,
+            blocking.BlockingError, StructureError, FileNotFoundError,
+            ValueError)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,17 @@ popcounts give the rest.  ``nodes`` and ``pruned`` still count every node
 of the same tree, but most of them (five in six on PG(2, 5) to size 7)
 are counted without a call, so nodes per second measures nodes accounted
 for, not nodes visited.
+
+Each entry's report is built from the same masks: the popcounts of
+(hyperplane & set) are its hyperplane intersection sizes, which give the
+exponent and the span (``blocking.minimal_blocking_report``), and the
+leaf tests have proved it blocking and minimal.  In the plane the lines
+are the hyperplanes, so the popcounts are also the line sizes of the
+1-mod-p check and the line exponent, and no entry takes a line census;
+above the plane each entry takes one.  ``blocking.analyze`` stays the
+oracle these reports are tested against.  ``verify_catalog`` certifies
+only the entries that are not lines, and only then imports ``structure``,
+so a catalog of lines never compiles the certifier.
 """
 
 from __future__ import annotations
@@ -34,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .blocking import analyze, hyperplane_incidence, is_blocking, is_minimal
+from .blocking import (hyperplane_incidence, is_blocking, is_minimal,
+                       minimal_blocking_report)
 from .census import line_census
 from .pg import Geometry, PointSet, lex_points
-from .structure import NoSecant, NotSmallMinimal, certify_linearity
 
 
 class SearchError(Exception):
@@ -77,7 +88,7 @@ class SearchResult:
     pruned: int = 0
     leaves: int = 0
     duplicates: int = 0
-    censuses: list = field(default_factory=list)  # LineCensus per entry
+    line_sizes: list = field(default_factory=list)  # per entry, sorted
 
 
 def _hyperplane_masks(g: Geometry):
@@ -139,7 +150,7 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
         else:
             memo.add(s)
             if mask_is_minimal(masks, s):
-                found.append(tuple(x for x in points if s >> x & 1))
+                found.append((tuple(x for x in points if s >> x & 1), s))
 
     def descend(unblocked, s, size):
         nonlocal nodes, pruned
@@ -180,12 +191,14 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
     descend((1 << len(masks)) - 1, 0, 0)
     result = SearchResult(catalog=[], reports=[], nodes=nodes, pruned=pruned,
                           leaves=leaves, duplicates=duplicates)
-    for key in sorted(found):
+    for key, s in sorted(found):
         b = PointSet(g, list(key))
-        census = line_census(b)
+        sizes = [(m & s).bit_count() for m in masks]
+        # in the plane the lines are the hyperplanes
+        lines = sorted(set(sizes)) if g.n == 2 else sorted(line_census(b).hist)
         result.catalog.append(b)
-        result.censuses.append(census)
-        result.reports.append(analyze(b, census=census))
+        result.line_sizes.append(lines)
+        result.reports.append(minimal_blocking_report(b, sizes, lines))
     return result
 
 
@@ -209,10 +222,10 @@ def verify_catalog(res: SearchResult) -> dict:
     """1-mod-p, exponent, and linearity verdicts for every catalog entry."""
     entries = []
     alarms = []
-    for b, rep, census in zip(res.catalog, res.reports, res.censuses,
-                              strict=True):
+    for b, rep, lines in zip(res.catalog, res.reports, res.line_sizes,
+                             strict=True):
         fs = b.geometry.fs
-        mod_ok = all(s == 0 or (s - 1) % fs.p == 0 for s in census.hist)
+        mod_ok = all(s == 0 or (s - 1) % fs.p == 0 for s in lines)
         if not mod_ok:
             alarms.append(sorted(int(i) for i in b.indices))
         is_line = rep.size == fs.q + 1 and rep.span_dim == 1
@@ -220,8 +233,13 @@ def verify_catalog(res: SearchResult) -> dict:
             verdict = "line"
             labels = None
         else:
+            from .structure import (NoSecant, NotSmallMinimal,
+                                    certify_linearity)
             try:
-                cert = certify_linearity(b, rep, census=census)
+                # the certifier makes its own census, a full-mode pass
+                # collecting the short secants: the only one in the plane,
+                # whose entries have none, and a second one above it
+                cert = certify_linearity(b, rep)
                 verdict = "linear" if cert.verified else "unverified"
                 labels = cert.hypothesis_labels
             except NoSecant:

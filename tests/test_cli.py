@@ -248,12 +248,18 @@ def test_search_guard_exit_3(tmp_path):
                 "--out", str(tmp_path / "s")]) == 3
 
 
-def test_search_runs_one_line_census_per_entry(tmp_path, monkeypatch):
+def test_search_runs_line_censuses_only_to_certify(tmp_path, monkeypatch):
     calls = _count_line_censuses(monkeypatch)
     assert run(["search", "--p", "3", "--t", "1",
                 "--out", str(tmp_path / "s")]) == 0
-    # the 13 lines of PG(2, 3); verify_catalog reuses the search's censuses
-    assert len(calls) == 13
+    # the 13 lines of PG(2, 3): in the plane the hyperplane popcounts are
+    # the line sizes, and a line is not certified
+    assert calls == []
+    assert run(["search", "--p", "2", "--t", "2", "--max-size", "7",
+                "--out", str(tmp_path / "s4")]) == 0
+    # one full-mode pass per Baer subplane of PG(2, 4), by the certifier,
+    # collecting its 3-secants
+    assert calls == [[3]] * 360
 
 
 def test_field_above_table_limit_exit_3(tmp_path, capsys):
@@ -446,3 +452,24 @@ def test_verify_and_search_never_import_numpy_ma(tmp_path, baer_49):
     assert (tmp_path / "v" / "verify_report.json").is_file()
     assert (tmp_path / "s" / "catalog_index.json").is_file()
     assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("search", ("lingeo.structure", "lingeo.constructions")),
+    ("verify", ("lingeo.search", "lingeo.constructions"))])
+def test_each_command_imports_only_its_own_modules(tmp_path, baer_49,
+                                                   command, unused):
+    # a run with no bytecode cache compiles every module it imports
+    write_point_set(tmp_path / "b.txt", baer_49)
+    argv = (["search", "--p", "2", "--t", "1"] if command == "search"
+            else ["verify", str(tmp_path / "b.txt")])
+    code = ("import sys\n"
+            "from lingeo.cli import main\n"
+            f"print(main({argv + ['--out', str(tmp_path / 'o')]!r}))\n"
+            f"print([m for m in {unused!r} if m in sys.modules])\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-2:] == ["0", "[]"]

@@ -1,6 +1,7 @@
 import pytest
 
-from lingeo.blocking import is_blocking, is_minimal
+from lingeo.blocking import analyze, is_blocking, is_minimal
+from lingeo.census import line_census
 from lingeo.constructions import subgeometry
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, build_geometry, points_of
@@ -22,6 +23,12 @@ def pg_2_4():
 @pytest.fixture(scope="module")
 def pg_2_4_catalog(pg_2_4):
     return enumerate_minimal(SearchConfig(pg_2_4))
+
+
+@pytest.fixture(scope="module")
+def pg_2_5_catalog():
+    g = build_geometry(2, make_field(5, 1))
+    return enumerate_minimal(SearchConfig(g, max_size=7))
 
 
 def test_pg_2_2_matches_brute_force():
@@ -98,13 +105,32 @@ def test_pg_2_4_full_catalog(pg_2_4, pg_2_4_catalog):
     assert all(e["outside_hypotheses"] for e in non_lines)
 
 
-def test_pg_2_5_catalog_and_counters():
-    g = build_geometry(2, make_field(5, 1))
-    res = enumerate_minimal(SearchConfig(g, max_size=7))
+def test_pg_2_5_catalog_and_counters(pg_2_5_catalog):
+    res = pg_2_5_catalog
     assert len(res.catalog) == 31
     assert all(r.size == 6 and r.span_dim == 1 for r in res.reports)
     assert (res.nodes, res.pruned, res.leaves, res.duplicates) == (
         335707, 278640, 1116, 430)
+
+
+@pytest.mark.parametrize("n, p, t, max_size", [
+    (2, 2, 1, 5), (2, 3, 1, 6), (2, 2, 2, 7), (2, 5, 1, 7), (3, 2, 1, 4),
+    (1, 3, 1, 4)])
+def test_mask_reports_match_analyze(request, n, p, t, max_size):
+    # the reports built from the DFS's hyperplane popcounts against the
+    # hyperplane profile and line census of each entry
+    if (n, p, t, max_size) == (2, 2, 2, 7):
+        res = request.getfixturevalue("pg_2_4_catalog")
+    elif (n, p, t, max_size) == (2, 5, 1, 7):
+        res = request.getfixturevalue("pg_2_5_catalog")
+    else:
+        g = build_geometry(n, make_field(p, t))
+        res = enumerate_minimal(SearchConfig(g, max_size=max_size))
+    assert res.catalog
+    for b, rep, lines in zip(res.catalog, res.reports, res.line_sizes,
+                             strict=True):
+        assert rep.to_json() == analyze(b).to_json()
+        assert lines == sorted(line_census(b).hist)
 
 
 def test_mask_leaf_test_agrees_with_is_minimal(pg_2_4, pg_2_4_catalog):
