@@ -318,8 +318,8 @@ def all_point_exponents(b: PointSet, census: LineCensus) -> list:
 
     The sizes of the secants through P are those with a nonzero count at
     P in ``census.per_point_by_size``.  A census without per-point
-    counts (pair mode with a size left uncollected) is replaced by one
-    full-mode census.
+    counts (the pair kernel with a size left uncollected) is replaced by
+    one census in mode "full", which counts every size per point.
     """
     if census.per_point_secants is None:
         census = line_census(b, mode="full")

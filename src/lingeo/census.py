@@ -13,20 +13,29 @@ leading column on: those products are integer ones, and only the points
 before them pay a field product.  One sort of each row of the block's
 keys then puts each line through each P in one run.  This keeps censuses
 of 16k-point sets in multi-billion-point ambient spaces tractable.
-Every census also keeps the secants of its longest line size, which for
-the linear sets the checks are about are the short (q0+1)-secants, so
-one pass serves every check.  Secants are kept as rows of positions
-into B, the form in which every check reads them: 16-bit positions up
-to 65,536 points, int32 above (``position_dtype``, which every array of
-positions takes its type from; a check that computes with positions
-widens them first).  Each secant is
-held once: a block sorts its own rows, and as each block's result is
-reached its rows are copied into one array per size, reserved for the
-most secants of that size B can have and trimmed at the end, and let
-go.  This is the only grouping routine in
-production: point exponents read its per-point counts, the certifier its
-secant rows, and the tangent-only point search runs on its kernel.
-Hyperplane questions (blocking, minimality, the exponent) read
+The sets the checks are about meet every line in 1 mod p^e points, so
+none has a 2-secant and each secant is found whole from any of its
+points: ``line_census`` first runs an anchor census, which quotients all
+of B by a few greedily chosen points at a time and stops once every
+pair of B lies on a line found (623 anchors of a 4,681-point rank-5
+linear set of PG(3, 2^12)).  Its first batch is a probe: a set whose
+probe keeps a 2-point line gets the one-pass pair or full kernel
+instead.  Every census keeps the secants of its longest line size,
+which for those linear sets are the short (q0+1)-secants, so one pass
+serves every check; an anchor census collects any size, no longer line
+shadowing it, and counts every size per point.  Secants are kept as
+rows of positions into B, the form in which every check reads them:
+16-bit positions up to 65,536 points, int32 above (``position_dtype``,
+which every array of positions takes its type from; a check that
+computes with positions widens them first).  Each secant is held once:
+as each block's result is reached its rows are copied into one array
+per size, reserved for the most secants of that size B can have and
+trimmed at the end (``_SecantRows``), and let go.  A kernel block sorts
+its own rows; the anchor census sorts its array once at the end, in
+place.  This is the only grouping routine in production: point
+exponents read its per-point counts, the certifier its secant rows, and
+the tangent-only point search runs on its kernel.  Hyperplane questions
+(blocking, minimality, the exponent) read
 ``blocking.hyperplane_incidence`` instead, in the plane too, where the
 hyperplanes are the lines and both give the same numbers.
 
@@ -45,7 +54,8 @@ Blocks are independent, and the kernel's sorts, gathers and ufuncs release
 the GIL, so ``map_blocks`` runs them on a pool of ``threads`` worker
 threads (clamped to the CPUs and to the blocks; one worker is a plain
 generator).  ``split_blocks`` gives each of w workers blocks of
-``BLOCK_ELEMS // w`` elements, so the elements in flight do not grow.
+``BLOCK_ELEMS // w`` elements, so the elements in flight do not grow;
+an anchor batch is cut into two blocks per worker within that budget.
 ``map_blocks`` yields the results in block order, and the callers fold
 each one in as it comes and let it go, so every thread count gives the
 same census and no caller holds all blocks' results at once.
@@ -101,10 +111,15 @@ class LineCensus:
     ``secant_members`` gives the point indices), one sorted row per
     secant, the rows ordered by their two lowest members: one array per
     size, written once as the census blocks come in.
-    ``per_point_secants`` (and so ``per_point_tangents``) is None when
-    the census was computed in pair mode and some secant size is not
-    collected (the histogram itself is always exact).  ``threads`` is
-    the worker count it was asked for, which ``with_secants`` passes on.
+    ``per_point_by_size`` counts the lines of each size through each
+    point: every size on an anchor or full-mode census, the collected
+    sizes on a pair-mode one.  ``per_point_secants`` (and so
+    ``per_point_tangents``) is None when the census was computed in pair
+    mode and some secant size is not collected (the histogram itself is
+    always exact).  ``threads`` is the worker count it was asked for,
+    which ``with_secants`` passes on; ``strategy`` ("anchor", "pair" or
+    "full") and ``rows`` (the points B was quotiented by, a discarded
+    anchor probe included) say how it was computed.
     """
 
     point_set: PointSet
@@ -113,6 +128,8 @@ class LineCensus:
     per_point_by_size: dict         # size -> np.ndarray of counts per point
     secants: dict = field(default_factory=dict)  # size -> (S, size) positions
     threads: int = field(default=1, compare=False)
+    strategy: str = field(default="full", compare=False)
+    rows: int = field(default=0, compare=False)
     _collected: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)  # sizes -> census collecting them
 
@@ -142,8 +159,10 @@ class LineCensus:
         """This census if it holds the secants of every size in ``sizes``
         (always so for its longest lines), else a census of the same set
         collecting them all: one pass, cached for later calls (any cached
-        census that holds them serves), in full mode when longer lines
-        would shadow one of them in pair mode.
+        census that holds them serves).  On the paper's sets that pass is
+        an anchor census, which collects any size; if its probe falls
+        back, it runs in full mode when longer lines would shadow one of
+        the sizes in pair mode.
         """
         want = frozenset(sizes)
         for c in (self, *self._collected.values()):
@@ -154,6 +173,14 @@ class LineCensus:
             self.point_set, collect_sizes=sorted(want),
             mode="full" if shadowed else "auto", threads=self.threads)
         return self._collected[want]
+
+    def stats(self) -> dict:
+        """How this census was computed, with the passes ``with_secants``
+        ran for it: its strategy, the points B was quotiented by over
+        all passes, and the number of passes."""
+        runs = (self, *self._collected.values())
+        return {"strategy": self.strategy,
+                "rows": sum(c.rows for c in runs), "passes": len(runs)}
 
 
 _PAIR_MODE_THRESHOLD = 4096
@@ -437,6 +464,192 @@ def row_groups(words: list, self_words: list, jbits: int, cols: bool = False):
     return starts, counts, starts // mc, own, members
 
 
+class _SecantRows:
+    """The secant rows a census collects, by size, as its blocks hand
+    them over.  Each size gets one array, reserved for the most
+    s-secants B can have (two points span one line, so at most
+    m(m-1) / (s(s-1))), written in arrival order and trimmed in place at
+    the end, so the secants are held once.  The longest size seen so far
+    is collected too; its array is dropped when a longer line shows up,
+    unless that size was asked for.  With ``count_points`` it also
+    counts, per size, the rows through each point."""
+
+    def __init__(self, m: int, asked, count_points: bool):
+        self.m = m
+        self.asked = frozenset(asked)
+        self.count_points = count_points
+        self.slots: dict = {}   # size -> [rows, rows written, counts]
+        self.longest = 0
+        for s in self.asked:
+            self._reserve(s)
+
+    def _reserve(self, s: int):
+        m = self.m
+        self.slots[s] = [
+            np.empty((m * (m - 1) // (s * (s - 1)) if s > 1 else 0, s),
+                     dtype=position_dtype(m)), 0,
+            np.zeros(m, dtype=np.int64) if self.count_points else None]
+
+    def wanted(self, k: int) -> frozenset:
+        """The sizes a block whose longest line has ``k`` points cuts
+        rows of."""
+        return self.asked | {k} if k >= 3 else self.asked
+
+    def add(self, k: int, rows: dict):
+        """Fold in one block's rows (size -> (S, size) part), ``k`` its
+        longest line: each part is copied into place and let go at once,
+        before the next block's result is taken."""
+        if k > self.longest:
+            if self.longest not in self.asked:
+                self.slots.pop(self.longest, None)
+            self.longest = k
+            if k >= 3 and k not in self.slots:
+                self._reserve(k)
+        while rows:
+            s, part = rows.popitem()
+            slot = self.slots.get(s)
+            if slot is not None:
+                slot[0][slot[1]:slot[1] + len(part)] = part
+                slot[1] += len(part)
+                if self.count_points:
+                    slot[2] += np.bincount(part.ravel(), minlength=self.m)
+
+    def finish(self):
+        """(size -> rows, size -> rows through each point, when counted).
+        Each array is trimmed in place (no view of it exists): the rows
+        never written were never touched, and their address space goes
+        back."""
+        secants, counts = {}, {}
+        for s, (pos, at, per) in self.slots.items():
+            pos.resize((at, s), refcheck=False)
+            secants[s] = pos
+            if per is not None:
+                counts[s] = per
+        return secants, counts
+
+
+def _add_tangents(hist: dict, m: int, lines_through_point: int):
+    """Put the tangents into ``hist``: each point lies on
+    ``lines_through_point`` lines, and those not on a secant are
+    tangents."""
+    hist[1] = m * lines_through_point - sum(k * c for k, c in hist.items())
+    if hist[1] == 0:
+        del hist[1]
+
+
+def _sort_rows(rows: np.ndarray, m: int):
+    """Order secant rows by their two lowest members, in place, one
+    column at a time: two points span one line, so the pair is a total
+    order.  The key is int32 while m^2 fits."""
+    key = rows[:, 0].astype(np.int32 if m * m < 1 << 31 else np.int64)
+    key *= m
+    key += rows[:, 1]
+    order = np.argsort(key)
+    del key
+    for c in range(rows.shape[1]):
+        rows[:, c] = rows[order, c]
+
+
+def _probe_passes(sizes) -> bool:
+    """Whether an anchor census whose first batch kept lines of
+    ``sizes`` goes on.  A set with 2-point lines is not of the paper's
+    kind: its pairs are not covered by a few anchors' lines, and the
+    one-pass kernels serve it better."""
+    return 2 not in sizes
+
+
+def _anchor_census(b: PointSet, coords, operands, collect_sizes, threads):
+    """The anchor census of B, or None when its first batch keeps a
+    2-point line; and the rows it quotiented.
+
+    ``unseen[p]`` counts the pairs at p on no line found yet.  Each
+    batch anchors the points with the most (lowest index on ties) and
+    quotients all of B by each, so every group is a whole line through
+    its anchor, of any size.  A line is kept at its first anchor in
+    anchoring order only, and its members' counts, ``unseen`` and the
+    collected rows take it in.  When ``unseen`` is zero, every pair of B
+    lies on a line found, so every secant is.  The first batch, the
+    probe, is one tile's rows, kept small since a fallback discards it;
+    the rest are half a block's rows.  On a rank-5 linear set of
+    PG(3, 2^12) whole blocks take a tenth more anchors, and quarter
+    blocks a twentieth fewer, in blocks too small to gain on two workers.
+    """
+    fs = b.geometry.fs
+    m = b.card
+    secants = _SecantRows(m, collect_sizes, count_points=False)
+    rank = np.full(m, m, dtype=np.int32)       # anchoring order; m: none yet
+    unseen = np.full(m, m - 1, dtype=np.int64)
+    by_size: dict = {}
+    anchored = 0
+
+    def anchor_block(anchors):
+        """By size, the lines first found at ``anchors``: through each
+        point, the count, and the member rows of the sizes to collect;
+        and the longest of them."""
+        starts, counts, gpos, own, cols = row_groups(
+            *quotient_keys(fs, operands, coords[anchors, None, :], cols=True),
+            cols=True)
+        # a line is kept at its first anchor: no other member is anchored
+        # before it (the groups partition each row)
+        first = np.minimum.reduceat(rank[cols], starts)
+        kept = np.flatnonzero(~own & (first > rank[anchors][gpos]))
+        sizes = counts[kept] + 1
+        k = int(sizes.max(initial=0))
+        wanted = secants.wanted(k)
+        found, rows = {}, {}
+        for s in distinct(sizes).tolist():
+            sel = kept[sizes == s]
+            # a block's element offsets fit int32
+            offs = (starts[sel].astype(np.int32)[:, None]
+                    + np.arange(s - 1, dtype=np.int32))
+            part = np.empty((sel.size, s), dtype=cols.dtype)
+            part[:, 0] = anchors[gpos[sel]]
+            part[:, 1:] = cols[offs]
+            found[s] = np.bincount(part.ravel(), minlength=m)
+            if s in wanted:
+                part.sort(axis=1)
+                rows[s] = part
+        return found, k, rows
+
+    batch = tile_rows(m)
+    while True:
+        live = np.flatnonzero(unseen > 0)
+        if live.size == 0:
+            break
+        if live.size > batch:
+            live = np.sort(live[np.argsort(-unseen[live],
+                                           kind="stable")[:batch]])
+        rank[live] = np.arange(anchored, anchored + live.size)
+        # within the block budget; on several workers two blocks each, so
+        # one that finishes early takes another while the batch's last
+        # blocks run
+        workers = worker_count(threads, live.size)
+        pieces = 1 if workers == 1 else 2 * workers
+        nb = min(-(-live.size // pieces), block_rows(m * workers))
+        blocks = [live[i:i + nb] for i in range(0, live.size, nb)]
+        for found, k, parts in map_blocks(anchor_block, blocks, threads):
+            for s, per in found.items():
+                by_size[s] = per + by_size.get(s, 0)
+                unseen -= (s - 1) * per
+            secants.add(k, parts)
+        # every line through an anchor is found by the end of its batch
+        if unseen[live].any() or (unseen < 0).any():
+            raise AssertionError("inconsistent anchor census counts")
+        if not anchored and not _probe_passes(by_size):
+            return None, live.size
+        anchored += live.size
+        batch = max(1, block_rows(m) // 2)
+    collected, _ = secants.finish()
+    for part in collected.values():
+        _sort_rows(part, m)
+    hist = {s: int(by_size[s].sum()) // s for s in sorted(by_size)}
+    g = b.geometry
+    _add_tangents(hist, m, space_size(fs.q, g.n - 1))
+    n_sec = sum(by_size.values(), np.zeros(m, dtype=np.int64))
+    return LineCensus(b, hist, n_sec, by_size, collected, threads, "anchor",
+                      anchored), anchored
+
+
 def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
                 threads: int = 1) -> LineCensus:
     """Exact census of all lines meeting B, grouped around each point.
@@ -444,10 +657,22 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     ``collect_sizes`` lists intersection sizes whose secants should be
     returned as explicit (S, size) arrays of positions in B (16-bit
     positions up to 65,536 points, int32 above: ``position_dtype``; each
-    secant reported once, one sorted row each).  The secants of the
-    longest line size are always collected when that size is at least 3.
-    Two strategies:
+    secant reported once, one sorted row each, the rows ordered by their
+    two lowest members).  The secants of the longest line size are
+    always collected when that size is at least 3.  Three strategies:
 
+    * ``"anchor"`` (modes ``"auto"`` and ``"full"``): the sets the
+      checks are about have an exponent e, so every line meets them in
+      1 mod p^e points: no line is a 2-secant, and each secant is found
+      whole from any of its points.  So the census quotients all of B by
+      a few anchors at a time, chosen greedily, and stops once every
+      pair of B lies on a line found (``_anchor_census``): 623 anchors
+      of 4,681 on a rank-5 linear set of PG(3, 2^12).  It collects any
+      size, since no line shadows another, and counts every size per
+      point.  Its first batch is a probe: if it keeps a 2-point line,
+      the set is not of that kind, its work is discarded and one of the
+      kernels below runs instead (``"pair"`` for ``"auto"`` above
+      ``_PAIR_MODE_THRESHOLD`` points, else ``"full"``).
     * ``"full"``: every point is grouped against all other points, so
       per-point tangent/secant counts come out directly.
     * ``"pair"``: each point is grouped only against higher-index points
@@ -456,54 +681,60 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
       telescoping identity N_k = c_{k-1} - c_k, where c_s counts groups
       of size s.  Explicit collection of size-s secants is only sound
       when no line is longer than s; otherwise this mode raises.  Per
-      point counts exist when every secant size is collected.
+      point counts exist when every secant size is collected.  Mode
+      ``"pair"`` runs this kernel with no probe.
 
-    ``"auto"`` picks pair mode for large sets.  Points are processed in
-    blocks: the keys of a block (one per point pair, with the member's
-    column in the low bits, see ``quotient_keys``) are sorted row by row,
-    and each run of equal keys is one line through that row's point
-    (``row_groups``).  A secant is cut at its lowest member, so each
-    block's secant rows start in its own points: the block sorts them
-    by their two lowest members.  Keys too wide for one int64 with their
-    column bits are grouped by ``np.lexsort`` instead, so every field up
-    to 2^16 and every dimension whose point indices fit int64 has an
-    exact path.  A 16k-point set costs a few hundred vectorized passes
-    rather than 16k small ones.  ``threads`` workers census blocks at
-    once (``split_blocks``, ``map_blocks``); their counts and secant rows
-    are merged in block order, whatever order the blocks finish in.
+    Points are processed in blocks: the keys of a block (one per point
+    pair, with the member's column in the low bits, see
+    ``quotient_keys``) are sorted row by row, and each run of equal keys
+    is one line through that row's point (``row_groups``).  In the
+    kernels a secant is cut at its lowest member, so each block's secant
+    rows start in its own points: the block sorts them by their two
+    lowest members.  The anchor census cuts each line at its first
+    anchor and sorts the rows once at the end, in place.  Keys too wide
+    for one int64 with their column bits are grouped by ``np.lexsort``
+    instead, so every field up to 2^16 and every dimension whose point
+    indices fit int64 has an exact path.  ``threads`` workers census
+    blocks at once (``map_blocks``); their counts and secant rows are
+    merged in block order, whatever order the blocks finish in.
 
-    Two points span one line, so B has at most m(m-1) / (s(s-1))
-    s-secants.  Each collected size gets an array of that many rows;
-    the blocks' rows are written into it in block order as
-    ``map_blocks`` yields them, each block's let go before the next is
-    taken, and the array is trimmed in place to the rows written.  So
-    the secants are held once, beside one block's result.  When a longer
-    line shows up in a later block, the shorter size's array is dropped
-    whole unless that size was asked for.  The reservation takes
-    m(m-1)/(s-1) positions of address space (0.4 GB at m = 20,000 and
-    s = 3), but pages never written are never resident, and the trim
-    returns the address space; a host that does not overcommit memory
-    must have that much to spare.
+    Each collected size gets an array of the most secants of that size
+    B can have, written as the blocks come in and trimmed in place
+    (``_SecantRows``), so the secants are held once, beside one block's
+    result.  When a longer line shows up in a later block, the shorter
+    size's array is dropped whole unless that size was asked for.  The
+    reservation takes m(m-1)/(s-1) positions of address space (0.4 GB at
+    m = 20,000 and s = 3), but pages never written are never resident,
+    and the trim returns the address space; a host that does not
+    overcommit memory must have that much to spare.
     """
     g = b.geometry
     fs = g.fs
-    coords = b.coords()
     m = b.card
     lines_through_point = space_size(fs.q, g.n - 1)
     collect_sizes = set(collect_sizes)
-    position = position_dtype(m)
+    if mode not in ("auto", "full", "pair"):
+        raise ValueError(f"unknown census mode: {mode!r}")
     if m == 1:
         return LineCensus(b, {1: lines_through_point},
                           np.zeros(1, dtype=np.int64), {},
-                          {s: np.zeros((0, s), dtype=position)
-                           for s in collect_sizes}, threads)
-    if mode == "auto":
-        mode = "pair" if m > _PAIR_MODE_THRESHOLD else "full"
-    if mode not in ("full", "pair"):
-        raise ValueError(f"unknown census mode: {mode!r}")
+                          {s: np.zeros((0, s), dtype=position_dtype(1))
+                           for s in collect_sizes}, threads,
+                          "pair" if mode == "pair" else "full", 0)
+    coords = b.coords()
     operands = kernel_operands(fs, coords)
+    probed = 0
+    if mode != "pair":
+        census, probed = _anchor_census(b, coords, operands, collect_sizes,
+                                        threads)
+        if census is not None:
+            return census
+        if mode == "auto":
+            mode = "pair" if m > _PAIR_MODE_THRESHOLD else "full"
     pair = mode == "pair"
     block_starts, bs, workers = split_blocks(m, m, threads)
+    position = position_dtype(m)
+    secants = _SecantRows(m, collect_sizes, count_points=pair)
 
     def census_block(i0):
         """The groups around the points i0..i1-1: pair mode, group size ->
@@ -531,7 +762,7 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
                      for v in (distinct(counts) + 1).tolist()}
         k = int(counts.max()) + 1 if counts.size else 0
         rows = {}
-        for s in collect_sizes | ({k} if k >= 3 else set()):
+        for s in secants.wanted(k):
             gsel = np.flatnonzero(counts == s - 1)
             # a group's members come ascending (their columns are in the
             # sort key, and the sorts keep column order among equal keys)
@@ -554,21 +785,11 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
                                       + part[:, 1])]
         return sizes, k, rows
 
-    def reserve(s):
-        """[rows, rows written, pair mode: secants through each point] for
-        the s-secants: rows for the most that B can have (two points span
-        one line, so at most m(m-1) / (s(s-1)))."""
-        return [np.empty((m * (m - 1) // (s * (s - 1)) if s > 1 else 0, s),
-                         dtype=position), 0,
-                np.zeros(m, dtype=np.int64) if pair else None]
-
-    # size -> reserve(size); the longest size seen so far (longest) is
-    # collected too, and dropped when a longer line shows up
-    filled: dict = {s: reserve(s) for s in collect_sizes}
-    longest = 0
     hist: dict = {}
     group_counts: dict = {}           # pair mode: group size -> #groups
     by_size: dict = {}
+    # blocks hold ascending ranges of lowest members, so block order is
+    # row order
     for i0, (sizes, k, rows) in zip(
             block_starts, map_blocks(census_block, block_starts, workers)):
         if pair:
@@ -579,24 +800,7 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
                 arr = by_size.setdefault(v, np.zeros(m, dtype=np.int64))
                 arr[i0:i0 + per.size] = per
                 hist[v] = hist.get(v, 0) + int(per.sum())
-        if k > longest:
-            if longest not in collect_sizes:
-                filled.pop(longest, None)
-            longest = k
-            if k >= 3 and k not in filled:
-                filled[k] = reserve(k)
-        # blocks hold ascending ranges of lowest members, so block order is
-        # row order: each part is copied into place and let go at once,
-        # before the next block's result is taken
-        while rows:
-            s, part = rows.popitem()
-            if s in filled:
-                slot = filled[s]
-                slot[0][slot[1]:slot[1] + len(part)] = part
-                slot[1] += len(part)
-                if pair:
-                    slot[2] += np.bincount(part.ravel(), minlength=m)
-        part = None     # let the last part go before the next block runs
+        secants.add(k, rows)
     if pair:
         # N_k = c_{k-1} - c_k: each k-line yields one group of every size < k
         top = max(group_counts) if group_counts else 0
@@ -612,25 +816,14 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
             raise ValueError(
                 f"secants of sizes {sorted(shadow)} are shadowed by longer "
                 "secants; use mode='full' to collect them")
-        n_sec = np.zeros(m, dtype=np.int64)
     else:
         # each secant of size k was counted k times
         hist = {s: c // s for s, c in hist.items()}
-        n_sec = sum(by_size.values(), np.zeros(m, dtype=np.int64))
-    # each point lies on lines_through_point lines: those not on a secant
-    # are tangents
-    hist[1] = m * lines_through_point - sum(k * c for k, c in hist.items())
-    if hist[1] == 0:
-        del hist[1]
-    secants = {}
-    for s, (pos, at, counts) in filled.items():
-        # trimmed in place (no view of it exists): the rows never written
-        # were never touched, and their address space goes back
-        pos.resize((at, s), refcheck=False)
-        secants[s] = pos
-        if pair:
-            by_size[s] = counts
-            n_sec += counts
-    if pair and not all(s in secants for s in hist if s >= 2):
+    _add_tangents(hist, m, lines_through_point)
+    rows, counts = secants.finish()
+    by_size.update(counts)
+    n_sec = sum(by_size.values(), np.zeros(m, dtype=np.int64))
+    if pair and not all(s in rows for s in hist if s >= 2):
         n_sec = None        # some secant is not on record
-    return LineCensus(b, hist, n_sec, by_size, secants, threads)
+    return LineCensus(b, hist, n_sec, by_size, rows, threads, mode,
+                      probed + m)

@@ -1,7 +1,9 @@
 """Command-line interface: build, verify, search, project.
 
 Every run writes exactly one ``manifest.json`` (command echo, parsed
-options, versions, wall time, outcome) into the output directory.  Report
+options, versions, wall time, outcome) into the output directory;
+``verify``'s outcome also says how its line census ran
+(``LineCensus.stats``: strategy, points quotiented, passes).  Report
 files contain no timing or machine-dependent data, so identical inputs
 produce byte-identical reports regardless of ``--threads``.
 
@@ -202,7 +204,8 @@ def cmd_verify(args):
     failed = any(x["status"] == "FAIL" for x in entries)
     _write_manifest(out, args, started,
                     {"failed_checks": sum(x["status"] == "FAIL"
-                                          for x in entries)})
+                                          for x in entries),
+                     "census": census.stats()})
     return EXIT_FAIL if failed else EXIT_OK
 
 

@@ -236,7 +236,7 @@ def verify_catalog(res: SearchResult) -> dict:
             from .structure import (NoSecant, NotSmallMinimal,
                                     certify_linearity)
             try:
-                # the certifier makes its own census, a full-mode pass
+                # the certifier makes its own census, a mode "full" pass
                 # collecting the short secants: the only one in the plane,
                 # whose entries have none, and a second one above it
                 cert = certify_linearity(b, rep)

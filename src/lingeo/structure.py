@@ -189,7 +189,8 @@ def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
 def _short_secants(b: PointSet, q0: int, census: LineCensus | None,
                    threads: int = 1):
     """``census`` with its (q0+1)-secants collected; without one, a single
-    full-mode pass, the mode that can collect any size."""
+    pass in mode "full", which can collect any size (an anchor census, or
+    the full kernel when its probe falls back)."""
     if census is None:
         return line_census(b, collect_sizes=[q0 + 1], mode="full",
                            threads=threads)

@@ -660,3 +660,105 @@ def test_subline_batches_do_not_grow_with_threads(monkeypatch,
     peaks = {threads: _traced_peak(lambda: structure.check_sublines(
         b, 3, census, threads=threads)) for threads in (1, 2)}
     assert peaks[2] <= 1.1 * peaks[1]
+
+
+def _conic():
+    """A conic of PG(2, 7): an arc, so its lines meet it in 1 or 2 points."""
+    g = build_geometry(2, make_field(7, 1))
+    return PointSet.from_coords(g, [(1, x, x * x % 7) for x in range(7)]
+                                + [(0, 0, 1)])
+
+
+def _random_set():
+    """40 random points of PG(3, 9): lines of 1, 2 and 3 points."""
+    g = build_geometry(3, make_field(3, 2))
+    rng = np.random.default_rng(4)
+    return PointSet(g, rng.choice(g.num_points, 40, replace=False))
+
+
+def _kernel_census(monkeypatch, b, **kwargs):
+    """``line_census`` on the full or pair kernel: the probe always falls
+    back."""
+    with monkeypatch.context() as mp:
+        mp.setattr(census_module, "_probe_passes", lambda sizes: False)
+        return line_census(b, **kwargs)
+
+
+def _assert_pair_agrees(got, pair):
+    """The anchor census ``got`` against a pair-mode one, which counts
+    only its collected sizes per point."""
+    assert got.hist == pair.hist
+    assert got.secants.keys() == pair.secants.keys()
+    for s, rows in pair.secants.items():
+        assert np.array_equal(got.secants[s], rows)
+    for s, counts in pair.per_point_by_size.items():
+        assert np.array_equal(got.per_point_by_size[s], counts)
+
+
+# the paper's kind of set (lines of 1 mod p points), and sets with
+# 2-secants, on which the probe is made to pass so that the anchor
+# census runs to the end: a probe of 4 anchors and batches of 4, on
+# four CPUs, so that at two and three threads the first batch is 4
+# blocks whose first returns after two later ones
+@pytest.mark.parametrize("name", ["baer_49", "trace_343", "mixed",
+                                  "late_line", "conic", "random"])
+def test_anchor_census_matches_kernels_and_oracle(request, monkeypatch,
+                                                  field, name):
+    b = {"mixed": lambda: _mixed_set(build_geometry(3, field(7, 2)), seed=5),
+         "late_line": lambda: _late_line_set(field),
+         "conic": _conic, "random": _random_set}.get(
+        name, lambda: request.getfixturevalue(name))()
+    paper_kind = name in ("baer_49", "trace_343")
+    m = b.card
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
+    monkeypatch.setattr(census_module, "TILE_ELEMS", 4 * m)
+    monkeypatch.setattr(census_module, "BLOCK_ELEMS", 8 * m)
+    full = _kernel_census(monkeypatch, b, mode="full")
+    sizes = sorted(s for s in full.hist if s >= 2)
+    wants = [(full, ()),
+             (_kernel_census(monkeypatch, b, mode="full",
+                             collect_sizes=sizes), sizes)]
+    pair = line_census(b, mode="pair")
+    assert full.strategy == "full" and pair.strategy == "pair"
+    if m < 100:
+        # the scalar oracle: every secant of every size
+        lines = scalar_lines(b)
+        assert sorted(lines) == sizes
+        for s, rows in lines.items():
+            assert np.array_equal(wants[1][0].secant_members(s), rows)
+    # a set with 2-secants falls back after the probe: to the full kernel
+    # at this size, to the pair kernel above the pair-mode threshold
+    probed = line_census(b)
+    assert probed.strategy == ("anchor" if paper_kind else "full")
+    if not paper_kind:
+        assert probed.rows == 4 + m
+        monkeypatch.setattr(census_module, "_PAIR_MODE_THRESHOLD", m - 1)
+        assert line_census(b).strategy == "pair"
+        monkeypatch.setattr(census_module, "_probe_passes", lambda sizes: True)
+    for want, collect in wants:
+        for threads in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                probe = _probed(mp, threads, census_module, "quotient_keys")
+                got = line_census(b, collect_sizes=collect, threads=threads)
+            probe.check(threads)
+            assert got.strategy == "anchor"
+            _assert_same_census(got, want)
+            for rows in got.secants.values():
+                assert rows.dtype == np.uint16
+            if not collect:
+                _assert_pair_agrees(got, pair)
+
+
+def test_anchor_census_stops_before_every_point(monkeypatch, rank5_pg3_4096):
+    # every line of a linear set is found from any of its points, so the
+    # anchors run out of uncounted pairs long before the points run out
+    b, census = rank5_pg3_4096
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
+    full = _kernel_census(monkeypatch, b, mode="full")
+    pair = line_census(b, mode="pair")
+    for threads in (1, 2, 3):
+        got = line_census(b, threads=threads)
+        assert got.strategy == "anchor"
+        assert got.rows == census.rows < b.card // 4
+        _assert_same_census(got, full)
+        _assert_pair_agrees(got, pair)

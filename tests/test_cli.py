@@ -124,6 +124,39 @@ def test_verify_baer_all_checks(tmp_path, baer_49):
     assert all(e["status"] != "FAIL" for e in doc["checks"])
 
 
+def test_verify_manifest_says_how_the_census_ran(tmp_path, monkeypatch,
+                                                 baer_49, trace_343):
+    from lingeo.pg import PointSet, build_geometry
+    from lingeo.gf import make_field
+    g = build_geometry(2, make_field(7, 1))
+    conic = PointSet.from_coords(g, [(1, x, x * x % 7) for x in range(7)]
+                                 + [(0, 0, 1)])
+    # on the Baer subplane, a probe of 4 anchors, then batches of 8
+    monkeypatch.setattr(census, "TILE_ELEMS", 4 * baer_49.card)
+    monkeypatch.setattr(census, "BLOCK_ELEMS", 16 * baer_49.card)
+    stats = {}
+    for name, b in (("baer", baer_49), ("trace", trace_343),
+                    ("conic", conic)):
+        pf = tmp_path / f"{name}.txt"
+        write_point_set(pf, b)
+        out = tmp_path / name
+        assert run(["verify", str(pf), "--out", str(out)]) in (0, 1)
+        man = json.loads((out / "manifest.json").read_text())
+        stats[name] = man["outcome"]["census"]
+    # every line of the Baer subplane is found from fewer anchors than
+    # its points
+    baer = stats["baer"]
+    assert baer["strategy"] == "anchor" and baer["passes"] == 1
+    assert 8 <= baer["rows"] < baer_49.card
+    # the 8-secants lie under the 50-point lines: one more anchor pass
+    assert stats["trace"]["strategy"] == "anchor"
+    assert stats["trace"]["passes"] == 2
+    # the conic's probe (a tile's rows: all 8 points) keeps 2-secants, so
+    # it is discarded and the full kernel quotients B by each point again
+    assert stats["conic"] == {"strategy": "full", "rows": 8 + 8,
+                                "passes": 1}
+
+
 def _count_line_censuses(monkeypatch):
     calls = []
     real = census.line_census
