@@ -20,7 +20,8 @@ of B by a few greedily chosen points at a time and stops once every
 pair of B lies on a line found (623 anchors of a 4,681-point rank-5
 linear set of PG(3, 2^12)).  Its first batch is a probe: a set whose
 probe keeps a 2-point line gets the one-pass pair or full kernel
-instead.  Every census keeps the secants of its longest line size,
+instead, unless the probe anchored every point, which makes it a whole
+census.  Every census keeps the secants of its longest line size,
 which for those linear sets are the short (q0+1)-secants, so one pass
 serves every check; an anchor census collects any size, no longer line
 shadowing it, and counts every size per point.  Secants are kept as
@@ -40,13 +41,14 @@ the tangent-only point search runs on its kernel.  Hyperplane questions
 hyperplanes are the lines and both give the same numbers.
 
 The same kernel (``quotient_keys`` and ``row_groups``) quotients by any
-block of subspaces given by reduced bases of k rows: points (k = 1) for
-the line census, quotienting all of B, and secant lines (k = 2) for the
-plane census of ``structure.plane_block_data``, quotienting per secant
-only one member of each line through its anchor (``take``), not B.  The
-logs of B's coordinates are taken once per kernel call, and the field
-work runs in cache-sized row tiles (``TILE_ELEMS``) inside each sorted
-block (``BLOCK_ELEMS``).  The scalar ``quotient_rows`` and ``pack_rows``
+block of subspaces given by reduced bases of k rows: points (k = 1),
+quotienting all of B, for the line census and for the lines through the
+anchors of ``structure.plane_block_data``'s secants; and secant lines
+(k = 2) for that plane census, quotienting per secant only one member
+of each line through its anchor (``take``), not B.  The logs of B's
+coordinates are taken once per kernel call, and the field work runs in
+cache-sized row tiles (``TILE_ELEMS``) inside each sorted block
+(``BLOCK_ELEMS``).  The scalar ``quotient_rows`` and ``pack_rows``
 serve only ``structure.plane_census``, the plane kernel's test oracle,
 which quotients all of B by one secant.
 
@@ -560,7 +562,7 @@ def _probe_passes(sizes) -> bool:
 
 def _anchor_census(b: PointSet, coords, operands, collect_sizes, threads):
     """The anchor census of B, or None when its first batch keeps a
-    2-point line; and the rows it quotiented.
+    2-point line and leaves a pair unseen; and the rows it quotiented.
 
     ``unseen[p]`` counts the pairs at p on no line found yet.  Each
     batch anchors the points with the most (lowest index on ties) and
@@ -570,7 +572,8 @@ def _anchor_census(b: PointSet, coords, operands, collect_sizes, threads):
     collected rows take it in.  When ``unseen`` is zero, every pair of B
     lies on a line found, so every secant is.  The first batch, the
     probe, is one tile's rows, kept small since a fallback discards it;
-    the rest are half a block's rows.  On a rank-5 linear set of
+    a probe that leaves no pair unseen is kept whatever its sizes.  The
+    rest are half a block's rows.  On a rank-5 linear set of
     PG(3, 2^12) whole blocks take a tenth more anchors, and quarter
     blocks a twentieth fewer, in blocks too small to gain on two workers.
     """
@@ -635,7 +638,8 @@ def _anchor_census(b: PointSet, coords, operands, collect_sizes, threads):
         # every line through an anchor is found by the end of its batch
         if unseen[live].any() or (unseen < 0).any():
             raise AssertionError("inconsistent anchor census counts")
-        if not anchored and not _probe_passes(by_size):
+        # a probe that left no pair unseen is a whole census, of any sizes
+        if not anchored and unseen.any() and not _probe_passes(by_size):
             return None, live.size
         anchored += live.size
         batch = max(1, block_rows(m) // 2)
@@ -669,10 +673,11 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
       pair of B lies on a line found (``_anchor_census``): 623 anchors
       of 4,681 on a rank-5 linear set of PG(3, 2^12).  It collects any
       size, since no line shadows another, and counts every size per
-      point.  Its first batch is a probe: if it keeps a 2-point line,
-      the set is not of that kind, its work is discarded and one of the
-      kernels below runs instead (``"pair"`` for ``"auto"`` above
-      ``_PAIR_MODE_THRESHOLD`` points, else ``"full"``).
+      point.  Its first batch is a probe: if it keeps a 2-point line and
+      leaves a pair unseen, the set is not of that kind, its work is
+      discarded and one of the kernels below runs instead (``"pair"``
+      for ``"auto"`` above ``_PAIR_MODE_THRESHOLD`` points, else
+      ``"full"``).
     * ``"full"``: every point is grouped against all other points, so
       per-point tangent/secant counts come out directly.
     * ``"pair"``: each point is grouped only against higher-index points

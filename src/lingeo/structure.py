@@ -10,7 +10,8 @@ the batch subline test is one cross-ratio test per member, with the
 scalar ``is_subline`` as its oracle.  It is the one subline test: the
 certifier lifts the secants through its anchor that pass it, in one
 batch.  The block plane census reads each secant from the lines through
-its lowest member, with the scalar ``plane_census`` as its oracle.
+its lowest member, which the census kernel's row of that member gives,
+with the scalar ``plane_census`` as its oracle.
 """
 
 from __future__ import annotations
@@ -368,87 +369,45 @@ class PlaneData:
     sizes: list
 
 
-def _anchor_lines(census: LineCensus, anchors: np.ndarray):
+def _anchor_lines(b: PointSet, operands, anchors: np.ndarray, threads: int):
     """The lines through each anchor that meet B in 2 or more points.
 
-    ``anchors`` are ascending positions into B.  Returns (width, lines_of):
-    the most such lines through one anchor, and a function taking anchor
-    slots ``a`` (indices into ``anchors``) to two (len(a), width) arrays
-    of positions (``position_dtype``: 16 bits up to 65,536 points, int32
-    above): row i holds one member other than ``anchors[a[i]]`` of each
-    line through it and that line's size less one, padded with the anchor
-    itself at weight 0.
+    ``anchors`` are positions into B.  Returns two (len(anchors), width)
+    arrays of positions (``position_dtype``: 16 bits up to 65,536 points,
+    int32 above), width the most such lines through one anchor: row i
+    holds one member other than ``anchors[i]`` of each line through it and
+    that line's size less one, padded with the anchor itself at weight 0.
 
-    The lines of 3 or more points come from ``census.with_secants`` of
-    their sizes, so a census that holds them all makes no pass.  Its rows
-    are ordered by their lowest member, so only those that start at or
-    below the last anchor are scanned.  Each anchor keeps the numbers of
-    its rows, of each size, in one int32 segment: the segments' lengths
-    are counted first, then one secant column at a time has its anchor
-    slots sorted and its row numbers placed, so no sort runs over every
-    member at once.  The 2-secants, up to |B|^2 / 2 of them, are not
-    collected: an anchor's 2-secant members are the points of B that its
-    longer lines miss, found when its row is built.
+    They are the census kernel's rows: all of B is quotiented by each
+    anchor, and each run of a row but the anchor's own is one line through
+    it (``quotient_keys``, ``row_groups``), in blocks under the census's
+    budget (``split_blocks``, ``map_blocks``).
     """
-    b = census.point_set
+    fs = b.geometry.fs
     position = position_dtype(b.card)
-    sizes = [s for s in census.hist if s >= 3]
-    lines = census.with_secants(*sizes)
-    # anchor k's slot is k + 1, any other point's 0
-    slot = np.zeros(b.card, dtype=position_dtype(anchors.size + 1))
-    slot[anchors] = np.arange(1, anchors.size + 1)
-    through = []    # (size, row numbers by anchor, each anchor's offsets)
-    count = np.zeros(anchors.size, dtype=np.int64)
-    spare = np.full(anchors.size, b.card - 1, dtype=np.int64)
-    for s in sizes:
-        rows = lines.secants[s]
-        rows = rows[:np.searchsorted(rows[:, 0], anchors[-1], side="right")]
-        # per column, the rows through each anchor
-        hits = [np.bincount(slot[rows[:, j]], minlength=anchors.size + 1)[1:]
-                for j in range(s)]
-        n = sum(hits)
-        start = np.concatenate([[0], np.cumsum(n)])
-        num = np.empty(start[-1], dtype=np.int32)
-        fill = start[:-1].copy()    # each segment's next free entry
-        for j, h in enumerate(hits):
-            # the rows sorted by the anchor they hold in column j, in row
-            # order (a radix sort on 16-bit slots), those that hold none
-            # first and skipped
-            order = np.argsort(slot[rows[:, j]], kind="stable")
-            order = order[order.size - int(h.sum()):]
-            # anchor k's rows go to fill[k], fill[k] + 1, ...
-            dest = np.repeat(fill - (np.cumsum(h) - h), h)
-            dest += np.arange(dest.size)
-            num[dest] = order
-            fill += h
-        through.append((s, num, start))
-        count += n
-        spare -= (s - 1) * n
-    # an anchor's points off its longer lines lie on one 2-secant each
-    width = int((count + spare).max())
+    starts, bs, workers = split_blocks(anchors.size, b.card, threads)
 
-    def lines_of(a):
-        reps = np.repeat(anchors[a].astype(position)[:, None], width, axis=1)
-        weights = np.zeros(reps.shape, dtype=position)
-        for i, k in enumerate(a):
-            p, c = anchors[k], 0
-            missed = np.ones(b.card, dtype=bool) if spare[k] else None
-            for s, num, start in through:
-                m = lines.secants[s][num[start[k]:start[k + 1]]]
-                reps[i, c:c + len(m)] = np.where(m[:, 0] == p, m[:, 1],
-                                                 m[:, 0])
-                weights[i, c:c + len(m)] = s - 1
-                c += len(m)
-                if missed is not None:
-                    missed[m] = False
-            if missed is not None:
-                missed[p] = False
-                x = np.flatnonzero(missed)
-                reps[i, c:c + x.size] = x
-                weights[i, c:c + x.size] = 1
-        return reps, weights
+    def block_lines(a0):
+        """Per anchor of the block its line count, and its lines' first
+        members and sizes less one, flat in row order."""
+        rows = anchors[a0:a0 + bs]
+        runs, counts, row, own, members = row_groups(
+            *quotient_keys(fs, operands, b.coords()[rows, None, :],
+                           cols=True), cols=True)
+        lines = ~own
+        return (np.bincount(row[lines], minlength=rows.size),
+                members[runs[lines]], counts[lines].astype(position))
 
-    return width, lines_of
+    parts = list(map_blocks(block_lines, starts, workers))
+    width = max(int(n.max()) for n, _, _ in parts)
+    reps = np.repeat(anchors.astype(position)[:, None], width, axis=1)
+    weights = np.zeros(reps.shape, dtype=position)
+    for a0 in starts:
+        n, first, size = parts.pop(0)       # let go once copied
+        filled = np.arange(width) < n[:, None]
+        reps[a0:a0 + n.size][filled] = first
+        weights[a0:a0 + n.size][filled] = size
+    return reps, weights
 
 
 def plane_block_data(census: LineCensus, secants, q0: int,
@@ -467,8 +426,8 @@ def plane_block_data(census: LineCensus, secants, q0: int,
     L's row, with its column; a run of equal keys is one plane and weighs
     the sum of its lines' |M| - 1.  L's own member and the padding make
     the dropped zero-image run.  A secant costs the lines through its
-    anchor, not |B|.  Blocks of secants run on ``threads`` workers
-    (``census.map_blocks``), each building the rows of its own anchors.
+    anchor, not |B|.  The anchors' rows are built first, and then blocks
+    of secants, both on ``threads`` workers (``census.map_blocks``).
     """
     b = census.point_set
     fs = b.geometry.fs
@@ -479,17 +438,17 @@ def plane_block_data(census: LineCensus, secants, q0: int,
     sizes: set = set()
     if ns:
         coords = b.coords()
-        anchors, aid = np.unique(sec[:, 0], return_inverse=True)
-        width, lines_of = _anchor_lines(census, anchors)
         operands = kernel_operands(fs, coords)
+        anchors, aid = np.unique(sec[:, 0], return_inverse=True)
+        reps, weights = _anchor_lines(b, operands, anchors, threads)
+        width = reps.shape[1]
         target = q0 * q0 + q0 + 1
         block_starts, bs, workers = split_blocks(ns, width, threads)
 
         def plane_block(s0):
             """Fill the block's rows of good and min_size; its plane sizes."""
             s1 = min(s0 + bs, ns)
-            a, at = np.unique(aid[s0:s1], return_inverse=True)
-            reps, weights = lines_of(a)
+            at = aid[s0:s1]
             basis = _line_bases(fs, coords[sec[s0:s1, 0]],
                                 coords[sec[s0:s1, 1]])
             starts, _counts, row, own, members = row_groups(

@@ -662,6 +662,31 @@ def test_subline_batches_do_not_grow_with_threads(monkeypatch,
     assert peaks[2] <= 1.1 * peaks[1]
 
 
+def test_plane_peak_is_its_anchor_rows_plus_a_block(monkeypatch,
+                                                    rank5_pg3_4096):
+    # one thread, so the peak is deterministic.  The plane kernel holds,
+    # per anchor, one member and one weight of each line through it: two
+    # (anchors, width) uint16 arrays, built from the blocks' unpadded
+    # parts, so twice that at most.  A block of BLOCK_ELEMS elements holds
+    # an int64 key, a 16-bit column, the int64 index of the weight gather
+    # and the gathered weights: under 24 bytes per element.  The slack is
+    # B's operands and the temporaries of one row tile (TILE_ELEMS
+    # elements), whatever the sample.
+    b, census = rank5_pg3_4096
+    secants = census.secants[9]
+    pick = np.random.default_rng(0).choice(len(secants), 2000, replace=False)
+    secants = secants[np.sort(pick)]
+    anchors = np.unique(secants[:, 0])
+    assert anchors.size > 900
+    width = int(census.per_point_secants[anchors].max())
+    monkeypatch.setattr(census_module, "BLOCK_ELEMS", 1 << 16)
+    slack = 1 << 20
+    peak = _traced_peak(lambda: structure.plane_block_data(census, secants,
+                                                           8))
+    assert peak <= (2 * 2 * anchors.size * width * 2
+                    + 24 * census_module.BLOCK_ELEMS + slack)
+
+
 def _conic():
     """A conic of PG(2, 7): an arc, so its lines meet it in 1 or 2 points."""
     g = build_geometry(2, make_field(7, 1))
@@ -678,10 +703,25 @@ def _random_set():
 
 def _kernel_census(monkeypatch, b, **kwargs):
     """``line_census`` on the full or pair kernel: the probe always falls
-    back."""
+    back, unless it anchored every point of B (one tile's rows cover B)."""
     with monkeypatch.context() as mp:
         mp.setattr(census_module, "_probe_passes", lambda sizes: False)
-        return line_census(b, **kwargs)
+        census = line_census(b, **kwargs)
+    assert census.strategy != "anchor"
+    return census
+
+
+def test_probe_that_anchors_every_point_is_kept(monkeypatch):
+    # one tile's rows cover the conic's 8 points: its probe keeps
+    # 2-secants, but it has anchored every point, so it is the whole
+    # census, and the kernel does not redo it
+    b = _conic()
+    collect = [2]
+    got = line_census(b, collect_sizes=collect)
+    assert got.strategy == "anchor" and got.rows == b.card
+    monkeypatch.setattr(census_module, "TILE_ELEMS", 4 * b.card)
+    _assert_same_census(got, _kernel_census(monkeypatch, b, mode="full",
+                                            collect_sizes=collect))
 
 
 def _assert_pair_agrees(got, pair):

@@ -151,10 +151,9 @@ def test_verify_manifest_says_how_the_census_ran(tmp_path, monkeypatch,
     # the 8-secants lie under the 50-point lines: one more anchor pass
     assert stats["trace"]["strategy"] == "anchor"
     assert stats["trace"]["passes"] == 2
-    # the conic's probe (a tile's rows: all 8 points) keeps 2-secants, so
-    # it is discarded and the full kernel quotients B by each point again
-    assert stats["conic"] == {"strategy": "full", "rows": 8 + 8,
-                                "passes": 1}
+    # the conic's probe (a tile's rows: all 8 points) keeps 2-secants, but
+    # it anchored every point, so it is a whole census and is kept
+    assert stats["conic"] == {"strategy": "anchor", "rows": 8, "passes": 1}
 
 
 def _count_line_censuses(monkeypatch):
