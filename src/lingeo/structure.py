@@ -398,6 +398,8 @@ def _anchor_lines(b: PointSet, operands, anchors: np.ndarray, threads: int):
         return (np.bincount(row[lines], minlength=rows.size),
                 members[runs[lines]], counts[lines].astype(position))
 
+    # the width is known only once every block's rows are in, so the
+    # unpadded parts are held until then: at most twice the result
     parts = list(map_blocks(block_lines, starts, workers))
     width = max(int(n.max()) for n, _, _ in parts)
     reps = np.repeat(anchors.astype(position)[:, None], width, axis=1)
@@ -410,13 +412,13 @@ def _anchor_lines(b: PointSet, operands, anchors: np.ndarray, threads: int):
     return reps, weights
 
 
-def plane_block_data(census: LineCensus, secants, q0: int,
+def plane_block_data(b: PointSet, secants, q0: int,
                      threads: int = 1) -> PlaneData:
     """``plane_census`` of every (q0+1)-secant in ``secants`` (an (S, q0+1)
-    array of positions into the census's point set B), as block kernels.
-    The members each kernel row quotients, and their weights, are held as
-    positions (``position_dtype``: 16 bits up to 65,536 points, int32
-    above), as the census's secants are.
+    array of positions into B), as block kernels.  The members each
+    kernel row quotients, and their weights, are held as positions
+    (``position_dtype``: 16 bits up to 65,536 points, int32 above), as a
+    census's secants are.
 
     Secant L is read from its first (lowest) member P: every point of B
     off L lies on one line M != L through P that meets B twice or more,
@@ -429,7 +431,6 @@ def plane_block_data(census: LineCensus, secants, q0: int,
     anchor, not |B|.  The anchors' rows are built first, and then blocks
     of secants, both on ``threads`` workers (``census.map_blocks``).
     """
-    b = census.point_set
     fs = b.geometry.fs
     sec = np.asarray(secants).reshape(-1, q0 + 1)
     ns = sec.shape[0]
@@ -620,7 +621,7 @@ def run_lemma_suite(b: PointSet, report, census: LineCensus | None = None,
         if plane_secant_cap is not None:
             secants = secants[:plane_secant_cap]
         bound, info = bound_value("good_planes", q0, h)
-        planes = plane_block_data(census, secants, q0, threads)
+        planes = plane_block_data(b, secants, q0, threads)
         plane_sizes = set(planes.sizes)
         all_bad = planes.good == 0
         # latter case: all listed planes carry many points off the line

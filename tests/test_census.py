@@ -66,7 +66,7 @@ def test_census_lines_meeting_count(baer_49):
     assert census.lines_meeting() == sum(brute.values())
 
 
-def test_pair_mode_matches_full_mode():
+def test_pair_mode_matches_full_mode(monkeypatch):
     # pair mode groups each point only against higher-index points and
     # recovers the histogram via N_k = c_{k-1} - c_k; it must agree with
     # the direct full-mode census on arbitrary sets
@@ -75,10 +75,11 @@ def test_pair_mode_matches_full_mode():
     for _ in range(25):
         b = PointSet(g, rng.choice(g.num_points,
                                    int(rng.integers(2, 11)), replace=False))
-        full = line_census(b, mode="full")
+        full = _census_on(monkeypatch, "full", b)
         pair = line_census(b, mode="pair")
         assert full.hist == pair.hist
         assert pair.pair_count_identity()
+        assert line_census(b, mode="full").hist == full.hist
 
 
 def test_pair_mode_collection_and_per_point(baer_49):
@@ -295,7 +296,7 @@ def test_longer_line_in_a_later_block_replaces_collected_secants(
         for threads in (1, 2, 3):
             with monkeypatch.context() as mp:
                 probe = _probed(mp, threads, census_module, "quotient_keys")
-                runs.append(line_census(b, mode=mode, threads=threads))
+                runs.append(_census_on(mp, mode, b, threads=threads))
             probe.check(threads)
             assert list(runs[-1].secants) == [5]
             assert np.array_equal(runs[-1].secant_members(5), lines[5])
@@ -303,15 +304,16 @@ def test_longer_line_in_a_later_block_replaces_collected_secants(
             _assert_same_census(got, runs[0])
 
 
-@pytest.mark.parametrize("mode", ["full", "pair"])
+@pytest.mark.parametrize("strategy", ["full", "pair", "anchor"])
 def test_secant_rows_are_16_bit_positions_in_oracle_order(monkeypatch, field,
-                                                          baer_49, mode):
+                                                          baer_49, strategy):
     # blocks of 2 points at one worker, of 1 at more: every block sorts its
     # own rows and the merge keeps block order, so the rows must be the
     # oracle's sorted rows for every thread count.  Many of baer_49's
     # 8-secants share their lowest member, and _late_line_set's longest
     # line first shows up in a later block, whose rows replace the
-    # 3-secants collected before it.
+    # 3-secants collected before it.  The anchor census's probe covers
+    # each of these sets.
     monkeypatch.setattr(census_module, "_cpus", lambda: 4)
     mixed = _mixed_set(build_geometry(3, field(7, 2)), seed=5)
     for b in (baer_49, _late_line_set(field), mixed):
@@ -321,11 +323,11 @@ def test_secant_rows_are_16_bit_positions_in_oracle_order(monkeypatch, field,
                 for s, rows in lines.items()}
         longest = max(lines)
         # pair mode can collect no size a longer line shadows
-        sizes = sorted(lines) if mode == "full" else [longest]
+        sizes = [longest] if strategy == "pair" else sorted(lines)
         for threads in (1, 2, 3):
             for asked in (sizes, []):
-                census = line_census(b, collect_sizes=asked, mode=mode,
-                                     threads=threads)
+                census = _census_on(monkeypatch, strategy, b,
+                                    collect_sizes=asked, threads=threads)
                 assert sorted(census.secants) == (asked or [longest])
                 for s, rows in census.secants.items():
                     assert rows.dtype == np.uint16
@@ -345,12 +347,13 @@ def test_positions_past_the_16_bit_limit_are_int32(monkeypatch, field,
     runs = []
     for limit in (census_module.POSITION_LIMIT, b.card - 1, 1):
         monkeypatch.setattr(census_module, "POSITION_LIMIT", limit)
-        censuses = [line_census(b, collect_sizes=[q0 + 1], mode=mode)
-                    for mode in ("full", "pair")]
+        censuses = [_census_on(monkeypatch, strategy, b,
+                               collect_sizes=[q0 + 1])
+                    for strategy in ("full", "pair", "anchor")]
         secants = censuses[0].secants[q0 + 1]
         assert secants.dtype == (np.uint16 if limit >= b.card else np.int32)
         runs.append((censuses, structure.check_sublines(lines, 2),
-                     structure.plane_block_data(censuses[0], secants, q0)))
+                     structure.plane_block_data(b, secants, q0)))
     want_censuses, want_violations, want_planes = runs[0]
     assert want_violations["violations"]
     for censuses, violations, planes in runs[1:]:
@@ -381,16 +384,16 @@ def test_longest_secants_collected_as_if_asked(baer_49, trace_343, line_49):
                 assert (got is None and want is None) or np.array_equal(got, want)
 
 
-def test_two_secants_are_not_collected_unasked():
+def test_two_secants_are_not_collected_unasked(monkeypatch):
     # a conic of PG(2, 7) is an arc: its longest lines are 2-secants
     g = build_geometry(2, make_field(7, 1))
     conic = PointSet.from_coords(g, [(1, x, x * x % 7) for x in range(7)]
                                  + [(0, 0, 1)])
-    for mode in ("full", "pair"):
-        census = line_census(conic, mode=mode)
+    for strategy in ("full", "pair", "anchor"):
+        census = _census_on(monkeypatch, strategy, conic)
         assert census.hist[2] == 28
         assert census.secants == {}
-        assert line_census(conic, collect_sizes=[2], mode=mode) \
+        assert _census_on(monkeypatch, strategy, conic, collect_sizes=[2]) \
             .secant_members(2).shape == (28, 2)
 
 
@@ -413,13 +416,14 @@ def test_multiword_keys_match_one_word(field, monkeypatch, n, p, t):
     g = build_geometry(n, field(p, t))
     b = _mixed_set(g, seed=p * 100 + t + 1)
     w = int(g.fs.q - 1).bit_length()
-    for kwargs in ({"collect_sizes": [2, 3], "mode": "full"}, {"mode": "pair"}):
-        want = line_census(b, **kwargs)
+    for strategy, collect in (("full", [2, 3]), ("pair", []),
+                              ("anchor", [2, 3])):
+        want = _census_on(monkeypatch, strategy, b, collect_sizes=collect)
         for digits in (1, 2):
             with monkeypatch.context() as mp:
                 mp.setattr("lingeo.census._WORD_BITS", digits * w)
                 mp.setattr("lingeo.census.BLOCK_ELEMS", 3 * b.card)
-                got = line_census(b, **kwargs)
+                got = _census_on(mp, strategy, b, collect_sizes=collect)
             _assert_same_census(got, want)
 
 
@@ -441,7 +445,8 @@ def _wide_key_set(t, extra):
 # census groups it by np.lexsort on (row, key) instead.
 @pytest.mark.parametrize("t,extra,sorted_word", [(13, 0, True),
                                                  (15, 15, False)])
-def test_wide_field_census_matches_oracle(t, extra, sorted_word):
+def test_wide_field_census_matches_oracle(monkeypatch, t, extra,
+                                          sorted_word):
     b = _wide_key_set(t, extra)
     g = b.geometry
     operands = kernel_operands(g.fs, b.coords())
@@ -453,8 +458,8 @@ def test_wide_field_census_matches_oracle(t, extra, sorted_word):
     hist[1] = b.card * space_size(g.fs.q, 3) - sum(
         s * c for s, c in hist.items())
     assert lines[3].shape == (1, 3) and max(lines) == 3
-    for mode in ("full", "pair"):
-        got = line_census(b, mode=mode)
+    for strategy in ("full", "pair", "anchor"):
+        got = _census_on(monkeypatch, strategy, b)
         assert got.hist == hist
         assert np.array_equal(got.secant_members(3), lines[3])
 
@@ -529,14 +534,16 @@ def test_census_identical_across_threads(monkeypatch, baer_49, trace_343,
     mixed = _mixed_set(build_geometry(3, field(7, 2)), seed=5)
     for b, collect in ((baer_49, [8]), (trace_343, [8]), (mixed, [2, 3])):
         _blocks_of(monkeypatch, b.card, b.card, 4)
-        for kwargs in ({"mode": "pair"},
-                       {"mode": "full", "collect_sizes": collect}):
+        for strategy, sizes in (("pair", []), ("full", collect),
+                                ("anchor", collect)):
             runs = []
             for threads in (1, 2, 3):
                 with monkeypatch.context() as mp:
                     probe = _probed(mp, threads, census_module,
                                     "quotient_keys")
-                    runs.append(line_census(b, threads=threads, **kwargs))
+                    runs.append(_census_on(mp, strategy, b,
+                                           collect_sizes=sizes,
+                                           threads=threads))
                 probe.check(threads)
                 assert runs[-1].threads == threads
             for got in runs[1:]:
@@ -597,7 +604,7 @@ def test_plane_blocks_identical_across_threads(monkeypatch, rank5_pg3_81):
     for threads in (1, 2, 3):
         with monkeypatch.context() as mp:
             probe = _probed(mp, threads, structure, "quotient_keys")
-            runs.append(structure.plane_block_data(census, secants, q0,
+            runs.append(structure.plane_block_data(b, secants, q0,
                                                    threads=threads))
         probe.check(threads)
     assert set(runs[0].sizes) == {13, 40}
@@ -681,8 +688,7 @@ def test_plane_peak_is_its_anchor_rows_plus_a_block(monkeypatch,
     width = int(census.per_point_secants[anchors].max())
     monkeypatch.setattr(census_module, "BLOCK_ELEMS", 1 << 16)
     slack = 1 << 20
-    peak = _traced_peak(lambda: structure.plane_block_data(census, secants,
-                                                           8))
+    peak = _traced_peak(lambda: structure.plane_block_data(b, secants, 8))
     assert peak <= (2 * 2 * anchors.size * width * 2
                     + 24 * census_module.BLOCK_ELEMS + slack)
 
@@ -702,12 +708,25 @@ def _random_set():
 
 
 def _kernel_census(monkeypatch, b, **kwargs):
-    """``line_census`` on the full or pair kernel: the probe always falls
-    back, unless it anchored every point of B (one tile's rows cover B)."""
+    """``line_census`` on the full or pair kernel, with no anchor census
+    tried first: a small set's probe covers B and is kept, so the full
+    kernel is reached only this way."""
     with monkeypatch.context() as mp:
-        mp.setattr(census_module, "_probe_passes", lambda sizes: False)
+        mp.setattr(census_module, "_anchor_census", lambda *args: (None, 0))
         census = line_census(b, **kwargs)
-    assert census.strategy != "anchor"
+    assert census.strategy == ("pair" if kwargs.get("mode") == "pair"
+                               else "full")
+    return census
+
+
+def _census_on(monkeypatch, strategy, b, **kwargs):
+    """``line_census`` of B on ``strategy``: the full or pair kernel
+    (``_kernel_census``), or the anchor census."""
+    if strategy == "anchor":
+        census = line_census(b, **kwargs)
+    else:
+        census = _kernel_census(monkeypatch, b, mode=strategy, **kwargs)
+    assert census.strategy == strategy
     return census
 
 
@@ -719,7 +738,6 @@ def test_probe_that_anchors_every_point_is_kept(monkeypatch):
     collect = [2]
     got = line_census(b, collect_sizes=collect)
     assert got.strategy == "anchor" and got.rows == b.card
-    monkeypatch.setattr(census_module, "TILE_ELEMS", 4 * b.card)
     _assert_same_census(got, _kernel_census(monkeypatch, b, mode="full",
                                             collect_sizes=collect))
 

@@ -322,7 +322,7 @@ def test_plane_block_data_matches_scalar(request, monkeypatch, name, q0,
     if words == "lexsort":
         monkeypatch.setattr("lingeo.census._WORD_BITS",
                             int(b.geometry.fs.q - 1).bit_length())
-    _assert_matches_scalar(b, structure.plane_block_data(census, secants, q0),
+    _assert_matches_scalar(b, structure.plane_block_data(b, secants, q0),
                            secants, q0)
 
 
@@ -339,7 +339,7 @@ def _assert_matches_scalar(b, got, secants, q0):
     assert got.sizes == sorted(sizes)
 
 
-def test_plane_block_data_reads_a_census_without_point_counts(all_bad_3d):
+def test_plane_block_data_on_pair_mode_secants(all_bad_3d):
     # a pair-mode census holds the 8-secants, the longest lines, but not
     # the 2-, 3- and 7-secants, so it counts no secants per point; the
     # plane kernel's row widths come from the anchors' own rows
@@ -347,26 +347,27 @@ def test_plane_block_data_reads_a_census_without_point_counts(all_bad_3d):
     assert census.per_point_secants is None and set(census.secants) == {8}
     secants = census.secants[8]
     _assert_matches_scalar(all_bad_3d,
-                           structure.plane_block_data(census, secants, 7),
+                           structure.plane_block_data(all_bad_3d, secants,
+                                                      7),
                            secants, 7)
 
 
 def test_plane_lines_take_no_census_pass(monkeypatch, rank5_pg3_81,
                                          trace_3d_off, all_bad_3d):
     # the lines through each anchor are read off its census-kernel row,
-    # not off a census's secants: every line of rank5_pg3_81 that meets
-    # it twice is a 4-secant, which its census holds; trace_3d_off has
-    # lines of 2, 8 and 50 points, and its census holds only the
-    # 50-secants; all_bad_3d has lines of 2, 3, 7 and 8 points, and its
-    # census holds only the 8-secants
+    # whatever sizes a census of B holds: every line of rank5_pg3_81 that
+    # meets it twice is a 4-secant; trace_3d_off has lines of 2, 8 and 50
+    # points, and its census holds only the 50-secants; all_bad_3d has
+    # lines of 2, 3, 7 and 8 points, and its census holds only the
+    # 8-secants
     rank5 = line_census(rank5_pg3_81)
     trace = line_census(trace_3d_off, mode="full")
     assert set(trace.hist) == {1, 2, 8, 50} and set(trace.secants) == {50}
     bad = line_census(all_bad_3d)
     assert set(bad.hist) == {1, 2, 3, 7, 8} and set(bad.secants) == {8}
-    runs = [(rank5, rank5.secants[4][:50], 3),
-            (trace, _census(trace_3d_off, 7).secants[8][:50], 7),
-            (bad, bad.secants[8], 7)]
+    runs = [(rank5_pg3_81, rank5.secants[4][:50], 3),
+            (trace_3d_off, _census(trace_3d_off, 7).secants[8][:50], 7),
+            (all_bad_3d, bad.secants[8], 7)]
     passes = []
     census_pass = census_module.line_census
 
@@ -375,9 +376,9 @@ def test_plane_lines_take_no_census_pass(monkeypatch, rank5_pg3_81,
         return census_pass(*args, **kwargs)
 
     monkeypatch.setattr(census_module, "line_census", counted)
-    for census, secants, q0 in runs:
+    for b, secants, q0 in runs:
         for _ in range(2):
-            structure.plane_block_data(census, secants, q0)
+            structure.plane_block_data(b, secants, q0)
     assert passes == []
 
 
