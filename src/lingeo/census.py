@@ -32,10 +32,12 @@ computes with positions widens them first).  Each secant is held once:
 as each block's result is reached its rows are copied into one array
 per size, reserved for the most secants of that size B can have and
 trimmed at the end (``_SecantRows``), and let go.  A kernel block sorts
-its own rows; the anchor census sorts its array once at the end, in
-place.  This is the only grouping routine in production: point
-exponents read its per-point counts, the certifier its secant rows, and
-the tangent-only point search runs on its kernel.  Hyperplane questions
+its own rows; the anchor census builds each row sorted (a line's other
+members come ascending from the kernel, and the anchor sinks into
+place: ``_sink_last``) and orders its array once at the end, in place.
+This is the only grouping routine in production: point exponents read
+its per-point counts, the certifier its secant rows, and the
+tangent-only point search runs on its kernel.  Hyperplane questions
 (blocking, minimality, the exponent) read
 ``blocking.hyperplane_incidence`` instead, in the plane too, where the
 hyperplanes are the lines and both give the same numbers.
@@ -382,11 +384,13 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
         # nonzero coordinate and above 2q-4 for a zero one (see
         # _digit_table); a zero lead gives in-range garbage, redone below
         base = (q - 2) - lr[0]
+        # take, not indexing: odd extension fields give int32 logs, which
+        # indexing gathers by a slow path
         for kw, (a, b) in zip(words, spans):
             tile = kw[r0:r1]
             tile[...] = col if jbits else 0
             for i in range(max(a, 1), b):
-                tile |= tables[b - 1 - i][lr[i] + base]
+                tile |= tables[b - 1 - i].take(lr[i] + base)
         redo = np.flatnonzero(lr[0] == z)
         if redo.size:
             sub = [x.ravel()[redo] for x in lr]
@@ -399,7 +403,7 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
             for kw, (a, b) in zip(words, spans):
                 key = col[redo % mc] if jbits else np.zeros(redo.size, dtype)
                 for i in range(a, b):
-                    key |= tables[b - 1 - i][sub[i] + base]
+                    key |= tables[b - 1 - i].take(sub[i] + base)
                 kw[r0:r1].ravel()[redo] = key
         if merge_lower:
             low = col[None, :r1] <= np.arange(r0, r1)[:, None]
@@ -552,6 +556,18 @@ def _sort_rows(rows: np.ndarray, m: int):
         rows[:, c] = rows[order, c]
 
 
+def _sink_last(part: np.ndarray):
+    """Sort each column of a member-major (s, S) ``part`` in place, given
+    that its rows but the last are ascending: the last row's entry sinks
+    to its place by s-1 compare-exchanges of two contiguous rows, in
+    place of a sort of each secant."""
+    low = np.empty_like(part[0])
+    for i in range(part.shape[0] - 2, -1, -1):
+        np.minimum(part[i], part[i + 1], out=low)
+        np.maximum(part[i], part[i + 1], out=part[i + 1])
+        part[i] = low
+
+
 def _probe_passes(sizes) -> bool:
     """Whether an anchor census whose first batch kept lines of
     ``sizes`` goes on.  A set with 2-point lines is not of the paper's
@@ -573,9 +589,15 @@ def _anchor_census(b: PointSet, coords, operands, collect_sizes, threads):
     lies on a line found, so every secant is.  The first batch, the
     probe, is one tile's rows, kept small since a fallback discards it;
     a probe that leaves no pair unseen is kept whatever its sizes.  The
-    rest are half a block's rows.  On a rank-5 linear set of
-    PG(3, 2^12) whole blocks take a tenth more anchors, and quarter
-    blocks a twentieth fewer, in blocks too small to gain on two workers.
+    rest are half a block's rows.  On a rank-5 linear set of PG(3, 2^12)
+    whole blocks take a tenth more anchors, and quarter blocks a
+    twentieth fewer, in blocks too small to gain on two workers.
+
+    A size's rows are built member-major, (s, S): the line's other
+    members, which come ascending out of ``row_groups``, then the anchor
+    in the last row.  ``_sink_last`` moves the anchor to its place with
+    s-1 passes over contiguous rows, and ``_SecantRows`` copies the
+    transposed view into its (S, s) array.
     """
     fs = b.geometry.fs
     m = b.card
@@ -602,16 +624,17 @@ def _anchor_census(b: PointSet, coords, operands, collect_sizes, threads):
         found, rows = {}, {}
         for s in distinct(sizes).tolist():
             sel = kept[sizes == s]
-            # a block's element offsets fit int32
-            offs = (starts[sel].astype(np.int32)[:, None]
-                    + np.arange(s - 1, dtype=np.int32))
-            part = np.empty((sel.size, s), dtype=cols.dtype)
-            part[:, 0] = anchors[gpos[sel]]
-            part[:, 1:] = cols[offs]
+            # member-major, the anchor last; a block's element offsets
+            # fit int32
+            offs = (starts[sel].astype(np.int32)
+                    + np.arange(s - 1, dtype=np.int32)[:, None])
+            part = np.empty((s, sel.size), dtype=cols.dtype)
+            part[:-1] = cols[offs]
+            part[-1] = anchors[gpos[sel]]
             found[s] = np.bincount(part.ravel(), minlength=m)
             if s in wanted:
-                part.sort(axis=1)
-                rows[s] = part
+                _sink_last(part)
+                rows[s] = part.T
         return found, k, rows
 
     batch = tile_rows(m)
@@ -696,12 +719,13 @@ def line_census(b: PointSet, collect_sizes=(), mode: str = "auto",
     kernels a secant is cut at its lowest member, so each block's secant
     rows start in its own points: the block sorts them by their two
     lowest members.  The anchor census cuts each line at its first
-    anchor and sorts the rows once at the end, in place.  Keys too wide
-    for one int64 with their column bits are grouped by ``np.lexsort``
-    instead, so every field up to 2^16 and every dimension whose point
-    indices fit int64 has an exact path.  ``threads`` workers census
-    blocks at once (``map_blocks``); their counts and secant rows are
-    merged in block order, whatever order the blocks finish in.
+    anchor, builds its row sorted, and orders the rows once at the end,
+    in place.  Keys too wide for one int64 with their column bits are
+    grouped by ``np.lexsort`` instead, so every field up to 2^16 and
+    every dimension whose point indices fit int64 has an exact path.
+    ``threads`` workers census blocks at once (``map_blocks``); their
+    counts and secant rows are merged in block order, whatever order the
+    blocks finish in.
 
     Each collected size gets an array of the most secants of that size
     B can have, written as the blocks come in and trimmed in place

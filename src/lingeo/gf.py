@@ -277,24 +277,27 @@ class FieldSpec:
         - y = 0: s - lx at least Z-q+2; the entry 0 leaves lx.
         The other entries (both zero) are 0 as well.  Then lx + entry is
         a log below Z, or at least Z for a zero result, and ``_reduce``
-        takes the first mod q-1 and sends the rest to Z.
+        takes the first mod q-1 and sends the rest to Z.  Both tables are
+        int32, their entries below 2Z: 236 and 157 KB for GF(3^8).
         """
         p, q, z = self.p, self.q, self.zero_log
         h = (q - 1) // 2
         exp = np.array(self._exp, dtype=np.int64)
         # adding 1 moves only the constant digit
         one_plus = self._log0[exp - exp % p + (exp % p + 1) % p]
-        zech = np.zeros(3 * z + 1, dtype=np.int64)
+        zech = np.zeros(3 * z + 1, dtype=np.int32)
         d = np.arange(-(q - 2), 2 * q - 3)
         zech[d] = one_plus[(d + h) % (q - 1)]
         d = np.arange(-z, -q)
         zech[d] = d + h
         self._zech = zech
         v = np.arange(2 * z + 1, dtype=np.int64)
-        self._reduce = np.where(v < z, v % (q - 1), z)
+        self._reduce = np.where(v < z, v % (q - 1), z).astype(np.int32)
 
     def _zech_sub_log0(self, lx, s):
-        """Zero-safe log of x - y from lx = log0(x) and a log sum s of y."""
+        """Zero-safe log of x - y from lx = log0(x) and a log sum s of y,
+        int32: a consumer gathers with it by ``take``, since numpy's
+        indexing takes a slow path on int32 indices."""
         # indexing, not take: take is slow on negative indices
         v = self._zech[s - lx]
         v += lx
@@ -371,7 +374,8 @@ class FieldSpec:
             return (a + b) % p
         # x + y = x - (-y), and log(-y) = log y + (q-1)/2
         s = self._log0[np.asarray(b)] + (self.q - 1) // 2
-        return self._exp0[self._zech_sub_log0(self._log0[np.asarray(a)], s)]
+        return self._exp0.take(
+            self._zech_sub_log0(self._log0[np.asarray(a)], s))
 
     def vneg(self, a):
         p = self.p
@@ -386,8 +390,8 @@ class FieldSpec:
             return np.bitwise_xor(a, b)
         if self.t == 1:
             return (np.asarray(a) - np.asarray(b)) % self.p
-        return self._exp0[self._zech_sub_log0(self._log0[np.asarray(a)],
-                                              self._log0[np.asarray(b)])]
+        return self._exp0.take(self._zech_sub_log0(self._log0[np.asarray(a)],
+                                                   self._log0[np.asarray(b)]))
 
     def vmul(self, a, b):
         return self._exp0[self._log0[np.asarray(a)] + self._log0[np.asarray(b)]]

@@ -6,7 +6,7 @@ of planes through secants, and the constructive linearity certifier
 (lift the short secants through one anchor into the reduced space, span
 them, and verify the resulting subspace reproduces the set exactly).
 The checks read a census's short secants as rows of positions into B;
-the batch subline test is one cross-ratio test per member, with the
+the batch subline test reads one affine coordinate per member, with the
 scalar ``is_subline`` as its oracle.  It is the one subline test: the
 certifier lifts the secants through its anchor that pass it, in one
 batch.  The block plane census reads each secant from the lines through
@@ -16,6 +16,7 @@ with the scalar ``plane_census`` as its oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,73 +119,113 @@ def is_subline(s: PointSet, e: int) -> bool:
     return True
 
 
-def _line_pivots(fs, u, v):
+def _line_pivots(codes, leads, i, j):
     """The two pivot columns of the reduced bases of the lines through
-    normalized point pairs u, v (rows), in increasing order, and a point
-    of each line that is 0 at the first pivot, the second one's leading
-    column.
+    the points of B at positions i and j (arrays, or one of them a
+    position), in increasing order.  ``codes`` and ``leads`` are B's
+    (d, m) codes and its points' leading columns, as ``kernel_operands``
+    gives them, or ``_affine_operands``.
 
-    The first pivot is the lower of the two leading columns.  A
-    normalized point of the line is 1 there, or 0 for the one point off
-    it, so a_u v - a_v u, a the entries there, is that point: integer
-    products by 0 or 1 and one ``vsub``.
+    The first pivot is the lower of the two leading columns.  The second
+    is the higher one, or, where they are equal, the first column where
+    the two normalized points differ: the leading column of their
+    difference, the line's one point that is 0 at the first pivot.
     """
-    piv0 = np.argmax((u != 0) | (v != 0), axis=1)[:, None]
-    r1 = fs.vsub(np.take_along_axis(u, piv0, axis=1) * v,
-                 np.take_along_axis(v, piv0, axis=1) * u)
-    return piv0[:, 0], np.argmax(r1 != 0, axis=1), r1
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    li, lj = leads.take(i), leads.take(j)
+    piv1 = np.maximum(li, lj)
+    same = li == lj
+    # last to first, so the first column that differs is kept
+    for c in range(codes.shape[0] - 1, 0, -1):
+        np.copyto(piv1, c, where=same & (codes[c].take(i) != codes[c].take(j)))
+    return np.minimum(li, lj), piv1
 
 
-def _line_bases(fs, u, v):
-    """Reduced bases of the lines through normalized point pairs u, v
-    (rows), u the lower of each pair in index order: (S, 2, n+1) rows
-    with 1 at their own pivot (``_line_pivots``) and 0 at the other's."""
-    _, piv1, r1 = _line_pivots(fs, u, v)
-    lead = np.take_along_axis(r1, piv1[:, None], axis=1)
-    r1 = fs.vmul(fs.vinv(lead), r1)
-    c = np.take_along_axis(u, piv1[:, None], axis=1)
-    r0 = fs.vsub(u, fs.vmul(c, r1))
+def _line_bases(fs, operands, i, j):
+    """Reduced bases of the lines through the points of B at positions i
+    and j, i the lower of each pair (so it leads at the first pivot):
+    (S, 2, d) rows with 1 at their own pivot (``_line_pivots``) and 0 at
+    the other's.  ``operands`` is ``kernel_operands`` of B."""
+    codes, _, leads = operands
+    piv0, piv1 = _line_pivots(codes, leads, i, j)
+    u, v = codes[:, i].T, codes[:, j].T
+    # a normalized point is 1 at the first pivot, or 0 for the line's one
+    # point off it, so v - a_v u is that point: an integer product
+    r1 = fs.vsub(v, (leads[j] == piv0)[:, None] * u)
+    rows = np.arange(r1.shape[0])
+    r1 = fs.vmul(fs.vinv(r1[rows, piv1])[:, None], r1)
+    r0 = fs.vsub(u, fs.vmul(u[rows, piv1][:, None], r1))
     return np.stack([r0, r1], axis=1)
 
 
-def sublines_pass_batch(b: PointSet, rows, e: int) -> np.ndarray:
+def _affine_operands(b: PointSet):
+    """B's (d, m) codes and its points' leading columns for
+    ``sublines_pass_batch``, the codes with each point's leading entry,
+    its 1, read as q: where that column is a line's second pivot, the
+    point is the line's one point off the first, at infinity.  Taken once
+    per check."""
+    fs = b.geometry.fs
+    codes, _, leads = kernel_operands(fs, b.coords())
+    codes = codes.copy()
+    codes[leads, np.arange(b.card)] = fs.q
+    return codes, leads
+
+
+@functools.lru_cache(maxsize=16)
+def _subline_tables(fs, e: int):
+    """The inverse of each code, 0 for 0; and whether a difference L of
+    two zero-safe logs, read at L + ``fs.zero_log``, is the log
+    difference of two nonzero elements whose ratio lies in GF(p^e)*: L
+    divisible by (q-1)/(p^e-1).  Built once per field and read-only."""
+    q, z = fs.q, fs.zero_log
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = fs.vinv(np.arange(1, q))
+    diff = np.arange(-z, z + 1)
+    step = (q - 1) // (fs.p ** e - 1)
+    ratio = (np.abs(diff) <= q - 2) & (diff % step == 0)
+    for table in (inv, ratio):
+        table.flags.writeable = False
+    return inv, ratio
+
+
+def sublines_pass_batch(b: PointSet, rows, e: int,
+                        operands=None) -> np.ndarray:
     """Vectorized is_subline over many same-size secants of B.
 
     ``rows`` is an (S, q0+1) array of positions into ``b.indices``, one
-    secant per row, as ``LineCensus.secants`` holds them.  Returns a
-    boolean verdict per secant.
+    secant per row, as ``LineCensus.secants`` holds them, its members in
+    any order.  ``operands`` is ``_affine_operands(b)``, taken by the
+    caller once for many calls, or here.  Returns a boolean verdict per
+    secant.
 
-    A member's homogeneous coordinates (a, b) on its line are its entries
-    at the two pivot columns of the line's reduced basis (``_line_pivots``).
-    With d_ik = a_i b_k - a_k b_i, the cross-ratio (P0, P1; P2, Pk) is
-    d_02 d_1k / (d_12 d_0k), and the secant is a subline exactly when it
-    lies in GF(q0)* for every k >= 2: d_0k, d_1k nonzero and
-    log d_1k - log d_0k - log d_12 + log d_02 divisible by (q-1)/(q0-1).
-    A member is normalized, so a is 1, or 0 for the one member off the
-    first pivot: each d_ik is two integer products and one ``vsub``.
-    The entries are gathered member-major, (q0+1, S).
+    A normalized point of the line that is 1 at its first pivot
+    (``_line_pivots``) is E + t O, t its entry at the second pivot and O
+    the line's one point that is 0 at the first (t = infinity), so t is
+    one gather of the codes.  The first member, t0, is sent to infinity
+    by lambda = 1/(t - t0), which sends O to 0; a row whose first member
+    is O has the next member sent there instead.  With lambda_1 and
+    lambda_2 the next two members, the row is a subline exactly when
+    every (lambda_k - lambda_1) / (lambda_2 - lambda_1), k >= 3, lies in
+    GF(q0)*: a log difference divisible by (q-1)/(q0-1), read from a
+    table.  A member costs one gather, two subtractions, one inverse and
+    one log.  The entries are gathered member-major, (q0+1, S).
     """
     fs = b.geometry.fs
+    codes, leads = _affine_operands(b) if operands is None else operands
+    inv, ratio = _subline_tables(fs, e)
     rows = np.asarray(rows)
-    coords = b.coords()
-    piv0, piv1, _ = _line_pivots(fs, coords[rows[:, 0]], coords[rows[:, 1]])
-    # the members' a and b, one flat gather each; the positions are
-    # widened first (a 16-bit position times n+1 would wrap in 16 bits)
-    at = np.multiply(rows.T, coords.shape[1], dtype=np.int64)
-    at += piv0
-    av = np.take(coords, at)
-    at += piv1 - piv0
-    bv = np.take(coords, at)
-
-    def log_d(i):
-        # log d_ik for k >= 2
-        return fs.vsubmul01_log0(av[i] * bv[2:], av[2:], bv[i])
-
-    ld0, ld1 = log_d(0), log_d(1)
-    z = fs.zero_log
-    step = (fs.q - 1) // (fs.p ** e - 1)
-    cross = ld1 - ld0 - ld1[:1] + ld0[:1]
-    return np.all((ld0 != z) & (ld1 != z) & (cross % step == 0), axis=0)
+    _, piv1 = _line_pivots(codes, leads, rows[:, 0], rows[:, 1])
+    # one flat gather; the positions are widened by the int64 offsets
+    t = np.take(codes, rows.T + piv1 * codes.shape[1])
+    # O takes the t of the member sent to infinity, so t - t0 is 0 and
+    # its inverse 0: member 0's, or member 1's where O is member 0
+    k, c = np.divmod(np.flatnonzero(t == fs.q), t.shape[1])
+    t[k, c] = t[np.where(k, 0, 1), c]
+    lam = inv.take(fs.vsub(t[1:], t[0]))
+    del t
+    lx = fs.vsubmul01_log0(lam[1:], 1, lam[0])
+    lx[1:] -= lx[0] - fs.zero_log
+    return ratio.take(lx[1:]).all(axis=0)
 
 
 def _short_secants(b: PointSet, q0: int, census: LineCensus | None,
@@ -209,14 +250,16 @@ def check_sublines(b: PointSet, e: int, census: LineCensus | None = None,
     """
     q0 = b.geometry.fs.p ** e
     secants = _short_secants(b, q0, census, threads).secants[q0 + 1]
-    # a batch's temporaries (the pivot entries, the products, the d rows
-    # and their logs) come to under 8 int64 per secant member
-    starts, bs, workers = split_blocks(secants.shape[0], 8 * (q0 + 1),
+    operands = _affine_operands(b)
+    # a batch's temporaries (the gather's index and t, then t - t0 and
+    # lambda, then lambda_k - lambda_1 and its logs) come to under 4 int64
+    # per secant member at any time
+    starts, bs, workers = split_blocks(secants.shape[0], 4 * (q0 + 1),
                                        threads)
 
     def bad_rows(lo):
         part = secants[lo:lo + bs]
-        return part[~sublines_pass_batch(b, part, e)]
+        return part[~sublines_pass_batch(b, part, e, operands)]
 
     bad = map_blocks(bad_rows, starts, workers)
     violations = [tuple(row) for part in bad
@@ -438,8 +481,7 @@ def plane_block_data(b: PointSet, secants, q0: int,
     min_size = np.zeros(ns, dtype=np.int64)
     sizes: set = set()
     if ns:
-        coords = b.coords()
-        operands = kernel_operands(fs, coords)
+        operands = kernel_operands(fs, b.coords())
         anchors, aid = np.unique(sec[:, 0], return_inverse=True)
         reps, weights = _anchor_lines(b, operands, anchors, threads)
         width = reps.shape[1]
@@ -450,8 +492,7 @@ def plane_block_data(b: PointSet, secants, q0: int,
             """Fill the block's rows of good and min_size; its plane sizes."""
             s1 = min(s0 + bs, ns)
             at = aid[s0:s1]
-            basis = _line_bases(fs, coords[sec[s0:s1, 0]],
-                                coords[sec[s0:s1, 1]])
+            basis = _line_bases(fs, operands, sec[s0:s1, 0], sec[s0:s1, 1])
             starts, _counts, row, own, members = row_groups(
                 *quotient_keys(fs, operands, basis, cols=True,
                                take=reps[at]), cols=True)
@@ -752,21 +793,21 @@ def certify_linearity(b: PointSet, report,
     labels = check_span_hypotheses(fs.p, q0, h, report.span_dim)
     ctx = SpreadContext(g, e)
     coords = b.coords()
+    operands = _affine_operands(b)
     # the certificate when no anchor has a subline to lift
     last = LinearityCertificate(
         -1, (), np.empty((0, 2, ctx.reduced.n + 1), dtype=np.int64),
         np.empty((0, q0 + 1), dtype=np.int64), None, -1, False, labels)
     for pos in np.flatnonzero(per_pt > 0)[:_MAX_ANCHORS].tolist():
         through = secants[np.any(secants == pos, axis=1)]
-        ok = sublines_pass_batch(b, through, e)
+        ok = sublines_pass_batch(b, through, e, operands)
         if not ok.any():
             continue
         skipped = b.indices[through[~ok]]
         passing = through[ok]
         others = passing[passing != pos].reshape(-1, q0)
         w1, w2 = coords[others[:, 0]], coords[others[:, 1]]
-        i, j, _ = _line_pivots(fs, np.broadcast_to(coords[pos], w1.shape),
-                               w1)
+        i, j = _line_pivots(*operands, pos, others[:, 0])
         rows = np.arange(w1.shape[0])
         w1i, w1j, w2i, w2j = w1[rows, i], w1[rows, j], w2[rows, i], w2[rows, j]
         den = fs.vinv(fs.vsub(fs.vmul(w2i, w1j), fs.vmul(w2j, w1i)))

@@ -576,8 +576,8 @@ def test_subline_violations_identical_across_threads(monkeypatch, baer_49,
         secants = line_census(b, collect_sizes=[q0 + 1],
                               mode="full").secants[q0 + 1]
         assert len(secants) >= 10
-        # subline batches are 8 elements per secant member
-        _blocks_of(monkeypatch, len(secants), 8 * (q0 + 1), 5)
+        # subline batches are 4 elements per secant member
+        _blocks_of(monkeypatch, len(secants), 4 * (q0 + 1), 5)
         runs = []
         for threads in (1, 2, 3):
             with monkeypatch.context() as mp:
@@ -820,3 +820,24 @@ def test_anchor_census_stops_before_every_point(monkeypatch, rank5_pg3_4096):
         assert got.rows == census.rows < b.card // 4
         _assert_same_census(got, full)
         _assert_pair_agrees(got, pair)
+
+
+# the anchor below, among and above its line's other members, at 3 and 9
+# members, in 16-bit positions and in int32 ones past them
+@pytest.mark.parametrize("dtype,low", [(np.uint16, 0), (np.int32, 1 << 16)])
+@pytest.mark.parametrize("s", [3, 9])
+def test_anchor_sinks_into_its_ascending_members(dtype, low, s):
+    rng = np.random.default_rng(s)
+    n = 60
+    high = int(np.iinfo(dtype).max) - s
+    # distinct ascending positions per secant, and the anchor's slot
+    want = np.sort(rng.integers(low, high, (n, s)), axis=1) + np.arange(s)
+    want = want.astype(dtype)
+    slot = np.arange(n) % s
+    part = np.empty((s, n), dtype=dtype)
+    part[:-1] = want[np.arange(s) != slot[:, None]].reshape(n, s - 1).T
+    part[-1] = want[np.arange(n), slot]
+    rows = part.T.copy()
+    census_module._sink_last(part)
+    assert np.array_equal(part.T, np.sort(rows, axis=1))
+    assert np.array_equal(part.T, want)

@@ -376,3 +376,27 @@ def test_field_above_table_limit_is_refused():
     with pytest.raises(NonPrimeError):
         make_field(1, 20000)
     assert make_field(2, 16).q == 1 << 16
+
+
+# a small odd extension field, every pair, and the largest under the
+# table limit, sampled with zeros and cancellations
+@pytest.mark.parametrize("p,t", [(3, 2), (3, 10)])
+def test_zech_tables_are_int32_and_subtract_like_scalar(field, p, t):
+    fs = field(p, t)
+    z = fs.zero_log
+    assert fs._zech.dtype == fs._reduce.dtype == np.int32
+    assert (fs._zech.size, fs._reduce.size) == (3 * z + 1, 2 * z + 1)
+    if fs.q <= 9:
+        # x against y = u*w, over every x, u and w
+        x, u, w = np.indices((fs.q,) * 3).reshape(3, -1)
+    else:
+        rng = np.random.default_rng(7)
+        x, u, w = rng.integers(0, fs.q, (3, 3000))
+        x[::11] = 0
+        u[::13] = 0
+        x[100:200] = [fs.mul(int(a), int(b)) for a, b in zip(u[100:200],
+                                                            w[100:200])]
+    want = [fs.sub(int(a), fs.mul(int(b), int(c))) for a, b, c in zip(x, u, w)]
+    assert want.count(0) >= 9
+    got = fs._zech_sub_log0(fs.vlog0(x), fs.vlog0(u) + fs.vlog0(w))
+    assert np.array_equal(got, [z if v == 0 else fs._log[v] for v in want])

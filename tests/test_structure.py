@@ -7,6 +7,7 @@ import pytest
 from lingeo import blocking, structure
 from lingeo import census as census_module
 from lingeo.census import line_census
+from lingeo.constructions import random_linear_blocking_set
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, Subspace, build_geometry, lex_points
 from lingeo.reduction import SpreadContext
@@ -112,6 +113,58 @@ def test_batch_sublines_match_scalar_on_mixed_rows(field, p, t, e):
     assert np.any(with_off & want) and np.any(with_off & ~np.array(want))
 
 
+# random rank-5 linear sets of PG(3, q): characteristic 2 and odd
+# extension fields (Zech subtraction), e = 1, 2 and 3
+@pytest.mark.parametrize("p,t,e", [(3, 4, 1), (2, 4, 2), (3, 4, 2), (2, 6, 3)])
+def test_batch_sublines_match_scalar_on_census_rows(field, p, t, e):
+    fs = field(p, t)
+    g = build_geometry(3, fs)
+    q0 = p ** e
+    b = random_linear_blocking_set(g, e, 5, seed=t)[0]
+    secants = line_census(b, collect_sizes=[q0 + 1]).secants[q0 + 1]
+    coords = b.coords()
+    rng = np.random.default_rng(p * 100 + t * 10 + e)
+    # 20 rows that hold their line's one point off its first pivot, O (its
+    # leading column is above the other members'), and 20 that do not
+    lead = np.argmax(coords != 0, axis=1)[secants]
+    has_o = lead.max(axis=1) > lead.min(axis=1)
+    census_rows = np.vstack([
+        secants[np.sort(rng.choice(np.flatnonzero(w), 20, replace=False))]
+        for w in (has_o, ~has_o)])
+    permuted = rng.permuted(census_rows, axis=1)
+    for k in range(20):     # O first, second or third
+        at = np.argmax(np.argmax(coords[permuted[k]] != 0, axis=1))
+        permuted[k, [at, k % 3]] = permuted[k, [k % 3, at]]
+    # one member of each row swapped for a point of its line off B: O
+    # itself in every other row without it
+    extra = []
+    for k, row in enumerate(census_rows):
+        u, v = coords[row[0]], coords[row[1]]
+        line = np.vstack([fs.vadd(u, fs.vmul(np.arange(fs.q)[:, None], v)), v])
+        idx = g.index_of_rows(line)
+        off = ~np.isin(idx, b.indices)
+        if k >= 20 and k % 2:
+            off &= line[:, np.argmax((u != 0) | (v != 0))] == 0
+        extra.append(rng.choice(idx[off]))
+    big = b.union(PointSet(g, np.array(extra)))
+    # the rows as 16-bit positions into B and the points off it
+    census_rows, permuted = (
+        np.searchsorted(big.indices, b.indices[r]).astype(np.uint16)
+        for r in (census_rows, permuted))
+    swapped = permuted.copy()
+    swapped[np.arange(40), rng.integers(0, q0 + 1, 40)] = np.searchsorted(
+        big.indices, extra)
+    rows = np.vstack([census_rows, permuted, swapped])
+    got = structure.sublines_pass_batch(big, rows, e)
+    want = [structure.is_subline(PointSet(g, big.indices[row]), e)
+            for row in rows]
+    assert got.tolist() == want
+    # a census row is a subline in any order; any three points fix a
+    # subline, and q0 >= 3 of its points are left, so every swapped row
+    # fails
+    assert all(want[:80]) and not any(want[80:])
+
+
 def test_16_bit_positions_past_their_products_match_wide_ones(field):
     # about 17,000 points of PG(3, 64): from position 16,384 on, a position
     # times n+1 = 4 no longer fits 16 bits, so a consumer that computed
@@ -141,9 +194,8 @@ def test_16_bit_positions_past_their_products_match_wide_ones(field):
     assert np.array_equal(got, structure.sublines_pass_batch(b, wide, 3))
     assert got[:300].all() and not got[300:].all()
     # the plane kernel's members, quotiented by the lines of the rows
-    coords = b.coords()
-    basis = structure._line_bases(fs, coords[rows[:, 0]], coords[rows[:, 1]])
-    operands = census_module.kernel_operands(fs, coords)
+    operands = census_module.kernel_operands(fs, b.coords())
+    basis = structure._line_bases(fs, operands, rows[:, 0], rows[:, 1])
     keys = [census_module.quotient_keys(fs, operands, basis, cols=True,
                                         take=take)[0]
             for take in (narrow, wide)]
