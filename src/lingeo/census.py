@@ -57,9 +57,17 @@ which quotients all of B by one secant.
 Blocks are independent, and the kernel's sorts, gathers and ufuncs release
 the GIL, so ``map_blocks`` runs them on a pool of ``threads`` worker
 threads (clamped to the CPUs and to the blocks; one worker is a plain
-generator).  ``split_blocks`` gives each of w workers blocks of
-``BLOCK_ELEMS // w`` elements, so the elements in flight do not grow;
-an anchor batch is cut into two blocks per worker within that budget.
+generator).  Each worker count gets one pool per process, built on its
+first use and kept (``_pool``), so a census's batches, the subline
+batches and the plane blocks all run on the same threads.  Each thread,
+a worker or the caller on one worker, keeps the kernel's tile-sized
+temporaries in buffers of its own (``scratch``), grown once and written
+by ``out=`` ufuncs and ``take``, so the tiles, blocks and batches of a
+run, its stages included, neither allocate them nor fault their pages
+in again; what a block returns is always its own.
+``split_blocks`` gives each of w workers blocks of ``BLOCK_ELEMS // w``
+elements, so the elements in flight do not grow; an anchor batch is cut
+into two blocks per worker within that budget.
 ``map_blocks`` yields the results in block order, and the callers fold
 each one in as it comes and let it go, so every thread count gives the
 same census and no caller holds all blocks' results at once.
@@ -70,7 +78,9 @@ it, so ``BLOCK_ELEMS`` is the one memory budget.
 from __future__ import annotations
 
 import functools
+import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,21 +249,68 @@ def split_blocks(n: int, width: int, threads: int):
     return range(0, n, rows), rows, worker_count(workers, blocks)
 
 
+_pools: dict = {}               # workers -> the process's pool of that many
+_pools_lock = threading.Lock()
+_scratch = threading.local()    # name -> this thread's buffer (``scratch``)
+
+
+def _pool(workers: int):
+    """The process's thread pool of ``workers`` threads, built on first
+    use and kept, so every later call on that many workers runs on its
+    threads, which keep their ``scratch``."""
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = _pools[workers] = ThreadPoolExecutor(
+                workers, thread_name_prefix=f"lingeo-{workers}")
+        return pool
+
+
+def _forget_pools():
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pools_lock
+    _pools.clear()
+    _pools_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+
 def map_blocks(fn, starts, threads: int):
     """``fn(s)`` for each s in ``starts``, yielded in block order, on
     ``worker_count(threads, len(starts))`` threads: a plain generator for
-    one, else a thread pool's ``map`` (the kernels release the GIL).
-    Each result is handed over as it is reached and held no longer, so a
-    caller that folds it in and lets go holds one block's result, plus
-    those of later blocks that finished first."""
+    one, else the ``map`` of the process's pool of that many threads
+    (``_pool``; the kernels release the GIL).  Each result is handed
+    over as it is reached and held no longer, so a caller that folds it
+    in and lets go holds one block's result, plus those of later blocks
+    that finished first.  A block that raises raises here, and the
+    blocks not yet started are dropped.  ``fn`` must return arrays it
+    owns, never ``scratch``: they cross threads and outlive the block.
+    Nor may it call ``map_blocks`` on more than one worker: it would wait
+    on blocks queued behind it on its own pool."""
     workers = worker_count(threads, len(starts))
     if workers == 1:
         yield from map(fn, starts)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    yield from _pool(workers).map(fn, starts)
 
-    with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(fn, starts)
+
+def scratch(name: str, shape, dtype=np.int64) -> np.ndarray:
+    """This thread's buffer ``name``, as a C-contiguous array of
+    ``shape`` and ``dtype`` holding what its last use left.  Each thread
+    (a pool's worker, or the caller on one worker) keeps one buffer per
+    name, grown to the most bytes asked and reused across tiles, blocks,
+    batches and stages, so the kernels neither allocate nor fault in
+    temporaries of a tile's size.  A buffer serves one use at a time,
+    and no array in it leaves the block that filled it."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = _scratch.__dict__.get(name)
+    if buf is None or buf.size < size:
+        buf = _scratch.__dict__[name] = np.empty(size, dtype=np.uint8)
+    return buf[:size].view(dtype).reshape(shape)
 
 
 def free_columns(piv: np.ndarray, d: int) -> np.ndarray:
@@ -301,8 +358,14 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     digit is then 0: a key is the OR of the other digits, each read from
     a table shifted to its place.  Only the images whose first
     coordinate is zero (about 1 in q) are redone with the leading
-    nonzero coordinate as the lead.  The work runs in cache-sized row
-    tiles.
+    nonzero coordinate as the lead, from the coordinates saved at their
+    positions.  The work runs in cache-sized row tiles, cut at the prefix
+    into a log-product part and a 0/1 part, each in this thread's
+    buffers (``scratch``): a coordinate's logs, the work of its
+    subtraction, the lead folded into a base, each pivot's log sums on
+    the prefix, and, where the tile's rows differ or ``take`` is given,
+    the gathered operands and their index.  So a tile allocates only its
+    redo positions; the words are the call's own.
 
     Returns (words, self_words, jbits): the digits packed ``w`` bits
     each into one (nb, mc) integer array (int32 when it fits 31 bits),
@@ -348,63 +411,92 @@ def quotient_keys(fs, operands, basis: np.ndarray, j0: int = 0,
     tables = [table << (w * s + jbits) for s in range(per)]
     col = np.arange(mc, dtype=dtype)
     words = [np.empty((nb, mc), dtype=dtype) for _ in spans]
+    # digit i >= 1 goes into its span's word through its shifted table
+    digits = {i: (kw, tables[b - 1 - i])
+              for kw, (a, b) in zip(words, spans) for i in range(max(a, 1), b)}
     step = tile_rows(mc)
     for r0 in range(0, nb, step):
         r1 = min(r0 + step, nb)
         cut = int(split[r0:r1].max())
+        for lo, hi in ((0, cut), (cut, mc)):
+            if lo == hi:
+                continue
+            shape = (r1 - r0, hi - lo)
 
-        def tile_of(a, c, lo, hi):
-            """Columns lo..hi-1 of coordinate c[r] of row r's points, from
-            the (d, m) operand a, for the tile's rows."""
-            if take is None:
-                if (c == c[0]).all():       # one row serves the tile
+            def tile_of(a, c, name):
+                """Columns lo..hi-1 of coordinate c[r] of row r's points,
+                from the (d, m) operand a, for the tile's rows: a view
+                when one row serves the tile, else gathered into this
+                thread's buffer ``name`` by one flat gather (twice as
+                fast as indexing by two arrays)."""
+                if take is None and (c == c[0]).all():
                     return a[c[0], None, j0 + lo:j0 + hi]
-                return a[c, j0 + lo:j0 + hi]
-            # one flat gather: twice as fast as indexing by two arrays
-            # (c is int64, so the positions of ``take`` are widened)
-            return np.take(a.ravel(),
-                           c[:, None] * a.shape[1] + take[r0:r1, lo:hi])
+                idx = scratch("index", shape)
+                np.add((c * a.shape[1])[:, None],
+                       col[None, lo:hi] + j0 if take is None
+                       else take[r0:r1, lo:hi], out=idx)
+                return np.take(a.ravel(), idx, out=scratch(name, shape),
+                               mode="clip")
 
-        la = [tile_of(logs, piv[r0:r1, r], 0, cut) for r in range(k)]
-        if cut < mc:
-            alpha = tile_of(codes, piv[r0:r1, 0], cut, mc)   # 0 or 1
-        lr = []
-        for i in range(nd):
-            c = free[r0:r1, i]
-            parts = []
-            if cut:
-                sums = [la[r] + lb[r0:r1, r, i:i + 1] for r in range(k)]
-                parts.append(fs.vmulsub_log0(tile_of(codes, c, 0, cut), sums))
-            if cut < mc:
-                parts.append(fs.vsubmul01_log0(tile_of(codes, c, cut, mc),
-                                               alpha, bf[r0:r1, 0, i:i + 1]))
-            lr.append(parts[0] if len(parts) == 1
-                      else np.concatenate(parts, axis=1))
-        # lead = first coordinate: x - lead + q-2 is in 0..2q-4 for a
-        # nonzero coordinate and above 2q-4 for a zero one (see
-        # _digit_table); a zero lead gives in-range garbage, redone below
-        base = (q - 2) - lr[0]
-        # take, not indexing: odd extension fields give int32 logs, which
-        # indexing gathers by a slow path
-        for kw, (a, b) in zip(words, spans):
-            tile = kw[r0:r1]
-            tile[...] = col if jbits else 0
-            for i in range(max(a, 1), b):
-                tile |= tables[b - 1 - i].take(lr[i] + base)
-        redo = np.flatnonzero(lr[0] == z)
-        if redo.size:
-            sub = [x.ravel()[redo] for x in lr]
-            # the leading nonzero coordinate's log, 0 on an all-zero image:
-            # last to first, nonzero wins
-            lead = np.zeros(redo.size, dtype=np.int64)
-            for x in sub[:0:-1]:
-                np.copyto(lead, x, where=x != z)
-            base = (q - 2) - lead
-            for kw, (a, b) in zip(words, spans):
-                key = col[redo % mc] if jbits else np.zeros(redo.size, dtype)
-                for i in range(a, b):
-                    key |= tables[b - 1 - i].take(sub[i] + base)
-                kw[r0:r1].ravel()[redo] = key
+            x = scratch("logs", shape)      # one image coordinate's logs
+            work = scratch("work", shape)
+            if lo < cut:
+                # each pivot's log sum with coordinate 0's basis entry, in
+                # its own buffer, moved on to the next coordinate's by the
+                # difference of the entries
+                sums = [np.add(tile_of(logs, piv[r0:r1, r], f"lead{r}"),
+                               lb[r0:r1, r, :1], out=scratch(f"lead{r}", shape))
+                        for r in range(k)]
+            else:
+                alpha = tile_of(codes, piv[r0:r1, 0], "lead0")   # 0 or 1
+            for i in range(nd):
+                if lo < cut:
+                    for r, s in enumerate(sums):
+                        if i:
+                            s += lb[r0:r1, r, i:i + 1] - lb[r0:r1, r, i - 1:i]
+                    # the codes may sit in work, where their difference
+                    # with the products is taken
+                    fs.vmulsub_log0(tile_of(codes, free[r0:r1, i], "work"),
+                                    sums, out=x, work=work)
+                else:
+                    fs.vsubmul01_log0(tile_of(codes, free[r0:r1, i], "codes"),
+                                      alpha, bf[r0:r1, 0, i:i + 1],
+                                      out=x, work=work)
+                if i == 0:
+                    # lead = first coordinate: x - lead + q-2 is in
+                    # 0..2q-4 for a nonzero coordinate and above 2q-4
+                    # for a zero one (see _digit_table); a zero lead
+                    # gives garbage, redone below from the coordinates
+                    # saved at its positions
+                    redo = np.flatnonzero(x == z)
+                    sub = [np.full(redo.size, z)]
+                    base = np.subtract(q - 2, x, out=scratch("base", shape))
+                    # a digit is read off before the next coordinate
+                    # needs work
+                    digit = scratch("work", shape, dtype)
+                    for kw in words:
+                        kw[r0:r1, lo:hi] = col[lo:hi] if jbits else 0
+                    continue
+                sub.append(x.ravel()[redo])
+                x += base
+                kw, table = digits[i]
+                tile = kw[r0:r1, lo:hi]
+                np.bitwise_or(tile, np.take(table, x, out=digit, mode="clip"),
+                              out=tile)
+            if redo.size:
+                # the leading nonzero coordinate's log, 0 on an all-zero
+                # image: last to first, nonzero wins
+                lead = np.zeros(redo.size, dtype=np.int64)
+                for v in sub[:0:-1]:
+                    np.copyto(lead, v, where=v != z)
+                base = (q - 2) - lead
+                rr, cc = np.divmod(redo, hi - lo)
+                cc += lo
+                for kw, (a, b) in zip(words, spans):
+                    key = col[cc] if jbits else np.zeros(redo.size, dtype)
+                    for i in range(a, b):
+                        key |= tables[b - 1 - i].take(sub[i] + base)
+                    kw[r0 + rr, cc] = key
         if merge_lower:
             low = col[None, :r1] <= np.arange(r0, r1)[:, None]
             for kw, self_word in zip(words, self_words):
@@ -546,14 +638,17 @@ def _add_tangents(hist: dict, m: int, lines_through_point: int):
 def _sort_rows(rows: np.ndarray, m: int):
     """Order secant rows by their two lowest members, in place, one
     column at a time: two points span one line, so the pair is a total
-    order.  The key is int32 while m^2 fits."""
+    order.  The key is int32 while m^2 fits.  ``take`` gathers each
+    column, which it first copies out whole: twice as fast as indexing
+    the strided column.  Whole rows would move in one gather, but
+    through a copy of them all."""
     key = rows[:, 0].astype(np.int32 if m * m < 1 << 31 else np.int64)
     key *= m
     key += rows[:, 1]
     order = np.argsort(key)
     del key
     for c in range(rows.shape[1]):
-        rows[:, c] = rows[order, c]
+        rows[:, c] = rows[:, c].take(order)
 
 
 def _sink_last(part: np.ndarray):

@@ -1,8 +1,9 @@
 """Command-line interface: build, verify, search, project.
 
 Every run writes exactly one ``manifest.json`` (command echo, parsed
-options, versions, wall time, outcome) into the output directory;
-``verify``'s outcome also says how its line census ran
+options, versions, wall time, the process's CPU seconds and minor page
+faults where the platform reports them, outcome) into the output
+directory; ``verify``'s outcome also says how its line census ran
 (``LineCensus.stats``: strategy, points quotiented, passes).  Report
 files contain no timing or machine-dependent data, so identical inputs
 produce byte-identical reports regardless of ``--threads``.
@@ -59,6 +60,18 @@ def _versions():
             "python": ".".join(str(v) for v in sys.version_info[:3])}
 
 
+def _usage():
+    """This process's CPU seconds and minor page faults so far, where
+    the platform has ``resource``."""
+    try:
+        import resource
+    except ImportError:
+        return {}
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return {"cpu_s": round(ru.ru_utime + ru.ru_stime, 3),
+            "minor_faults": ru.ru_minflt}
+
+
 def _write_manifest(out, args, started, outcome):
     man = {
         "command": " ".join(args.argv),
@@ -66,6 +79,7 @@ def _write_manifest(out, args, started, outcome):
                    if k not in ("func", "argv") and v is not None},
         "versions": _versions(),
         "wall_time_s": round(time.monotonic() - started, 3),
+        **_usage(),
         "outcome": outcome,
     }
     (out / "manifest.json").write_text(json.dumps(man, indent=2,

@@ -427,36 +427,65 @@ class FieldSpec:
             raise ZeroInverseError("0 has no multiplicative inverse")
         return self._exp0[self.q - 1 - self._log0[a]]
 
-    def vmulsub_log0(self, c, sums):
+    def vmulsub_log0(self, c, sums, out=None, work=None):
         """Zero-safe logs (``vlog0``) of c - a1*b1 - a2*b2 - ..., for codes
         c and each product given by its ``vlog0`` sum in ``sums``.
 
         Odd extension fields stay in the log domain, two Zech gathers per
         product; on the others the product codes are subtracted one by
-        one.
+        one, each into ``work`` and the logs into ``out``: int64 arrays of
+        the result's shape (new ones when not given), so a kernel that
+        passes its own buffers allocates nothing.
         """
+        out, work = self._buffers(out, work, c, *sums)
         if self.p == 2 or self.t == 1:
-            x = np.asarray(c)
+            x = c
             for s in sums:
-                x = self.vsub(x, self._exp0[s])
-            return self._log0[x]
+                np.take(self._exp0, s, out=out, mode="clip")
+                self._vsub_into(x, out, work)
+                x = work
+            return np.take(self._log0, work, out=out, mode="clip")
         lx = self._log0.take(c)
         for s in sums:
             lx = self._zech_sub_log0(lx, s)
-        return lx
+        np.copyto(out, lx)
+        return out
 
-    def vsubmul01_log0(self, c, a, b):
+    def vsubmul01_log0(self, c, a, b, out=None, work=None):
         """Zero-safe logs (``vlog0``) of c - a*b, for codes c and b and a
-        factor a that is 0 or 1.
+        factor a that is 0 or 1, into ``out``, with ``work`` as in
+        ``vmulsub_log0``.
 
         Where subtraction works on codes, a*b is the integer product, with
         no log sum and no antilog gather; odd extension fields subtract in
         the log domain, where the product is the log sum of a and b.
         """
+        out, work = self._buffers(out, work, c, a, b)
         if self.p == 2 or self.t == 1:
-            return self._log0[self.vsub(c, a * b)]
-        return self._zech_sub_log0(self._log0.take(c),
-                                   self._log0.take(a) + self._log0.take(b))
+            np.multiply(a, b, out=work)
+            self._vsub_into(c, work, work)
+            return np.take(self._log0, work, out=out, mode="clip")
+        np.add(self._log0.take(a), self._log0.take(b), out=work)
+        np.copyto(out, self._zech_sub_log0(self._log0.take(c), work))
+        return out
+
+    @staticmethod
+    def _buffers(out, work, *operands):
+        """``out`` and ``work``, or new int64 arrays of the operands'
+        broadcast shape in place of the missing ones."""
+        if out is None or work is None:
+            shape = np.broadcast_shapes(*(np.shape(x) for x in operands))
+            out = np.empty(shape, dtype=np.int64) if out is None else out
+            work = np.empty(shape, dtype=np.int64) if work is None else work
+        return out, work
+
+    def _vsub_into(self, a, b, out):
+        """Codes of a - b into ``out``, for p = 2 or t = 1."""
+        if self.p == 2:
+            np.bitwise_xor(a, b, out=out)
+        else:
+            np.subtract(a, b, out=out)
+            np.remainder(out, self.p, out=out)
 
     # -- subfields -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .census import (LineCensus, kernel_operands, line_census, map_blocks,
                      pack_rows, position_dtype, quotient_keys, quotient_rows,
-                     row_groups, split_blocks)
+                     row_groups, scratch, split_blocks, tile_rows)
 from .pg import PointSet, Subspace, distinct, span
 from .reduction import SpreadContext
 
@@ -496,14 +496,25 @@ def plane_block_data(b: PointSet, secants, q0: int,
             starts, _counts, row, own, members = row_groups(
                 *quotient_keys(fs, operands, basis, cols=True,
                                take=reps[at]), cols=True)
-            # each member's weight, in one flat gather whose index is built
-            # in place, the columns let go once added; the sums stay int32
-            # (at most |B|), so the weights get no int64 copy
-            idx = np.repeat(at * width, width)
-            idx += members
+            # each member's weight, in flat gathers of a row tile at a
+            # time whose index sits in this thread's buffer (``scratch``),
+            # into the columns' own array when it has the weights' type (a
+            # tile's index is built before its columns are overwritten);
+            # the sums stay int32 (at most |B|), so the weights get no
+            # int64 copy
+            got = (members if members.dtype == weights.dtype
+                   else np.empty(members.shape, dtype=weights.dtype))
+            step = tile_rows(width)
+            for r0 in range(0, s1 - s0, step):
+                r1 = min(r0 + step, s1 - s0)
+                idx = scratch("index", (r1 - r0, width))
+                np.add((at[r0:r1] * width)[:, None],
+                       members[r0 * width:r1 * width].reshape(-1, width),
+                       out=idx)
+                np.take(weights, idx, mode="clip",
+                        out=got[r0 * width:r1 * width].reshape(-1, width))
             del members
-            off = np.add.reduceat(np.take(weights, idx), starts,
-                                  dtype=np.int32)
+            off = np.add.reduceat(got, starts, dtype=np.int32)
             row, size = row[~own], off[~own] + q0 + 1
             # off-line points make a plane non-collinear, so size decides
             good[s0:s1] = np.bincount(row[size == target], minlength=s1 - s0)

@@ -1,5 +1,9 @@
 import itertools
+import os
+import signal
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -841,3 +845,153 @@ def test_anchor_sinks_into_its_ascending_members(dtype, low, s):
     census_module._sink_last(part)
     assert np.array_equal(part.T, np.sort(rows, axis=1))
     assert np.array_equal(part.T, want)
+
+
+def test_pool_and_scratch_leak_nothing_between_censuses(monkeypatch, field,
+                                                        trace_343,
+                                                        rank5_pg3_4096):
+    # one process keeps its pools and each thread's buffers: censuses of
+    # other fields (GF(2^12) codes, GF(7^3) Zech logs), of the pair
+    # kernel, and after a block that raised, must still equal fresh
+    # one-thread censuses
+    b, _ = rank5_pg3_4096
+    mixed = _mixed_set(build_geometry(3, field(7, 2)), seed=5)
+
+    def census(s, threads):
+        with monkeypatch.context() as mp:
+            mp.setattr(census_module, "_cpus", lambda: 2)
+            if s is not b:
+                # a probe of 4 anchors, and blocks of 4 points at most
+                mp.setattr(census_module, "TILE_ELEMS", 4 * s.card)
+                mp.setattr(census_module, "BLOCK_ELEMS", 8 * s.card)
+                # the probe keeps 2-secants: past this, the pair kernel
+                mp.setattr(census_module, "_PAIR_MODE_THRESHOLD", s.card - 1)
+            return line_census(s, threads=threads)
+
+    sets = (b, trace_343, mixed, b)
+    want = {id(s): census(s, 1) for s in sets}
+    assert [want[id(s)].strategy for s in sets] == ["anchor", "anchor",
+                                                     "pair", "anchor"]
+    for s in sets:
+        _assert_same_census(census(s, 2), want[id(s)])
+
+    calls = itertools.count()
+    kernel = census_module.quotient_keys
+
+    def failing(*args, **kwargs):
+        if next(calls) == 5:
+            raise RuntimeError("block failed")
+        return kernel(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(census_module, "quotient_keys", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            census(b, 2)
+    for s in (b, trace_343):
+        _assert_same_census(census(s, 2), want[id(s)])
+
+
+def test_two_workers_after_three_run_on_two_threads(monkeypatch, baer_49):
+    # each worker count has its own pool: a call on two workers never
+    # runs on the threads of a larger pool built before it
+    monkeypatch.setattr(census_module, "_cpus", lambda: 4)
+    _blocks_of(monkeypatch, baer_49.card, baer_49.card, 4)
+    want = _kernel_census(monkeypatch, baer_49, mode="full")
+    for threads in (3, 2):
+        with monkeypatch.context() as mp:
+            probe = _probed(mp, threads, census_module, "quotient_keys")
+            got = _kernel_census(mp, baer_49, mode="full", threads=threads)
+        probe.check(threads)
+        assert len(probe.threads) <= threads
+        _assert_same_census(got, want)
+
+
+def test_concurrent_callers_share_one_pool_per_worker_count(monkeypatch):
+    # callers on more threads than cores, switching often, each get the
+    # one pool of their worker count and their own results in order
+    monkeypatch.setattr(census_module, "_cpus", lambda: 3)
+    pools = {}
+    monkeypatch.setattr(census_module, "_pools", pools)
+    seen = {2: set(), 3: set()}
+    wrong = []
+    start = threading.Barrier(8)
+
+    def caller(i):
+        workers = 2 + i % 2
+        start.wait(timeout=10)
+        for _ in range(50):
+            seen[workers].add(id(census_module._pool(workers)))
+            got = list(census_module.map_blocks(lambda s: s * i, range(6),
+                                                workers))
+            if got != [s * i for s in range(6)]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,))
+                   for i in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools.values():
+            pool.shutdown()
+    assert not any(t.is_alive() for t in callers)
+    assert not wrong
+    assert {w: len(ids) for w, ids in seen.items()} == {2: 1, 3: 1}
+    assert sorted(pools) == [2, 3]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_builds_its_own_pool(monkeypatch, baer_49):
+    # a child forked after a pool was built has none of its threads: it
+    # must build its own rather than wait on the parent's
+    monkeypatch.setattr(census_module, "_cpus", lambda: 2)
+    _blocks_of(monkeypatch, baer_49.card, baer_49.card, 4)
+    want = line_census(baer_49, threads=2)
+    assert 2 in census_module._pools
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            got = line_census(baer_49, threads=2)
+            ok = got.hist == want.hist and np.array_equal(
+                got.per_point_secants, want.per_point_secants)
+        finally:
+            os._exit(0 if ok else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's census did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+# rows of 16-bit positions, and of int32 positions past 65,536 points
+@pytest.mark.parametrize("m", [4681, 70000])
+def test_sort_rows_matches_column_wise_order(m):
+    rng = np.random.default_rng(m)
+    dtype = census_module.position_dtype(m)
+    # ascending rows whose two lowest members differ from row to row, as
+    # two points span one line, shuffled
+    low = np.unique(rng.choice(m - 20, 3000) * m + rng.integers(1, 6, 3000))
+    a, b = np.divmod(low, m)
+    b += a
+    rest = b[:, None] + np.cumsum(rng.integers(1, 3, (low.size, 7)), axis=1)
+    rows = np.column_stack([a, b, rest]).astype(dtype)
+    assert rows.max() >= (1 << 16 if m > 1 << 16 else 0)
+    rows = rows[rng.permutation(len(rows))]
+    want = rows.copy()
+    order = np.lexsort((want[:, 1], want[:, 0]))
+    for c in range(want.shape[1]):
+        want[:, c] = want[order, c]
+    census_module._sort_rows(rows, m)
+    assert rows.dtype == dtype
+    assert np.array_equal(rows, want)

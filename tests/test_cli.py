@@ -156,6 +156,21 @@ def test_verify_manifest_says_how_the_census_ran(tmp_path, monkeypatch,
     assert stats["conic"] == {"strategy": "anchor", "rows": 8, "passes": 1}
 
 
+def test_manifest_records_cpu_and_faults_reports_do_not(tmp_path, baer_49):
+    # the process's CPU seconds and minor faults go to the manifest, beside
+    # its wall time, and never into a report
+    pf = tmp_path / "baer.txt"
+    write_point_set(pf, baer_49)
+    out = tmp_path / "v"
+    assert run(["verify", str(pf), "--threads", "2", "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["cpu_s"] > 0 and isinstance(man["cpu_s"], float)
+    assert man["minor_faults"] > 0 and isinstance(man["minor_faults"], int)
+    assert list(man).index("cpu_s") == list(man).index("wall_time_s") + 1
+    report = (out / "verify_report.json").read_text()
+    assert "cpu_s" not in report and "minor_faults" not in report
+
+
 def _count_line_censuses(monkeypatch):
     calls = []
     real = census.line_census
