@@ -57,14 +57,15 @@ which quotients all of B by one secant.
 Blocks are independent, and the kernel's sorts, gathers and ufuncs release
 the GIL, so ``map_blocks`` runs them on a pool of ``threads`` worker
 threads (clamped to the CPUs and to the blocks; one worker is a plain
-generator).  Each worker count gets one pool per process, built on its
-first use and kept (``_pool``), so a census's batches, the subline
-batches and the plane blocks all run on the same threads.  Each thread,
-a worker or the caller on one worker, keeps the kernel's tile-sized
-temporaries in buffers of its own (``scratch``), grown once and written
-by ``out=`` ufuncs and ``take``, so the tiles, blocks and batches of a
-run, its stages included, neither allocate them nor fault their pages
-in again; what a block returns is always its own.
+generator).  The process keeps one pool, built on first use and rebuilt
+only when a call asks for another worker count (``_pool_map``), so a
+census's batches, the subline batches and the plane blocks all run on
+the same threads.  Each thread, a worker or the caller on one worker,
+keeps the kernel's tile-sized temporaries in buffers of its own
+(``scratch``), grown once and written by ``out=`` ufuncs and ``take``,
+so the tiles, blocks and batches of a run, its stages included, neither
+allocate them nor fault their pages in again; what a block returns is
+always its own.
 ``split_blocks`` gives each of w workers blocks of ``BLOCK_ELEMS // w``
 elements, so the elements in flight do not grow; an anchor batch is cut
 into two blocks per worker within that budget.
@@ -249,53 +250,60 @@ def split_blocks(n: int, width: int, threads: int):
     return range(0, n, rows), rows, worker_count(workers, blocks)
 
 
-_pools: dict = {}               # workers -> the process's pool of that many
-_pools_lock = threading.Lock()
+_pool = None                    # (workers, the process's one thread pool)
+_pool_lock = threading.Lock()
 _scratch = threading.local()    # name -> this thread's buffer (``scratch``)
 
 
-def _pool(workers: int):
-    """The process's thread pool of ``workers`` threads, built on first
-    use and kept, so every later call on that many workers runs on its
-    threads, which keep their ``scratch``."""
-    with _pools_lock:
-        pool = _pools.get(workers)
-        if pool is None:
+def _pool_map(fn, starts, workers: int):
+    """``fn`` submitted for every start to the process's one thread pool,
+    of exactly ``workers`` threads: built on first use and kept while
+    calls ask for that many.  A call that asks for another count shuts
+    the pool down, waiting for the blocks already submitted, and builds
+    one of its own count, so the process never holds more threads, nor
+    their ``scratch``, than the largest count asked.  The blocks are
+    submitted under the lock, so no other caller shuts the pool down
+    before they are queued."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = _pools[workers] = ThreadPoolExecutor(
-                workers, thread_name_prefix=f"lingeo-{workers}")
-        return pool
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = workers, ThreadPoolExecutor(
+                workers, thread_name_prefix="lingeo")
+        return _pool[1].map(fn, starts)
 
 
-def _forget_pools():
+def _forget_pool():
     """In a forked child: the parent's pool threads do not exist there."""
-    global _pools_lock
-    _pools.clear()
-    _pools_lock = threading.Lock()
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def map_blocks(fn, starts, threads: int):
     """``fn(s)`` for each s in ``starts``, yielded in block order, on
     ``worker_count(threads, len(starts))`` threads: a plain generator for
     one, else the ``map`` of the process's pool of that many threads
-    (``_pool``; the kernels release the GIL).  Each result is handed
+    (``_pool_map``; the kernels release the GIL).  Each result is handed
     over as it is reached and held no longer, so a caller that folds it
     in and lets go holds one block's result, plus those of later blocks
     that finished first.  A block that raises raises here, and the
     blocks not yet started are dropped.  ``fn`` must return arrays it
     owns, never ``scratch``: they cross threads and outlive the block.
     Nor may it call ``map_blocks`` on more than one worker: it would wait
-    on blocks queued behind it on its own pool."""
+    on blocks queued behind it on the pool, or on the pool's shutdown."""
     workers = worker_count(threads, len(starts))
     if workers == 1:
         yield from map(fn, starts)
         return
-    yield from _pool(workers).map(fn, starts)
+    yield from _pool_map(fn, starts, workers)
 
 
 def scratch(name: str, shape, dtype=np.int64) -> np.ndarray:

@@ -435,10 +435,12 @@ class FieldSpec:
         product; on the others the product codes are subtracted one by
         one, each into ``work`` and the logs into ``out``: int64 arrays of
         the result's shape (new ones when not given), so a kernel that
-        passes its own buffers allocates nothing.
+        passes its own buffers allocates nothing.  The Zech gathers
+        allocate their own temporaries; their logs are copied into
+        ``out`` only when it is given.
         """
-        out, work = self._buffers(out, work, c, *sums)
         if self.p == 2 or self.t == 1:
+            out, work = self._buffers(out, work, c, *sums)
             x = c
             for s in sums:
                 np.take(self._exp0, s, out=out, mode="clip")
@@ -448,8 +450,7 @@ class FieldSpec:
         lx = self._log0.take(c)
         for s in sums:
             lx = self._zech_sub_log0(lx, s)
-        np.copyto(out, lx)
-        return out
+        return self._into(out, lx)
 
     def vsubmul01_log0(self, c, a, b, out=None, work=None):
         """Zero-safe logs (``vlog0``) of c - a*b, for codes c and b and a
@@ -460,14 +461,13 @@ class FieldSpec:
         no log sum and no antilog gather; odd extension fields subtract in
         the log domain, where the product is the log sum of a and b.
         """
-        out, work = self._buffers(out, work, c, a, b)
         if self.p == 2 or self.t == 1:
+            out, work = self._buffers(out, work, c, a, b)
             np.multiply(a, b, out=work)
             self._vsub_into(c, work, work)
             return np.take(self._log0, work, out=out, mode="clip")
-        np.add(self._log0.take(a), self._log0.take(b), out=work)
-        np.copyto(out, self._zech_sub_log0(self._log0.take(c), work))
-        return out
+        return self._into(out, self._zech_sub_log0(
+            self._log0.take(c), self._log0.take(a) + self._log0.take(b)))
 
     @staticmethod
     def _buffers(out, work, *operands):
@@ -478,6 +478,14 @@ class FieldSpec:
             out = np.empty(shape, dtype=np.int64) if out is None else out
             work = np.empty(shape, dtype=np.int64) if work is None else work
         return out, work
+
+    @staticmethod
+    def _into(out, x):
+        """``x``, copied into ``out`` when it is given."""
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
 
     def _vsub_into(self, a, b, out):
         """Codes of a - b into ``out``, for p = 2 or t = 1."""

@@ -892,8 +892,8 @@ def test_pool_and_scratch_leak_nothing_between_censuses(monkeypatch, field,
 
 
 def test_two_workers_after_three_run_on_two_threads(monkeypatch, baer_49):
-    # each worker count has its own pool: a call on two workers never
-    # runs on the threads of a larger pool built before it
+    # a call on two workers never runs on the threads of a larger pool
+    # built before it
     monkeypatch.setattr(census_module, "_cpus", lambda: 4)
     _blocks_of(monkeypatch, baer_49.card, baer_49.card, 4)
     want = _kernel_census(monkeypatch, baer_49, mode="full")
@@ -906,24 +906,70 @@ def test_two_workers_after_three_run_on_two_threads(monkeypatch, baer_49):
         _assert_same_census(got, want)
 
 
-def test_concurrent_callers_share_one_pool_per_worker_count(monkeypatch):
-    # callers on more threads than cores, switching often, each get the
-    # one pool of their worker count and their own results in order
+@pytest.fixture
+def no_pool():
+    # the process's pool shut down and forgotten before and after the
+    # test, so the only pool threads alive are those the test builds
+    def forget():
+        if census_module._pool is not None:
+            census_module._pool[1].shutdown()
+        census_module._pool = None
+
+    forget()
+    yield
+    forget()
+
+
+def test_pool_threads_never_add_up_over_worker_counts(monkeypatch, no_pool):
+    # seven workers, then eight: the seven-thread pool goes before the
+    # eight-thread one starts, so the process never holds both
+    monkeypatch.setattr(census_module, "_cpus", lambda: 8)
+    before = threading.active_count()
+    alive = []
+    for workers in (7, 8, 7):
+        meet = threading.Barrier(workers)
+        ran = set()
+
+        def block(s):
+            # every worker thread is started before any block returns
+            meet.wait(timeout=10)
+            ran.add(threading.get_ident())
+            alive.append(threading.active_count())
+            return s
+
+        got = list(census_module.map_blocks(block, range(workers), workers))
+        assert got == list(range(workers))
+        assert len(ran) == workers
+    assert max(alive) <= before + 8
+    assert threading.active_count() <= before + 7
+
+
+def test_concurrent_callers_share_the_one_pool(monkeypatch, no_pool):
+    # callers on more threads than cores, switching often, asking for two
+    # and three workers in turn: each gets its own results in order, on
+    # at most its count of threads, and the pool threads alive never
+    # exceed the larger count
     monkeypatch.setattr(census_module, "_cpus", lambda: 3)
-    pools = {}
-    monkeypatch.setattr(census_module, "_pools", pools)
-    seen = {2: set(), 3: set()}
     wrong = []
+    alive = []
     start = threading.Barrier(8)
+
+    def pool_threads():
+        return sum(t.name.startswith("lingeo") for t in threading.enumerate())
 
     def caller(i):
         workers = 2 + i % 2
         start.wait(timeout=10)
         for _ in range(50):
-            seen[workers].add(id(census_module._pool(workers)))
-            got = list(census_module.map_blocks(lambda s: s * i, range(6),
-                                                workers))
-            if got != [s * i for s in range(6)]:
+            ran = set()
+
+            def block(s):
+                ran.add(threading.get_ident())
+                alive.append(pool_threads())
+                return s * i
+
+            got = list(census_module.map_blocks(block, range(6), workers))
+            if got != [s * i for s in range(6)] or len(ran) > workers:
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
@@ -937,12 +983,9 @@ def test_concurrent_callers_share_one_pool_per_worker_count(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        for pool in pools.values():
-            pool.shutdown()
     assert not any(t.is_alive() for t in callers)
     assert not wrong
-    assert {w: len(ids) for w, ids in seen.items()} == {2: 1, 3: 1}
-    assert sorted(pools) == [2, 3]
+    assert alive and max(alive) <= 3
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -952,7 +995,7 @@ def test_forked_child_builds_its_own_pool(monkeypatch, baer_49):
     monkeypatch.setattr(census_module, "_cpus", lambda: 2)
     _blocks_of(monkeypatch, baer_49.card, baer_49.card, 4)
     want = line_census(baer_49, threads=2)
-    assert 2 in census_module._pools
+    assert census_module._pool[0] == 2
     pid = os.fork()
     if pid == 0:
         ok = False
