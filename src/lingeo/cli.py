@@ -4,7 +4,9 @@ Every run writes exactly one ``manifest.json`` (command echo, parsed
 options, versions, wall time, the process's CPU seconds and minor page
 faults where the platform reports them, outcome) into the output
 directory; ``verify``'s outcome also says how its line census ran
-(``LineCensus.stats``: strategy, points quotiented, passes).  Report
+(``LineCensus.stats``: strategy, points quotiented, passes), and
+``search``'s gives the tree's counters (nodes, pruned, leaves,
+duplicates) and the seconds of ``enumerate_minimal``.  Report
 files contain no timing or machine-dependent data, so identical inputs
 produce byte-identical reports regardless of ``--threads``.
 
@@ -236,7 +238,9 @@ def cmd_search(args):
     g = build_geometry(args.n, fs)
     cfg = SearchConfig(g, max_size=args.max_size, parallel_width=args.threads,
                        guard=10 ** 9 if args.force else 100)
+    walk_started = time.monotonic()
     res = enumerate_minimal(cfg)
+    enumerate_s = time.monotonic() - walk_started
     ver = verify_catalog(res)
     blocks = []
     for k, b in enumerate(res.catalog):
@@ -257,7 +261,10 @@ def cmd_search(args):
     print(f"search PG({g.n}, {fs.q}) max_size {cfg.max_size}: "
           f"{len(res.catalog)} minimal blocking sets "
           f"({res.nodes} nodes, {res.pruned} pruned)")
-    _write_manifest(out, args, started, {"catalog_size": len(res.catalog)})
+    _write_manifest(out, args, started, {
+        "catalog_size": len(res.catalog), "nodes": res.nodes,
+        "pruned": res.pruned, "leaves": res.leaves,
+        "duplicates": res.duplicates, "enumerate_s": round(enumerate_s, 3)})
     return EXIT_OK
 
 

@@ -9,44 +9,55 @@ disjoint unblocked hyperplanes never cuts more.  Leaves are kept when
 the set is a minimal blocking set; duplicates are removed with a memo of
 the sets already reached, so the catalog is complete and duplicate-free.
 
-Points and hyperplanes are held as Python int bitmasks, both read off
-one table: ``blocking.hyperplane_incidence`` of every point, the same
-incidence that ``blocking.analyze`` reads for a set.  The set of
-unblocked hyperplanes is passed down the DFS as one int and updated
-incrementally (adding point x clears the hyperplanes through x), and the
-fail-first choice is its lowest set bit, so a step costs a few big-int
-operations.  At a leaf, minimality is the exact tangent test of the
-definition on the hyperplane masks: every point of the set is the only
-point of the set on some hyperplane.
+The tree is walked in blocks of nodes of one size, held as numpy arrays:
+per node the unblocked hyperplanes and the point set, as (F, W) uint64
+bitmask rows with W = ceil(bits / 64).  Both tables are read off
+``blocking.hyperplane_incidence`` of every point, the same incidence that
+``blocking.analyze`` reads for a set.  Every hyperplane of PG(n, q) has
+the same size, and an unblocked one misses the set, so the fail-first
+choice is the lowest unblocked hyperplane: per row, the first nonzero
+word and its lowest set bit.  One step expands a whole block.  Rows with
+no unblocked hyperplane are leaves; every other row takes one child per
+point x of its chosen hyperplane, with unblocked mask ``u & misses[x]``
+and set ``s | x``, gathered from one table per hyperplane.  The
+children are pushed in slices of ``BLOCK_ROWS // (points per
+hyperplane)`` rows, so a slice expands to at most ``BLOCK_ROWS`` rows and
+the stack holds at most about (size cap) x ``BLOCK_ROWS`` rows: 16 B a
+row while both masks fit one word.
 
-A node one point below the cap is not descended from: each of its
-children s | x is at the cap, a leaf when x lies on every unblocked
-hyperplane and a pruned node otherwise.  The AND of the unblocked
-hyperplane masks gives the leaves, which take the one leaf path, and
-popcounts give the rest.  ``nodes`` and ``pruned`` still count every node
-of the same tree, but most of them (five in six on PG(2, 5) to size 7)
-are counted without a call, so nodes per second measures nodes accounted
-for, not nodes visited.
+A block one point below the cap is not pushed: each child s | x is at
+the cap, a leaf when ``u & misses[x]`` is 0 and a pruned node otherwise,
+so the children are counted and only the leaves' sets are built.
+``nodes`` and ``pruned`` count every node of the tree the recursive walk
+(kept in the tests as the oracle) visits, but most of them (five in six
+on PG(2, 5) to size 7) only as counts, so nodes per second measures
+nodes accounted for per second of the whole walk.  After the walk the
+leaf rows become Python ints, deduplicated through one set, and
+minimality is the exact tangent test of the definition on the
+distinct leaves: every point of the set is the only point of the set on
+some hyperplane.
 
 Each entry's report is built from the same masks: the popcounts of
 (hyperplane & set) are its hyperplane intersection sizes, which give the
 exponent and the span (``blocking.minimal_blocking_report``), and the
 leaf tests have proved it blocking and minimal.  In the plane the lines
 are the hyperplanes, so the popcounts are also the line sizes of the
-1-mod-p check and the line exponent, and no entry takes a line census;
-above the plane each entry takes one.  ``blocking.analyze`` stays the
-oracle these reports are tested against.  ``verify_catalog`` certifies
-only the entries that are not lines, and only then imports ``structure``,
-so a catalog of lines never compiles the certifier.
+1-mod-p check and the line exponent.  Above the plane an entry of q + 1
+points spanning a line is that line, which meets every other line in at
+most one point; only the other entries take a line census.
+``blocking.analyze`` stays the oracle these reports are tested against.
+``verify_catalog`` certifies only the entries that are not lines, and
+only then imports ``structure``, so a catalog of lines never compiles the
+certifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .blocking import (hyperplane_incidence, is_blocking, is_minimal,
-                       minimal_blocking_report)
+import numpy as np
+
+from .blocking import hyperplane_incidence, minimal_blocking_report
 from .census import line_census
 from .pg import Geometry, PointSet, lex_points
 
@@ -60,6 +71,7 @@ class GuardExceeded(SearchError):
 
 
 _DEFAULT_GUARD = 100
+BLOCK_ROWS = 1 << 14        # node rows one step of the walk may create
 
 
 @dataclass
@@ -123,6 +135,92 @@ def mask_is_minimal(masks, s: int) -> bool:
     return tangent_points == s
 
 
+def _words(ints, bits: int):
+    """Python int bitmasks as rows of ceil(bits / 64) uint64 words, the
+    lowest word first."""
+    width = -(-bits // 64)
+    return np.array([[m >> 64 * j & 0xFFFF_FFFF_FFFF_FFFF
+                      for j in range(width)] for m in ints],
+                    dtype=np.uint64).reshape(len(ints), width)
+
+
+def _ints(rows) -> list:
+    """uint64 word rows, the lowest word first, as Python ints."""
+    out = rows[:, 0].tolist()
+    for j in range(1, rows.shape[1]):
+        out = [m | w << 64 * j for m, w in zip(out, rows[:, j].tolist())]
+    return out
+
+
+def _or_words(rows):
+    """The OR of the words of each row, over the last axis: a few ORs of
+    columns, where a reduce over so short an axis is slow."""
+    acc = rows[..., 0]
+    for j in range(1, rows.shape[-1]):
+        acc = acc | rows[..., j]
+    return acc
+
+
+def _lowest_bit(u):
+    """Per row of ``u`` (no row 0), the index of its lowest set bit."""
+    if u.shape[1] == 1:
+        j, w = 0, u[:, 0]
+    else:
+        j = (u != 0).argmax(axis=1)
+        w = u[np.arange(len(u)), j]
+    # w & -w is the lowest set bit alone, a power of two and so exact in
+    # float64, whose exponent frexp reads
+    return 64 * j + np.frexp((w & -w).astype(np.float64))[1] - 1
+
+
+def _walk(masks, misses, num_points: int, max_size: int):
+    """(nodes, pruned, leaf sets as Python ints) of the fail-first tree
+    below the empty set, walked in blocks (see the module docstring)."""
+    hpoints = np.array([[x for x in range(num_points) if m >> x & 1]
+                        for m in masks], dtype=np.intp)
+    per = hpoints.shape[1]
+    # per hyperplane, per point of it: the hyperplanes missing the point,
+    # and the point as a set
+    hmiss = _words(misses, len(masks))[hpoints]
+    hbit = _words([1 << x for x in range(num_points)], num_points)[hpoints]
+    slice_rows = max(1, BLOCK_ROWS // per)
+    stack = [(_words([(1 << len(masks)) - 1], len(masks)),
+              np.zeros((1, hbit.shape[2]), dtype=np.uint64), 0)]
+    nodes = pruned = 0
+    leaves = []
+    while stack:
+        u, s, size = stack.pop()
+        nodes += len(u)
+        open_rows = _or_words(u) != 0
+        if not open_rows.all():
+            leaves.append(s[~open_rows])
+            u, s = u[open_rows], s[open_rows]
+            if not len(u):
+                continue
+        h = _lowest_bit(u)
+        child_u = hmiss[h]
+        child_u &= u[:, None, :]
+        if size + 1 == max_size:
+            # every child is at the cap: a leaf when it blocks every
+            # hyperplane, else pruned
+            leaf = _or_words(child_u) == 0
+            found = int(np.count_nonzero(leaf))
+            nodes += leaf.size
+            pruned += leaf.size - found
+            if found:
+                row, col = np.nonzero(leaf)
+                leaves.append(hbit[h[row], col] | s[row])
+            continue
+        child_s = hbit[h]
+        child_s |= s[:, None, :]
+        child_u = child_u.reshape(-1, u.shape[1])
+        child_s = child_s.reshape(-1, s.shape[1])
+        for lo in range(0, len(child_u), slice_rows):
+            stack.append((child_u[lo:lo + slice_rows],
+                          child_s[lo:lo + slice_rows], size + 1))
+    return nodes, pruned, _ints(np.concatenate(leaves))
+
+
 def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
     """Complete catalog of minimal blocking sets of size <= cfg.max_size.
 
@@ -136,86 +234,32 @@ def enumerate_minimal(cfg: SearchConfig) -> SearchResult:
             f"{g.num_points} points exceeds the guard ({cfg.guard}); "
             "override the guard to force the run")
     masks, misses = _hyperplane_masks(g)
-    points = range(g.num_points)
-    max_size = cfg.max_size
-    memo: set = set()
-    found: list = []
-    nodes = pruned = leaves = duplicates = 0
-
-    def leaf(s):
-        nonlocal leaves, duplicates
-        leaves += 1
-        if s in memo:
-            duplicates += 1
-        else:
-            memo.add(s)
-            if mask_is_minimal(masks, s):
-                found.append((tuple(x for x in points if s >> x & 1), s))
-
-    def descend(unblocked, s, size):
-        nonlocal nodes, pruned
-        nodes += 1
-        if not unblocked:
-            leaf(s)
-            return
-        # fail-first: an unblocked hyperplane misses s, so all its points are
-        # addable, and every hyperplane of PG(n, q) has the same size; the
-        # one with the fewest addable points is the lowest unblocked one
-        low = unblocked & -unblocked
-        free = masks[low.bit_length() - 1]
-        if size + 1 == max_size:
-            # every child s | x is at the cap: a leaf when x lies on every
-            # unblocked hyperplane, else a pruned node, so count the children
-            # in closed form and send only the leaves down the leaf path;
-            # no call of descend is ever at the cap
-            on_all = free
-            rest = unblocked ^ low
-            while rest and on_all:
-                low = rest & -rest
-                on_all &= masks[low.bit_length() - 1]
-                rest ^= low
-            children = free.bit_count()
-            nodes += children
-            pruned += children - on_all.bit_count()
-            while on_all:
-                low = on_all & -on_all
-                leaf(s | low)
-                on_all ^= low
-            return
-        while free:
-            low = free & -free
-            descend(unblocked & misses[low.bit_length() - 1], s | low,
-                    size + 1)
-            free ^= low
-
-    descend((1 << len(masks)) - 1, 0, 0)
+    nodes, pruned, leaves = _walk(masks, misses, g.num_points, cfg.max_size)
+    distinct = set(leaves)
+    found = sorted((tuple(x for x in range(g.num_points) if s >> x & 1), s)
+                   for s in distinct if mask_is_minimal(masks, s))
     result = SearchResult(catalog=[], reports=[], nodes=nodes, pruned=pruned,
-                          leaves=leaves, duplicates=duplicates)
-    for key, s in sorted(found):
+                          leaves=len(leaves),
+                          duplicates=len(leaves) - len(distinct))
+    q = g.fs.q
+    # the hyperplanes through a line: 1 + q + ... + q^(n-2)
+    through_line = (q ** (g.n - 1) - 1) // (q - 1)
+    for key, s in found:
         b = PointSet(g, list(key))
         sizes = [(m & s).bit_count() for m in masks]
-        # in the plane the lines are the hyperplanes
-        lines = sorted(set(sizes)) if g.n == 2 else sorted(line_census(b).hist)
+        if g.n == 2:
+            # in the plane the lines are the hyperplanes
+            lines = sorted(set(sizes))
+        elif len(key) == q + 1 and sizes.count(q + 1) == through_line:
+            # q + 1 points spanning a line are the line, which meets every
+            # other line in at most one point
+            lines = [1, q + 1] if g.n > 1 else [q + 1]
+        else:
+            lines = sorted(line_census(b).hist)
         result.catalog.append(b)
         result.line_sizes.append(lines)
         result.reports.append(minimal_blocking_report(b, sizes, lines))
     return result
-
-
-def brute_force_minimal(g: Geometry, max_size: int) -> list:
-    """Independent oracle: scan every subset of size <= max_size."""
-    out = []
-    pts = range(g.num_points)
-    for size in range(1, max_size + 1):
-        for combo in combinations(pts, size):
-            b = PointSet(g, list(combo))
-            blocking, _ = is_blocking(b)
-            if not blocking:
-                continue
-            minimal, _ = is_minimal(b)
-            if minimal:
-                out.append(tuple(combo))
-    return sorted(out)
 
 
 def verify_catalog(res: SearchResult) -> dict:

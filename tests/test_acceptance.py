@@ -20,9 +20,9 @@ from lingeo.fileio import write_point_set
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, build_geometry
 from lingeo.reduction import SpreadContext
-from lingeo.search import (SearchConfig, brute_force_minimal,
-                           enumerate_minimal, verify_catalog)
+from lingeo.search import SearchConfig, enumerate_minimal, verify_catalog
 from lingeo.structure import certify_linearity, check_sublines, run_lemma_suite
+from oracles import brute_force_minimal
 
 _PRIME_POWERS_128 = [
     (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),

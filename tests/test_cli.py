@@ -235,6 +235,15 @@ def test_search_cli_pg_2_2(tmp_path):
                 "--out", str(out)]) == 0
     idx = json.loads((out / "catalog_index.json").read_text())
     assert idx["total"] == 7 and idx["one_mod_p_alarms"] == []
+    # the tree's counters and the walk's seconds go to the manifest only
+    outcome = json.loads((out / "manifest.json").read_text())["outcome"]
+    walk_s = outcome.pop("enumerate_s")
+    assert isinstance(walk_s, float) and walk_s >= 0
+    assert outcome == {"catalog_size": 7, "nodes": idx["nodes"],
+                       "pruned": idx["pruned"], "leaves": 63,
+                       "duplicates": 34}
+    assert set(idx) == {"geometry", "max_size", "total", "nodes", "pruned",
+                        "entries", "one_mod_p_alarms"}
 
 
 def test_search_pg_2_5_report_bytes(tmp_path):
@@ -301,6 +310,11 @@ def test_search_runs_line_censuses_only_to_certify(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "s")]) == 0
     # the 13 lines of PG(2, 3): in the plane the hyperplane popcounts are
     # the line sizes, and a line is not certified
+    assert calls == []
+    assert run(["search", "--p", "2", "--t", "1", "--n", "3", "--max-size",
+                "4", "--out", str(tmp_path / "s32")]) == 0
+    # the 35 lines of PG(3, 2): q + 1 points spanning a line are the line,
+    # whose line sizes need no census
     assert calls == []
     assert run(["search", "--p", "2", "--t", "2", "--max-size", "7",
                 "--out", str(tmp_path / "s4")]) == 0

@@ -1,14 +1,16 @@
 import pytest
 
+from lingeo import search
 from lingeo.blocking import analyze, is_blocking, is_minimal
 from lingeo.census import line_census
+from lingeo.cli import main as run
 from lingeo.constructions import subgeometry
 from lingeo.gf import make_field
 from lingeo.pg import PointSet, build_geometry, points_of
 from lingeo.search import (GuardExceeded, SearchConfig, SearchError,
-                           _hyperplane_masks, brute_force_minimal,
-                           enumerate_minimal, mask_is_minimal,
-                           verify_catalog)
+                           _hyperplane_masks, enumerate_minimal,
+                           mask_is_minimal, verify_catalog)
+from oracles import brute_force_minimal, recursive_walk
 
 
 def catalog_keys(res):
@@ -67,6 +69,37 @@ def test_cap_level_counters(n, p, max_size, counters, entries):
     res = enumerate_minimal(SearchConfig(g, max_size=max_size))
     assert len(res.catalog) == entries
     assert (res.nodes, res.pruned, res.leaves, res.duplicates) == counters
+
+
+@pytest.mark.parametrize("n, q, max_size", [
+    (1, 3, 4), (2, 2, 3), (2, 2, 4), (2, 3, 5), (2, 4, 7), (3, 2, 4),
+    (3, 2, 7),
+    # 127 points and 127 hyperplanes: masks of two words
+    (6, 2, 3)])
+def test_block_walk_matches_recursive_walk(n, q, max_size):
+    g = build_geometry(n, make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]))
+    res = enumerate_minimal(SearchConfig(g, max_size=max_size, guard=127))
+    assert (res.nodes, res.pruned, res.leaves, res.duplicates,
+            catalog_keys(res)) == recursive_walk(g, max_size)
+
+
+@pytest.mark.parametrize("rows", [8, 1 << 22])
+def test_block_boundaries_change_nothing(tmp_path, monkeypatch, pg_2_4,
+                                         pg_2_4_catalog, rows):
+    assert run(["search", "--p", "2", "--t", "2",
+                "--out", str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(search, "BLOCK_ROWS", rows)
+    res = enumerate_minimal(SearchConfig(pg_2_4))
+    want = pg_2_4_catalog
+    assert (res.nodes, res.pruned, res.leaves, res.duplicates) == (
+        want.nodes, want.pruned, want.leaves, want.duplicates)
+    assert catalog_keys(res) == catalog_keys(want)
+    assert res.line_sizes == want.line_sizes
+    assert run(["search", "--p", "2", "--t", "2",
+                "--out", str(tmp_path / "patched")]) == 0
+    for name in ("catalog_index.json", "catalog.txt"):
+        assert ((tmp_path / "patched" / name).read_bytes()
+                == (tmp_path / "default" / name).read_bytes())
 
 
 def test_pg_3_2_matches_brute_force():
